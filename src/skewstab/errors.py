@@ -64,13 +64,3 @@ class RoundCapExceeded(SkewstabError):
         super().__init__(message)
         self.trace = trace if trace is not None else []
 
-
-class ParseError(SkewstabError):
-    """Malformed textual input; carries position information."""
-
-    def __init__(self, message, line=None, column=None):
-        if line is not None:
-            message = f"line {line}, column {column}: {message}"
-        super().__init__(message)
-        self.line = line
-        self.column = column

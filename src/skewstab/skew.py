@@ -103,7 +103,7 @@ def _visible_degree(coeffs) -> int:
 class SkewLocal:
     """One local model: base germ plus fibre map num/den in y."""
 
-    __slots__ = ("base", "num", "den", "label", "_poles", "_crit")
+    __slots__ = ("base", "num", "den", "label", "_poles", "_crit", "_zeros", "__weakref__")
 
     def __init__(self, base: BaseGerm, num, den, label: str = ""):
         num = _trim([as_series(c) for c in num])
@@ -120,6 +120,7 @@ class SkewLocal:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_poles", None)
         object.__setattr__(self, "_crit", None)
+        object.__setattr__(self, "_zeros", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewLocal is immutable")

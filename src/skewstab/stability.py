@@ -300,16 +300,11 @@ def _packet_inside(v: Direction, desc) -> bool:
     return (w < b.t) if v.at_infinity else (w > b.t)
 
 
-_zero_cache = {}
-
-
 def _num_zeros(link: SkewLocal):
-    key = id(link)
-    hit = _zero_cache.get(key)
-    if hit is None or hit[0] is not link:
-        hit = (link, newton_puiseux(list(link.num), None))
-        _zero_cache[key] = hit
-    return hit[1]
+    """Fibre zeros: roots of the numerator, cached on the link."""
+    if link._zeros is None:
+        object.__setattr__(link, "_zeros", newton_puiseux(list(link.num), None))
+    return link._zeros
 
 
 def _disk_image(link: SkewLocal, b: TypeIIPoint, v: Direction):

@@ -9,20 +9,36 @@ which the Farey structure makes decidable by a finite denominator scan.
 Smoothness = every special direction of every vertex meets the set, and
 every complement component is a clean disk or annulus.  The checker is
 independent of the hull constructions so the two can audit each other.
+
+Every query reads one index, the ``HullTree`` of the set, built on first
+use and cached on the ``VertexSet``.  Its nodes are the join-closure of
+the vertices, a finite subtree of the line; the nodes that are not
+vertices are the missing junctions.  A complement component is an open
+edge between two vertices, a disk hanging off the tree, or a connected
+group of non-vertex nodes with the edges around it.  For n vertices, a
+tree of depth d whose nodes have at most k children:
+
+* building the tree: O(n log n) comparisons to sort the vertices in
+  depth-first order, n - 1 joins of neighbours to close them, and one
+  stack pass for the parents;
+* ``hull``, ``HullTree.parent``/``children`` and ``in``: lookups;
+* ``locate``: a descent from the top, O(d k), then a walk over the
+  component found, O(its size);
+* ``missing_flanks`` of a vertex: O(k), from its children;
+* ``is_smooth``, ``enumerate_domains``, ``dual_graph``: one pass over the
+  tree (``is_smooth`` adds a lattice scan per pair of adjacent vertices).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional
 
 from .berkovich import (
     Direction,
     TypeIIPoint,
-    _diff_val,
     classify_point,
     direction_at,
     g_point,
@@ -34,13 +50,17 @@ from .berkovich import (
     special_directions,
 )
 from .errors import RoundCapExceeded
-from .puiseux import INF, PuiseuxPoly
+from .puiseux import INF
 
 
 class VertexSet:
-    """Immutable finite set of disk points, kept sorted for determinism."""
+    """Immutable finite set of disk points, kept sorted for determinism.
 
-    __slots__ = ("points",)
+    Its hull tree, the index every query reads, is built on first use
+    and cached.
+    """
+
+    __slots__ = ("points", "_members", "_tree")
 
     def __init__(self, points=()):
         uniq = {}
@@ -49,6 +69,8 @@ class VertexSet:
         object.__setattr__(
             self, "points", tuple(sorted(uniq, key=TypeIIPoint.sort_key))
         )
+        object.__setattr__(self, "_members", frozenset(uniq))
+        object.__setattr__(self, "_tree", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexSet is immutable")
@@ -60,7 +82,7 @@ class VertexSet:
         return len(self.points)
 
     def __contains__(self, p):
-        return p in self.points
+        return p in self._members
 
     def __eq__(self, other):
         if not isinstance(other, VertexSet):
@@ -73,6 +95,12 @@ class VertexSet:
     def union(self, extra) -> "VertexSet":
         return VertexSet(self.points + tuple(extra))
 
+    def tree(self) -> "HullTree":
+        """The hull tree of the set (built once)."""
+        if self._tree is None:
+            object.__setattr__(self, "_tree", _build_tree(self))
+        return self._tree
+
     def __str__(self):
         return "{" + ", ".join(str(p) for p in self.points) + "}"
 
@@ -80,53 +108,109 @@ class VertexSet:
         return f"VertexSet({self})"
 
 
+def _vertex_set(points) -> VertexSet:
+    return points if isinstance(points, VertexSet) else VertexSet(points)
+
+
 @dataclass(frozen=True)
 class HullTree:
     """Join-closure of a vertex set with its tree structure.
 
-    ``edges`` lists (outer, inner) pairs of tree-adjacent nodes; ``top``
-    is the unique maximal node.
+    ``edges`` lists (outer, inner) pairs of tree-adjacent nodes, ordered
+    by inner node; ``top`` is the unique maximal node.  ``vertices`` is
+    the set the tree was built from: the nodes outside it are its
+    missing junctions.
     """
 
     nodes: tuple
     edges: tuple
     top: TypeIIPoint
+    vertices: frozenset = field(compare=False, repr=False)
+    parent_of: dict = field(compare=False, repr=False)
+    children_of: dict = field(compare=False, repr=False)
 
     def children(self, p):
-        return [inner for outer, inner in self.edges if outer == p]
+        return list(self.children_of.get(p, ()))
 
     def parent(self, p):
-        for outer, inner in self.edges:
-            if inner == p:
-                return outer
-        return None
+        return self.parent_of.get(p)
 
     def edge_length(self, outer, inner) -> Fraction:
         return hyperbolic_distance(outer, inner)
 
+    def seat(self, p):
+        """Where p sits on the tree, found by descending from the top.
+
+        (u, w): p lies in the branch off the open edge from node u down
+        to node w.  (u, None): p is the node u, or hangs off u in a
+        direction holding no node.  (None, top): p is not below the top.
+        """
+        if not leq(p, self.top):
+            return None, self.top
+        u = self.top
+        while u != p:
+            for w in self.children_of[u]:
+                if leq(p, w):
+                    u = w
+                    break
+                if join(p, w).t > u.t:
+                    return u, w
+            else:
+                return u, None
+        return u, None
+
+    def reach(self, starts, passed=None) -> set:
+        """Vertices met first when walking from the start nodes through
+        non-vertex nodes; the non-vertex nodes walked are added to
+        ``passed``."""
+        passed = set() if passed is None else passed
+        found = set()
+        todo = list(starts)
+        while todo:
+            x = todo.pop()
+            if x in self.vertices:
+                found.add(x)
+            elif x not in passed:
+                passed.add(x)
+                todo.extend(self.children_of[x])
+                if self.parent_of[x] is not None:
+                    todo.append(self.parent_of[x])
+        return found
+
 
 def hull(points) -> HullTree:
     """Smallest join-closed set containing the given points, as a tree."""
-    pts = list(VertexSet(points))
+    return _vertex_set(points).tree()
+
+
+def _build_tree(vs: VertexSet) -> HullTree:
+    """Close the set under joins, then hang every node from its parent:
+    in depth-first order a node's ancestors are those left on the stack."""
+    pts = vs.points
     if not pts:
         raise ValueError("hull of an empty set")
-    exact = all(not p.classical and p.center.precision is INF for p in pts)
-    nodes = _join_closure(pts) if exact else _join_closure_by_pairs(pts)
-    lst = sorted(nodes, key=TypeIIPoint.sort_key)
+    if all(not p.classical and p.center.precision is INF for p in pts):
+        order = _join_closure(pts)
+    else:
+        order = sorted(_join_closure_by_pairs(pts), key=_tree_key)
+    parent_of = {}
+    stack = []
+    for p in order:
+        while stack and not leq(p, stack[-1]):
+            stack.pop()
+        parent_of[p] = stack[-1] if stack else None
+        stack.append(p)
+    top = stack[0]
+    # pts is sorted and a subset of the nodes, so equal sizes mean equal sets
+    lst = pts if len(order) == len(pts) else sorted(order, key=TypeIIPoint.sort_key)
+    children_of = {p: [] for p in lst}
     edges = []
-    top = None
     for p in lst:
-        parent = None
-        for q in lst:
-            if q == p or not leq(p, q):
-                continue
-            if parent is None or q.t > parent.t:
-                parent = q
-        if parent is None:
-            top = p
-        else:
-            edges.append((parent, p))
-    return HullTree(tuple(lst), tuple(edges), top)
+        outer = parent_of[p]
+        if outer is not None:
+            edges.append((outer, p))
+            children_of[outer].append(p)
+    return HullTree(tuple(lst), tuple(edges), top, vs._members, parent_of, children_of)
 
 
 def _join_closure_by_pairs(pts):
@@ -145,80 +229,28 @@ def _join_closure_by_pairs(pts):
     return nodes
 
 
-def _centre_cmp(a: PuiseuxPoly, b: PuiseuxPoly) -> int:
-    """Order exact series by the sign of the leading term of a - b.
+def _tree_key(p: TypeIIPoint):
+    """Sort key of the depth-first order of the disk tree.
 
-    Compatible with the disk tree: centres that agree below any depth d
-    form a contiguous block, because any third series compares against
-    both through a disagreement strictly below d.
+    A disk comes before the disks inside it; disjoint disks compare by the
+    sign of the first difference of their centres' coefficients, which is
+    the same for all points of their two subtrees.  Keying c*x^e as
+    (1, -e, c) for c > 0 and (-1, e, c) for c < 0, and the end of the
+    centre as (-1, t), ranks each against an absent term (coefficient 0).
     """
-    ta, tb = a.terms, b.terms
-    i = j = 0
-    while i < len(ta) and j < len(tb):
-        ea, ca = ta[i]
-        eb, cb = tb[j]
-        if ea < eb:
-            return -1 if ca < 0 else 1
-        if eb < ea:
-            return 1 if cb < 0 else -1
-        if ca != cb:
-            return -1 if ca < cb else 1
-        i += 1
-        j += 1
-    if i < len(ta):
-        return -1 if ta[i][1] < 0 else 1
-    if j < len(tb):
-        return 1 if tb[j][1] < 0 else -1
-    return 0
-
-
-def _point_order(p: TypeIIPoint, q: TypeIIPoint) -> int:
-    c = _centre_cmp(p.center, q.center)
-    if c:
-        return c
-    return (p.t > q.t) - (p.t < q.t)
+    terms = p.center.terms
+    return tuple((1, -e, c) if c > 0 else (-1, e, c) for e, c in terms) + ((-1, p.t),)
 
 
 def _join_closure(pts):
-    """All pairwise joins in near-linear time (exact centres only).
+    """The join-closure in depth-first order (exact centres only).
 
-    In centre order the branch depth of two points is the minimum of the
-    adjacent branch depths between them, so a union-find sweep from deep
-    to shallow meets every pairwise join: merging two blocks at depth h
-    yields a node not already present exactly when both blocks contain a
-    point strictly deeper than h.
+    In that order the join of any two points is the highest join of
+    neighbours between them, so n - 1 joins close the set.
     """
-    order = sorted(pts, key=cmp_to_key(_point_order))
-    n = len(order)
-    parent = list(range(n))
-    deepest = [p.t for p in order]
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    shared = []  # adjacent pairs with identical centres: never a new node
-    branch = []  # (depth of first centre disagreement, left position)
-    for i in range(n - 1):
-        v = _diff_val(order[i].center, order[i + 1].center)
-        if v is None:
-            shared.append(i)
-        else:
-            branch.append((v, i))
-    nodes = set(order)
-    for i in shared:
-        a, b = find(i), find(i + 1)
-        parent[a] = b
-        deepest[b] = max(deepest[a], deepest[b])
-    for h, i in sorted(branch, key=lambda g: g[0], reverse=True):
-        a, b = find(i), find(i + 1)
-        if deepest[a] > h and deepest[b] > h:
-            nodes.add(TypeIIPoint(order[i].center, h))
-        parent[a] = b
-        deepest[b] = max(deepest[a], deepest[b])
-    return nodes
+    order = sorted(pts, key=_tree_key)
+    joins = {join(a, b) for a, b in zip(order, order[1:])}.difference(order)
+    return sorted(order + list(joins), key=_tree_key) if joins else order
 
 
 def segment_lattice_points(
@@ -294,11 +326,25 @@ def missing_flanks(p: TypeIIPoint, gammas):
     """Special directions of p with no vertex of gammas in them.
 
     Returns [(direction, nearest flank vertex)]; empty means flanked.
+    A direction down from p holds a vertex exactly when a tree node just
+    below p lies in it; the direction at infinity, when the top is not
+    below p.
     """
+    vs = _vertex_set(gammas)
+    if not vs:
+        return [(v, flank_in_direction(p, v)) for v, _mult in special_directions(p)]
+    tree = vs.tree()
+    below = tree.children_of.get(p)
+    if below is None:  # not a node: only the edge p may lie on leads down
+        _u, w = tree.seat(p)
+        below = [] if w is None else [w]
     out = []
-    others = [q for q in gammas if q != p]
     for v, _mult in special_directions(p):
-        if not any(point_in_direction(v, q) for q in others):
+        if v.at_infinity:
+            seen = not leq(tree.top, p)
+        else:
+            seen = any(point_in_direction(v, w) for w in below)
+        if not seen:
             out.append((v, flank_in_direction(p, v)))
     return out
 
@@ -342,27 +388,34 @@ def is_smooth(gammas) -> SmoothnessReport:
     a point of level <= max of the endpoint levels, and that every
     special direction of every vertex meets the set.
     """
-    pts = list(VertexSet(gammas))
-    if not pts:
+    vs = _vertex_set(gammas)
+    if not vs:
         raise ValueError("smoothness of an empty set")
+    tree = vs.tree()
     violations = []
-    pset = set(pts)
-    junction_gaps = {}
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            j = join(a, b)
-            if j in pset or leq(a, b) or leq(b, a) or not _sees(pts, a, b):
-                continue
-            junction_gaps.setdefault(j, (a, b))
-    for j, (a, b) in junction_gaps.items():
+    # the non-vertex nodes are the missing junctions; each is named by the
+    # first pair of vertices, in set order, that meet there unseparated
+    rank = {p: i for i, p in enumerate(tree.nodes)}
+    first = {}  # lowest-ranked vertex met first below each node
+    for x in reversed(tree.nodes):
+        if x in tree.vertices:
+            first[x] = x
+            continue
+        a, b = sorted((first[c] for c in tree.children_of[x]), key=rank.get)[:2]
+        first[x] = a
         violations.append(
             Violation(
                 "missing-junction",
-                j,
+                x,
                 f"component between {a} and {b} is not a disk or annulus",
             )
         )
-    for outer, inner in _adjacent_pairs(pts):
+    for inner in vs:
+        outer = tree.parent_of[inner]
+        while outer is not None and outer not in tree.vertices:
+            outer = tree.parent_of[outer]
+        if outer is None:
+            continue
         cap = max(g_point(outer), g_point(inner))
         inside = segment_lattice_points(outer, inner, cap)
         if inside:
@@ -375,8 +428,8 @@ def is_smooth(gammas) -> SmoothnessReport:
                     f"level {g_point(witness)} <= {cap}",
                 )
             )
-    for p in pts:
-        for v, flank in missing_flanks(p, pts):
+    for p in vs:
+        for v, flank in missing_flanks(p, vs):
             where = "at infinity" if v.at_infinity else f"towards {v.rep}"
             violations.append(
                 Violation(
@@ -387,21 +440,6 @@ def is_smooth(gammas) -> SmoothnessReport:
             )
     violations.sort(key=lambda v: (v.witness.sort_key(), v.kind))
     return SmoothnessReport(not violations, tuple(violations))
-
-
-def _adjacent_pairs(pts):
-    """Comparable pairs with no third vertex strictly between them."""
-    out = []
-    for a in pts:
-        parent = None
-        for q in pts:
-            if q == a or not leq(a, q):
-                continue
-            if parent is None or q.t > parent.t:
-                parent = q
-        if parent is not None:
-            out.append((parent, a))
-    return out
 
 
 def smooth_n_convex_hull(points, n: int, max_rounds: int = 64) -> VertexSet:
@@ -456,42 +494,35 @@ class GammaDomain:
         return f"{self.kind}({inner})"
 
 
-def visible_boundary(gammas, p: TypeIIPoint):
-    """Vertices reachable from p without crossing another vertex."""
-    pts = [q for q in gammas if q != p]
-    out = []
-    for q in pts:
-        jq = join(p, q)
-        blocked = False
-        for r in pts:
-            if r == q:
-                continue
-            if (leq(p, r) and leq(r, jq)) or (leq(q, r) and leq(r, jq)):
-                blocked = True
-                break
-        if not blocked:
-            out.append(q)
-    return sorted(out, key=TypeIIPoint.sort_key)
-
-
 def locate(gammas, p: TypeIIPoint) -> Optional[GammaDomain]:
-    """The complement component containing p; None when p is a vertex."""
-    pts = list(VertexSet(gammas))
-    if p in pts:
+    """The complement component containing p; None when p is a vertex.
+
+    Its boundary is the set of vertices reachable from p without
+    crossing another vertex: from where p sits on the tree, walk
+    through non-vertex nodes.
+    """
+    vs = _vertex_set(gammas)
+    if p in vs._members:
         return None
-    bdry = visible_boundary(pts, p)
-    if not bdry:
+    if not vs:
         raise ValueError("cannot locate a point against an empty vertex set")
+    tree = vs.tree()
+    starts = [x for x in tree.seat(p) if x is not None]
+    bdry = sorted(tree.reach(starts), key=TypeIIPoint.sort_key)
     if len(bdry) == 1:
-        g = bdry[0]
-        return GammaDomain("disk", (g,), direction_at(g, p))
-    if len(bdry) == 2:
-        a, b = bdry
+        return GammaDomain("disk", (bdry[0],), direction_at(bdry[0], p))
+    return _between(bdry)
+
+
+def _between(members) -> GammaDomain:
+    """The component bounded by two or more vertices, given in set order."""
+    if len(members) == 2:
+        a, b = members
         if leq(b, a):
             return GammaDomain("annulus", (a, b))
         if leq(a, b):
             return GammaDomain("annulus", (b, a))
-    return GammaDomain("component", tuple(bdry))
+    return GammaDomain("component", tuple(members))
 
 
 def enumerate_domains(gammas):
@@ -502,61 +533,33 @@ def enumerate_domains(gammas):
     standing for all directions at it that do not lead to another
     vertex.  locate refines a symbolic disk to a concrete direction.
     """
-    pts = list(VertexSet(gammas))
-    doms = []
-    # components between vertices = maximal cliques of the visibility graph
-    pairs = _visible_pairs(pts)
-    comps = []
-    assigned = set()
-    for a, b in pairs:
-        if (a, b) in assigned:
-            continue
-        comp = {a, b}
-        for c in pts:
-            if c in comp:
-                continue
-            if all(_sees(pts, c, q) for q in comp):
-                comp.add(c)
-        members = sorted(comp, key=TypeIIPoint.sort_key)
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                assigned.add((x, y))
-        comps.append(members)
-    for members in comps:
-        if len(members) == 2:
-            a, b = members
-            if leq(b, a):
-                doms.append(GammaDomain("annulus", (a, b)))
-            elif leq(a, b):
-                doms.append(GammaDomain("annulus", (b, a)))
-            else:
-                doms.append(GammaDomain("component", (a, b)))
-        else:
-            doms.append(GammaDomain("component", tuple(members)))
-    for p in pts:
-        doms.append(GammaDomain("disk", (p,), None))
-    return doms
+    vs = _vertex_set(gammas)
+    doms = [_between(members) for members in _components(vs)]
+    return doms + [GammaDomain("disk", (p,), None) for p in vs]
 
 
-def _visible_pairs(pts):
-    out = []
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            if _sees(pts, a, b):
-                out.append((a, b))
-    return out
+def _components(vs: VertexSet):
+    """Boundaries of the complement components between two or more
+    vertices, each in set order, ordered by their first two vertices.
 
-
-def _sees(pts, a, b) -> bool:
-    if a == b:
-        return False
-    j = join(a, b)
-    for r in pts:
-        if r == a or r == b:
-            continue
-        if (leq(a, r) and leq(r, j)) or (leq(b, r) and leq(r, j)):
-            return False
-    return True
+    Such a component is an open edge between two vertices, or a
+    connected group of non-vertex nodes with the edges around it.
+    """
+    if not vs:
+        return []
+    tree = vs.tree()
+    rank = {p: i for i, p in enumerate(vs.points)}
+    comps = [
+        [outer, inner]
+        for outer, inner in tree.edges
+        if outer in tree.vertices and inner in tree.vertices
+    ]
+    passed = set()
+    for x in tree.nodes:
+        if x not in tree.vertices and x not in passed:
+            comps.append(sorted(tree.reach([x], passed), key=rank.get))
+    comps.sort(key=lambda m: (rank[m[0]], rank[m[1]]))
+    return comps
 
 
 def domain_contains(dom: GammaDomain, gammas, p: TypeIIPoint) -> bool:
@@ -586,7 +589,7 @@ def dual_graph(gammas):
     the graph is a tree; a component with three or more boundary
     vertices shows up as a clique.
     """
-    pts = list(VertexSet(gammas))
+    pts = _vertex_set(gammas)
     nodes = []
     for p in pts:
         nodes.append(
@@ -601,7 +604,14 @@ def dual_graph(gammas):
                 },
             )
         )
-    edges = _visible_pairs(pts)
+    rank = {p: i for i, p in enumerate(pts)}
+    edges = [
+        (a, b)
+        for members in _components(pts)
+        for i, a in enumerate(members)
+        for b in members[i + 1 :]
+    ]
+    edges.sort(key=lambda e: (rank[e[0]], rank[e[1]]))
     return nodes, edges
 
 
@@ -619,21 +629,7 @@ def dual_graph_dot(gammas) -> str:
 
 
 def is_tree(gammas) -> bool:
-    nodes, edges = dual_graph(gammas)
-    if len(edges) != len(nodes) - 1:
-        return False
-    parent = {p: p for p, _ in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    roots = {find(p) for p, _ in nodes}
-    return len(roots) == 1
+    """Whether the dual graph is a tree.  It is always connected, and a
+    component with three or more boundary vertices makes a cycle."""
+    vs = _vertex_set(gammas)
+    return bool(vs) and all(len(members) == 2 for members in _components(vs))

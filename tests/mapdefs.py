@@ -1,7 +1,9 @@
-"""Shared map builders for the test suite."""
+"""Shared map builders and point generators for the test suite."""
 
+import math
 from fractions import Fraction as F
 
+from skewstab.berkovich import TypeIIPoint
 from skewstab.puiseux import PuiseuxPoly
 from skewstab.skew import BaseGerm, SkewLocal
 
@@ -25,3 +27,23 @@ def xy2_map() -> SkewLocal:
 def square_map() -> SkewLocal:
     # base x, fibre map y^2 (good reduction)
     return SkewLocal(BaseGerm(X), [ZERO, ZERO, ONE], [ONE], label="square")
+
+
+def random_point(rng, max_den=4):
+    """A Type II point with small rational data.
+
+    Radius exponents and centre exponents use denominators <= max_den;
+    centre terms stay strictly above the disk's own depth so none are
+    absorbed by canonicalisation.
+    """
+    den = rng.randint(1, max_den)
+    t = F(rng.randint(-2 * den, 3 * den), den)
+    center = PuiseuxPoly.zero()
+    for _ in range(rng.randint(0, 2)):
+        e_den = rng.randint(1, max_den)
+        lo, hi = -2 * e_den, math.ceil(t * e_den) - 1
+        if hi < lo:
+            continue
+        e = F(rng.randint(lo, hi), e_den)
+        center = center + PuiseuxPoly.monomial(rng.choice([-2, -1, 1, 2, 3]), e)
+    return TypeIIPoint(center, t)

@@ -8,7 +8,6 @@ probes rather than trusting the pushforward internals).
 """
 
 import io
-import math
 import random
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -18,7 +17,7 @@ from itertools import zip_longest
 
 import pytest
 
-from mapdefs import ONE, ZERO, thm6_map
+from mapdefs import ONE, ZERO, random_point, thm6_map
 from skewstab.berkovich import (
     TypeIIPoint,
     g_point,
@@ -82,26 +81,6 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli_main(list(argv))
     return code, out.getvalue(), err.getvalue()
-
-
-def random_point(rng, max_den=4):
-    """A Type II point with small rational data.
-
-    Radius exponents and centre exponents use denominators <= max_den;
-    centre terms stay strictly above the disk's own depth so none are
-    absorbed by canonicalisation.
-    """
-    den = rng.randint(1, max_den)
-    t = F(rng.randint(-2 * den, 3 * den), den)
-    center = PuiseuxPoly.zero()
-    for _ in range(rng.randint(0, 2)):
-        e_den = rng.randint(1, max_den)
-        lo, hi = -2 * e_den, math.ceil(t * e_den) - 1
-        if hi < lo:
-            continue
-        e = F(rng.randint(lo, hi), e_den)
-        center = center + PuiseuxPoly.monomial(rng.choice([-2, -1, 1, 2, 3]), e)
-    return TypeIIPoint(center, t)
 
 
 def test_criterion_01_induced_interval_map():

@@ -1,4 +1,7 @@
+import gc
+import weakref
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
@@ -10,6 +13,7 @@ from skewstab.berkovich import (
     leq,
 )
 from skewstab.errors import NotApplicable, RoundCapExceeded
+from skewstab.parsing import parse_definition
 from skewstab.puiseux import PuiseuxPoly, as_series
 from skewstab.skew import BaseGerm, Chain, SkewLocal, pushforward
 from skewstab.stability import (
@@ -305,3 +309,16 @@ class TestAnalyzerInternals:
         chain = Chain([square_map(), square_map()], period=2, tail=0)
         with pytest.raises(ValueError):
             _Analyzer(chain, {0: [gauss_point()]}, StabilizationConfig(), None)
+
+    def test_fibre_zeros_are_cached_on_the_link_and_die_with_it(self):
+        # xy2's stability check bounds disk images, which needs the fibre
+        # map's zeros; the cache must not outlive the parsed definition
+        text = resources.files("skewstab.fixtures").joinpath("xy2.skew").read_text()
+        d = parse_definition(text)
+        assert is_analytically_stable(d.gammas, d.chain).verdict == STABLE
+        link = d.chain.links[0]
+        assert link._zeros is not None
+        refs = [weakref.ref(lk) for lk in d.chain.links]
+        del d, link
+        gc.collect()
+        assert all(r() is None for r in refs)

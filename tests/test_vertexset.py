@@ -3,20 +3,35 @@ from fractions import Fraction as F
 
 import pytest
 
-from skewstab.berkovich import TypeIIPoint, g_point, gauss_point
+from mapdefs import random_point
+from skewstab.berkovich import (
+    TypeIIPoint,
+    direction_at,
+    g_point,
+    gauss_point,
+    join,
+    leq,
+    point_in_direction,
+    special_directions,
+)
 from skewstab.puiseux import PuiseuxPoly, Rat
 from skewstab.vertexset import (
     GammaDomain,
+    SmoothnessReport,
     VertexSet,
+    Violation,
+    _join_closure_by_pairs,
     domain_contains,
     dual_graph,
     dual_graph_dot,
     enumerate_domains,
+    flank_in_direction,
     hull,
     is_flanked,
     is_smooth,
     is_tree,
     locate,
+    missing_flanks,
     n_convex_hull,
     segment_lattice_points,
     smooth_n_convex_hull,
@@ -292,7 +307,7 @@ def _random_vertex(rng):
 
 
 class TestJoinClosureAgainstReference:
-    """The sweep-based closure must agree with plain pairwise joining."""
+    """The neighbour-join closure must agree with plain pairwise joining."""
 
     def test_matches_pairwise_closure(self):
         from skewstab.vertexset import _join_closure, _join_closure_by_pairs
@@ -300,14 +315,14 @@ class TestJoinClosureAgainstReference:
         rng = random.Random(97)
         for case in range(200):
             pts = [_random_vertex(rng) for _ in range(rng.randint(1, 7))]
-            fast = _join_closure(pts)
+            fast = set(_join_closure(pts))
             slow = _join_closure_by_pairs(pts)
             assert fast == slow, f"case {case}: {sorted(map(str, fast))}"
 
     def test_matches_on_shared_rays(self):
         from skewstab.vertexset import _join_closure, _join_closure_by_pairs
 
-        # stacked points on few rays exercise the equal-centre merges
+        # stacked points on few rays: nested disks and shared centres
         rng = random.Random(98)
         centers = [ZERO, X, X + PuiseuxPoly.monomial(1, F(3, 2))]
         for case in range(100):
@@ -315,7 +330,8 @@ class TestJoinClosureAgainstReference:
                 TypeIIPoint(rng.choice(centers), F(rng.randint(-4, 8), 2))
                 for _ in range(rng.randint(2, 8))
             ]
-            assert _join_closure(pts) == _join_closure_by_pairs(pts), f"case {case}"
+            fast = set(_join_closure(pts))
+            assert fast == _join_closure_by_pairs(pts), f"case {case}"
 
 
 class TestSmoothHullProperty:
@@ -340,3 +356,266 @@ class TestSmoothHullProperty:
         assert pts == VertexSet([GAUSS, zeta(ZERO, F(1, 2)), zeta(ZERO, 1)])
         ends = segment_lattice_points(GAUSS, zeta(ZERO, 1), 2, closed=True)
         assert [p.t for p in ends] == [0, F(1, 2), 1]
+
+
+# -- differential tests of the tree index against pairwise oracles ---------
+#
+# The functions below are the pairwise scans the tree index replaced,
+# kept verbatim in substance as independent references.
+
+
+def _oracle_sees(pts, a, b):
+    if a == b:
+        return False
+    j = join(a, b)
+    for r in pts:
+        if r == a or r == b:
+            continue
+        if (leq(a, r) and leq(r, j)) or (leq(b, r) and leq(r, j)):
+            return False
+    return True
+
+
+def _oracle_visible_pairs(pts):
+    out = []
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            if _oracle_sees(pts, a, b):
+                out.append((a, b))
+    return out
+
+
+def _oracle_adjacent_pairs(pts):
+    out = []
+    for a in pts:
+        parent = None
+        for q in pts:
+            if q == a or not leq(a, q):
+                continue
+            if parent is None or q.t > parent.t:
+                parent = q
+        if parent is not None:
+            out.append((parent, a))
+    return out
+
+
+def _oracle_visible_boundary(pts, p):
+    pts = [q for q in pts if q != p]
+    out = []
+    for q in pts:
+        jq = join(p, q)
+        blocked = False
+        for r in pts:
+            if r == q:
+                continue
+            if (leq(p, r) and leq(r, jq)) or (leq(q, r) and leq(r, jq)):
+                blocked = True
+                break
+        if not blocked:
+            out.append(q)
+    return sorted(out, key=TypeIIPoint.sort_key)
+
+
+def _oracle_hull(pts):
+    lst = sorted(_join_closure_by_pairs(pts), key=TypeIIPoint.sort_key)
+    # every node's parent is the smallest node strictly above it
+    edges, top = [], None
+    for p in lst:
+        above = [q for q in lst if q != p and leq(p, q)]
+        if above:
+            edges.append((max(above, key=lambda q: q.t), p))
+        else:
+            top = p
+    return tuple(lst), tuple(edges), top
+
+
+def _oracle_missing_flanks(p, pts):
+    others = [q for q in pts if q != p]
+    return [
+        (v, flank_in_direction(p, v))
+        for v, _mult in special_directions(p)
+        if not any(point_in_direction(v, q) for q in others)
+    ]
+
+
+def _oracle_is_smooth(pts):
+    violations = []
+    pset = set(pts)
+    junction_gaps = {}
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            j = join(a, b)
+            if j in pset or leq(a, b) or leq(b, a) or not _oracle_sees(pts, a, b):
+                continue
+            junction_gaps.setdefault(j, (a, b))
+    for j, (a, b) in junction_gaps.items():
+        violations.append(
+            Violation(
+                "missing-junction",
+                j,
+                f"component between {a} and {b} is not a disk or annulus",
+            )
+        )
+    for outer, inner in _oracle_adjacent_pairs(pts):
+        cap = max(g_point(outer), g_point(inner))
+        inside = segment_lattice_points(outer, inner, cap)
+        if inside:
+            witness = min(inside, key=lambda p: (g_point(p), p.t))
+            violations.append(
+                Violation(
+                    "interior-vertex",
+                    witness,
+                    f"annulus from {outer} to {inner} contains a point of "
+                    f"level {g_point(witness)} <= {cap}",
+                )
+            )
+    for p in pts:
+        for v, flank in _oracle_missing_flanks(p, pts):
+            where = "at infinity" if v.at_infinity else f"towards {v.rep}"
+            violations.append(
+                Violation(
+                    "missing-flank",
+                    flank,
+                    f"special direction {where} of {p} sees no vertex",
+                )
+            )
+    violations.sort(key=lambda v: (v.witness.sort_key(), v.kind))
+    return SmoothnessReport(not violations, tuple(violations))
+
+
+def _oracle_locate(pts, p):
+    if p in pts:
+        return None
+    bdry = _oracle_visible_boundary(pts, p)
+    if len(bdry) == 1:
+        return GammaDomain("disk", (bdry[0],), direction_at(bdry[0], p))
+    if len(bdry) == 2:
+        a, b = bdry
+        if leq(b, a):
+            return GammaDomain("annulus", (a, b))
+        if leq(a, b):
+            return GammaDomain("annulus", (b, a))
+    return GammaDomain("component", tuple(bdry))
+
+
+def _oracle_domains(pts):
+    comps, assigned = [], set()
+    for a, b in _oracle_visible_pairs(pts):
+        if (a, b) in assigned:
+            continue
+        comp = {a, b}
+        for c in pts:
+            if c not in comp and all(_oracle_sees(pts, c, q) for q in comp):
+                comp.add(c)
+        members = sorted(comp, key=TypeIIPoint.sort_key)
+        for i, x in enumerate(members):
+            for y in members[i + 1 :]:
+                assigned.add((x, y))
+        comps.append(members)
+    doms = []
+    for members in comps:
+        if len(members) == 2:
+            a, b = members
+            if leq(b, a):
+                doms.append(GammaDomain("annulus", (a, b)))
+            elif leq(a, b):
+                doms.append(GammaDomain("annulus", (b, a)))
+            else:
+                doms.append(GammaDomain("component", (a, b)))
+        else:
+            doms.append(GammaDomain("component", tuple(members)))
+    return doms + [GammaDomain("disk", (p,), None) for p in pts]
+
+
+def _branch(p, t_gap, coeff=7):
+    """A point below p in a direction that no test vertex uses."""
+    return TypeIIPoint(p.center + PuiseuxPoly.monomial(coeff, p.t), p.t + t_gap)
+
+
+def _probes(vs):
+    """Probes of five kinds: vertices, points inside hull edges, branches
+    off nodes and edges, points above the top, and inexact-centre
+    proxies like those of stability._Analyzer._classical_in_domain."""
+    h = hull(vs)
+    out = list(vs)
+    for outer, inner in h.edges:
+        mid = TypeIIPoint(inner.center, (outer.t + inner.t) / 2)
+        out += [mid, _branch(mid, F(1, 3))]
+    out += [_branch(u, F(1, 2)) for u in h.nodes]
+    top = h.top
+    out += [
+        TypeIIPoint(top.center, top.t - 1),
+        TypeIIPoint(top.center + PuiseuxPoly.monomial(5, top.t - 1), top.t - F(1, 2)),
+    ]
+    for p in list(vs)[:4]:
+        depth = p.t + 2
+        series = PuiseuxPoly(
+            p.center.terms + ((p.t + F(1, 2), 3), (depth + 1, 1)), precision=depth + 2
+        )
+        out.append(TypeIIPoint(series, depth))
+    return out
+
+
+def _raw_set(rng):
+    return VertexSet(random_point(rng) for _ in range(rng.randint(2, 9)))
+
+
+def _smooth_set(rng):
+    pts = [random_point(rng) for _ in range(rng.randint(1, 3))]
+    return smooth_n_convex_hull(pts, max(1, max(g_point(p) for p in pts)))
+
+
+class TestTreeIndexAgainstPairwiseOracles:
+    """Every query of the tree index agrees with the pairwise scans it
+    replaced, on smooth hulls of criterion 6's distribution and on raw
+    sets with missing junctions and flanks."""
+
+    @pytest.mark.parametrize(
+        "make, seed, cases", [(_smooth_set, 61, 12), (_raw_set, 62, 40)]
+    )
+    def test_queries_match(self, make, seed, cases):
+        rng = random.Random(seed)
+        kinds = set()
+        for case in range(cases):
+            vs = make(rng)
+            if len(vs) > 60:
+                continue
+            pts = list(vs)
+            h = hull(vs)
+            assert (h.nodes, h.edges, h.top) == _oracle_hull(pts), f"case {case}"
+            assert is_smooth(vs) == _oracle_is_smooth(pts), f"case {case}"
+            doms = enumerate_domains(vs)
+            assert doms == _oracle_domains(pts), f"case {case}"
+            kinds.update(d.kind for d in doms)
+            assert dual_graph(vs)[1] == _oracle_visible_pairs(pts), f"case {case}"
+            for p in _probes(vs):
+                assert locate(vs, p) == _oracle_locate(pts, p), f"case {case}: {p}"
+        assert "annulus" in kinds
+        if make is _raw_set:
+            assert "component" in kinds
+
+    def test_missing_flanks_off_the_set(self):
+        rng = random.Random(63)
+        for case in range(30):
+            vs = _raw_set(rng)
+            for p in _probes(vs):
+                assert missing_flanks(p, vs) == _oracle_missing_flanks(p, list(vs)), (
+                    f"case {case}: {p}"
+                )
+                assert missing_flanks(p, []) == _oracle_missing_flanks(p, [])
+
+    def test_hull_with_a_classical_point(self):
+        # a radius-zero point with an inexact centre takes the pairwise
+        # closure path
+        rng = random.Random(64)
+        for case in range(60):
+            pts = [random_point(rng) for _ in range(rng.randint(1, 5))]
+            base = rng.choice(pts)
+            centre = PuiseuxPoly(
+                base.center.terms + ((base.t + F(1, 2), 3),), precision=base.t + 5
+            )
+            pts.append(TypeIIPoint(centre, base.t + 5, classical=True))
+            h = hull(pts)
+            assert (h.nodes, h.edges, h.top) == _oracle_hull(list(VertexSet(pts))), (
+                f"case {case}"
+            )
