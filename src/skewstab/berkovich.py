@@ -119,8 +119,12 @@ def direction_to_class(at: TypeIIPoint, member) -> Direction:
         raise InsufficientPrecision(
             f"class member only known to O(x^{member.precision}) at level {at.t}"
         )
-    diff = member - at.center
-    if diff.terms and diff.val() < at.t:
+    if member.precision is INF and at.center.precision is INF:
+        v = _diff_val(member, at.center)
+    else:
+        diff = member - at.center
+        v = diff.val() if diff.terms else None
+    if v is not None and v < at.t:
         raise ValueError("class member lies outside the disk of the point")
     return Direction(at=at, at_infinity=False, rep=class_rep(member, at.t))
 
@@ -210,8 +214,12 @@ def point_in_direction(v: Direction, p: TypeIIPoint) -> bool:
         return not leq(p, anchor)
     if p.t <= anchor.t:
         return False
-    diff = p.center - v.rep
-    return (not diff.terms) or diff.val() > anchor.t
+    if p.center.precision is INF and v.rep.precision is INF:
+        d = _diff_val(p.center, v.rep)
+    else:
+        diff = p.center - v.rep
+        d = diff.val() if diff.terms else None
+    return d is None or d > anchor.t
 
 
 def classical_in_direction(v: Direction, value: PuiseuxPoly) -> bool:

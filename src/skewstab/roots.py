@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientPrecision
-from .puiseux import DEFAULT_PRECISION, INF, PuiseuxPoly, rat
+from .puiseux import DEFAULT_PRECISION, INF, PuiseuxPoly, nth_root_fraction, rat
 
 _MAX_DEPTH = 400
 _FACTOR_LIMIT = 10**12
@@ -47,6 +47,14 @@ def poly_eval(coeffs, value: PuiseuxPoly) -> PuiseuxPoly:
     acc = PuiseuxPoly.zero()
     for c in reversed(list(coeffs)):
         acc = acc * value + c
+    return acc
+
+
+def frac_poly_eval(coeffs, v: Fraction) -> Fraction:
+    """Horner evaluation of a polynomial with rational coefficients (ascending)."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * v + c
     return acc
 
 
@@ -255,7 +263,7 @@ def _one_rational_root(coeffs):
         disc = b * b - 4 * a * c
         if disc < 0:
             return None
-        num = _sqrt_fraction(disc)
+        num = nth_root_fraction(disc, 2)
         if num is None:
             return None
         return (-b + num) / (2 * a)
@@ -273,26 +281,9 @@ def _one_rational_root(coeffs):
     for p in _divisors(abs(const)):
         for q in _divisors(abs(lead)):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _poly_value(coeffs, cand) == 0:
+                if frac_poly_eval(coeffs, cand) == 0:
                     return cand
     return None
-
-
-def _sqrt_fraction(q: Fraction):
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def _poly_value(coeffs, v: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * v + c
-    return acc
 
 
 def _deflate(coeffs, r: Fraction):

@@ -14,11 +14,27 @@ ratios ``w = P_i/Q_i``: an ultrametric argument shows some such ratio
 attains the global maximum, and the maximiser is the new centre (up to
 the usual truncation) after transport through the inverse of the base
 germ.
+
+Precision follows demand.  An image point keeps only the centre terms
+below its radius T, so nothing is expanded further than those need:
+
+* A ratio ``P_i/Q_i`` whose ``Q_i`` is exact with several terms is an
+  infinite series.  It is expanded from the disk's level t, and the
+  expansion doubles while ``gauss_val`` cannot decide its valuation or
+  the ratio is not yet known past the radius it gives, up to the
+  DEFAULT_PRECISION orders of a plain ``inv()``.  ``gauss_val`` either
+  returns the true valuation or raises, so a ratio decided early is
+  decided right, and what fails at the full expansion still fails.
+  Ratios over monomial ``Q_i`` are exact and are not truncated.
+* The inverse of the base germ is read to
+  ``O(x^(T + 1 + (1 - val(w))/n))``, what composing the winning ratio w
+  with it to ``O(x^(T + 1))`` consumes, and never further than
+  ``max(64, (|T| + 2)*n)``.  The germ keeps one reversion and grows it
+  geometrically (``BaseGerm.inverse_to``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -38,7 +54,7 @@ from .puiseux import (
     rat,
     reversion,
 )
-from .roots import newton_puiseux, poly_derivative, poly_eval
+from .roots import frac_poly_eval, newton_puiseux, poly_derivative, poly_eval
 
 ZERO = PuiseuxPoly.zero()
 ONE = PuiseuxPoly.const(1)
@@ -47,7 +63,7 @@ ONE = PuiseuxPoly.const(1)
 class BaseGerm:
     """Germ ``phi1`` at x = 0: positive integer valuation n, lead lam != 0."""
 
-    __slots__ = ("series", "n", "lam", "_rev_cache")
+    __slots__ = ("series", "n", "lam", "_inverse")
 
     def __init__(self, series):
         series = as_series(series)
@@ -57,7 +73,7 @@ class BaseGerm:
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "n", int(v))
         object.__setattr__(self, "lam", series.leading_coeff())
-        object.__setattr__(self, "_rev_cache", {})
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BaseGerm is immutable")
@@ -72,12 +88,20 @@ class BaseGerm:
         return Fraction(1, self.n)
 
     def inverse_to(self, precision) -> PuiseuxPoly:
+        """The compositional inverse of the germ, to O(x^precision).
+
+        The germ keeps one reversion, the most precise computed so far,
+        and truncates it for any lower request.  A higher request
+        recomputes it at no less than twice the kept precision, so a run
+        of rising requests costs about as much as its last one.
+        """
         precision = rat(precision)
-        g = self._rev_cache.get(precision)
-        if g is None:
-            g = reversion(self.series, precision)
-            self._rev_cache[precision] = g
-        return g
+        g = self._inverse
+        if g is None or g.precision < precision:
+            grown = precision if g is None else max(precision, 2 * g.precision)
+            g = reversion(self.series, grown)
+            object.__setattr__(self, "_inverse", g)
+        return g.truncate_soft(precision)
 
     def __str__(self):
         return str(self.series)
@@ -253,24 +277,47 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
                 )
             continue
         pi = P[i] if i < len(P) else ZERO
-        w = ZERO if not pi.terms else pi * qi.inv()
-        key = (w.terms, w.precision)
+        key = (pi, qi) if pi.terms else None
         if key not in seen:
             seen.add(key)
-            candidates.append((w, pi, qi))
+            candidates.append((pi, qi))
 
     best = None
     best_s = None
-    for w, pi, qi in candidates:
-        diff = [
-            (P[i] if i < len(P) else ZERO) - w * (Q[i] if i < len(Q) else ZERO)
-            for i in range(max(len(P), len(Q)))
-        ]
-        v = gauss_val(diff, t)
-        if v is INF:
-            raise DegenerateImage(
-                f"fibre map is the constant {w} on the disk of {p}"
-            )
+    for pi, qi in candidates:
+        # 1/qi is an infinite series when qi is exact with several terms:
+        # w is then expanded rel orders past its leading term, from the
+        # disk's level t up, doubling to the DEFAULT_PRECISION orders of a
+        # plain inv().  Other ratios are exact, or as known as their data.
+        rel = None
+        if not pi.terms:
+            w = ZERO
+        elif qi.precision is INF and len(qi.terms) > 1:
+            rel = min(max(t - pi.val() + qi.val(), Fraction(1)), DEFAULT_PRECISION)
+            w = pi * qi.inv(precision=rel - qi.val())
+        else:
+            w = pi * qi.inv()
+        while True:
+            diff = [
+                (P[i] if i < len(P) else ZERO) - w * (Q[i] if i < len(Q) else ZERO)
+                for i in range(max(len(P), len(Q)))
+            ]
+            final = rel is None or rel == DEFAULT_PRECISION
+            try:
+                v = gauss_val(diff, t)
+            except InsufficientPrecision:
+                if final:
+                    raise
+            else:
+                if v is INF:
+                    raise DegenerateImage(
+                        f"fibre map is the constant {w} on the disk of {p}"
+                    )
+                # settled once w is also known past the radius it gives
+                if final or w.precision > v - vQ:
+                    break
+            rel = min(2 * rel, DEFAULT_PRECISION)
+            w = pi * qi.inv(precision=rel - qi.val())
         sw = v - vQ
         if best_s is None or sw > best_s:
             best_s = sw
@@ -289,7 +336,12 @@ def _transport_center(base: BaseGerm, w: PuiseuxPoly, T: Fraction) -> PuiseuxPol
     """Express the new centre in the image coordinate via the inverse germ."""
     if not w.terms:
         return ZERO
-    need = max(DEFAULT_PRECISION, (abs(T) + 2) * base.n)
+    n = base.n
+    # w.compose(g, precision=T + 1) reads g to O(x^(T + 1 + (1 - val(w))/n));
+    # g needs at least its leading term x^(1/n), and the request never
+    # exceeds the fixed rule this replaced, so what failed then fails now
+    need = max(T + 1 + (1 - w.val()) / n, Fraction(2))
+    need = min(need, max(DEFAULT_PRECISION, (abs(T) + 2) * n))
     g = base.inverse_to(need)
     composed = w.compose(g, precision=T + 1)
     if composed.precision is not INF and composed.precision < T:
@@ -356,8 +408,8 @@ class ReducedMap:
             if dn < dd:
                 return Fraction(0)
             return self.num[-1] / self.den[-1]
-        top = _frac_poly_eval(self.num, value)
-        bot = _frac_poly_eval(self.den, value)
+        top = frac_poly_eval(self.num, value)
+        bot = frac_poly_eval(self.den, value)
         if bot == 0:
             if top == 0:
                 raise ArithmeticError("0/0 in reduced map; gcd not cleared")
@@ -366,13 +418,6 @@ class ReducedMap:
 
     def __str__(self):
         return f"({_frac_poly_str(self.num)}) / ({_frac_poly_str(self.den)})"
-
-
-def _frac_poly_eval(coeffs, v: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * v + c
-    return acc
 
 
 def _frac_poly_str(coeffs) -> str:

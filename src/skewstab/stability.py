@@ -936,22 +936,28 @@ def stabilize_smooth(gammas, chain, cfg=None):
             continue
         report = is_analytically_stable(an.result(), chain, cfg, registry)
         if unresolved:
-            names = ", ".join(f"{p} @ fibre {j}" for j, p in unresolved)
             report = StabilityReport(
                 verdict=INCONCLUSIVE if report.verdict == STABLE else report.verdict,
                 witnesses=report.witnesses,
                 unresolved=report.unresolved,
                 classifications=report.classifications,
-                notes=report.notes
-                + (
-                    f"no resolution rule applied within horizon "
-                    f"{cfg.horizon} for: {names}",
-                ),
+                notes=report.notes + (_unresolved_note(cfg.horizon, unresolved),),
             )
         return an.result(), report, registry, trace
     raise RoundCapExceeded(
         f"smooth stabilisation open after {cfg.max_rounds} rounds", trace
     )
+
+
+#: Unresolved points named in a stabilisation note; the rest are counted.
+NOTE_POINTS = 8
+
+
+def _unresolved_note(horizon: int, unresolved) -> str:
+    names = ", ".join(f"{p} @ fibre {j}" for j, p in unresolved[:NOTE_POINTS])
+    if len(unresolved) > NOTE_POINTS:
+        names += f", ... and {len(unresolved) - NOTE_POINTS} more ({len(unresolved)} in all)"
+    return f"no resolution rule applied within horizon {horizon} for: {names}"
 
 
 def _resolve_vertex(an: _Analyzer, rnd: int, j: int, p: TypeIIPoint, additions):

@@ -21,6 +21,7 @@ from skewstab.berkovich import (
     point_in_direction,
     special_directions,
 )
+from skewstab.errors import InsufficientPrecision
 from skewstab.puiseux import INF, PuiseuxPoly
 
 
@@ -113,6 +114,30 @@ def test_point_in_direction():
     assert not point_in_direction(v, Z(0, 2))
     assert point_in_direction(direction_infinity(at), GAUSS)
     assert not point_in_direction(direction_infinity(at), inside)
+
+
+
+def test_direction_helpers_on_exact_and_truncated_series():
+    # exact series are compared term by term, truncated ones by subtraction;
+    # both must agree on membership, ValueError and InsufficientPrecision
+    at = Z(S((F(0), F(1))), F(2))  # the disk |y - 1| <= |x|^2
+    v = direction_to_class(at, S((F(0), F(1)), (F(2), F(3)), (F(3), F(1))))
+    assert v.rep == S((F(0), F(1)), (F(2), F(3)))
+    assert direction_to_class(at, PuiseuxPoly(((F(0), F(1)), (F(2), F(3))), F(5))) == v
+    for outside in (S((F(0), F(2))), S((F(0), F(1)), (F(1), F(1)))):
+        with pytest.raises(ValueError):
+            direction_to_class(at, outside)
+        with pytest.raises(ValueError):
+            direction_to_class(at, PuiseuxPoly(outside.terms, F(3)))
+    with pytest.raises(InsufficientPrecision):
+        direction_to_class(at, PuiseuxPoly(((F(0), F(1)),), F(2)))
+    inside = S((F(0), F(1)), (F(2), F(3)), (F(5, 2), F(1)))
+    elsewhere = S((F(0), F(1)), (F(2), F(-3)))
+    for centre, expected in ((inside, True), (elsewhere, False)):
+        assert point_in_direction(v, Z(centre, 3)) is expected
+        probe = TypeIIPoint(PuiseuxPoly(centre.terms, F(4)), 4, classical=True)
+        assert point_in_direction(v, probe) is expected
+    assert not point_in_direction(v, Z(S((F(0), F(1)), (F(2), F(3))), 2))
 
 
 # -- multiplicities -----------------------------------------------------------

@@ -1,7 +1,11 @@
 """Command line behavior: exit codes, frozen outputs, determinism."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,16 @@ class TestOutputPlumbing:
         from skewstab import cli
 
         assert callable(cli.main)
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-m", "skewstab", "check-smooth", "thm6"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (0, "smooth: yes\n", "")

@@ -1,12 +1,17 @@
 """Skew-product local models: pushforward, reduction, critical points."""
 
+import math
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
+from skewstab import skew
 from skewstab.berkovich import TypeIIPoint, direction_infinity, direction_to_class
-from skewstab.puiseux import INF, PuiseuxPoly, X
+from skewstab.errors import DegenerateImage, InsufficientPrecision, SkewstabError
+from skewstab.parsing import parse_definition
+from skewstab.puiseux import DEFAULT_PRECISION, INF, PuiseuxPoly, X, reversion
 from skewstab.roots import poly_eval
 from skewstab.skew import (
     BaseGerm,
@@ -358,3 +363,207 @@ def test_m_and_g_divide_under_simple_links():
             img = pushforward(s, p)
             assert m_point(p) % m_point(img) == 0
             assert g_point(p) % g_point(img) == 0
+
+
+# -- demand-driven precision against the fixed-precision rule ------------------------
+#
+# _oracle_pushforward is pushforward as it was when every candidate ratio
+# was expanded to DEFAULT_PRECISION orders and the base germ was reversed
+# to max(64, (|T| + 2) * n), with no regard to the image radius.  The
+# demand-driven pushforward must give the same image point, or raise the
+# same exception type.  ``reversion_precision`` replaces the reversion
+# rule for germs whose reversion at 64 takes too long for a test (about
+# 42 s for x^2 - x^3).  ``inverses`` caches the reversions and the
+# denominators' inverses across calls: both links below share the
+# denominator y^3, and one inverse of a two-term series with gap 1/6
+# takes seconds at 64 orders.
+
+
+def _oracle_pushforward(s, p, inverses, reversion_precision=None):
+    t = p.t
+    P = shift_poly(list(s.num), p.center)
+    Q = shift_poly(list(s.den), p.center)
+    vQ = gauss_val(Q, t)
+    if vQ is INF:
+        raise ValueError("denominator vanished identically after shift")
+    candidates = []
+    seen = set()
+    for i, qi in enumerate(Q):
+        if not qi.terms:
+            if qi.precision is not INF:
+                raise InsufficientPrecision("candidate ratio blocked")
+            continue
+        pi = P[i] if i < len(P) else ZERO
+        if pi.terms and qi not in inverses:
+            inverses[qi] = qi.inv()
+        w = ZERO if not pi.terms else pi * inverses[qi]
+        key = (w.terms, w.precision)
+        if key not in seen:
+            seen.add(key)
+            candidates.append((w, pi, qi))
+    best = None
+    best_s = None
+    for w, pi, qi in candidates:
+        diff = [
+            (P[i] if i < len(P) else ZERO) - w * (Q[i] if i < len(Q) else ZERO)
+            for i in range(max(len(P), len(Q)))
+        ]
+        v = gauss_val(diff, t)
+        if v is INF:
+            raise DegenerateImage("constant on the disk")
+        sw = v - vQ
+        if best_s is None or sw > best_s:
+            best_s = sw
+            best = (w, pi, qi)
+    T = s.base.scale_factor * best_s
+    w, pi, qi = best
+    if w.terms and w.precision is not INF and w.precision <= best_s:
+        w = pi * qi.inv(precision=best_s + 2 - pi.val_floor() + qi.val_floor())
+    center = _oracle_transport_center(s.base, w, T, inverses, reversion_precision)
+    return TypeIIPoint(center, T)
+
+
+def _oracle_transport_center(base, w, T, inverses, reversion_precision):
+    if not w.terms:
+        return ZERO
+    need = reversion_precision or max(DEFAULT_PRECISION, (abs(T) + 2) * base.n)
+    key = (base.series, need)
+    if key not in inverses:
+        inverses[key] = reversion(base.series, need)
+    composed = w.compose(inverses[key], precision=T + 1)
+    if composed.precision is not INF and composed.precision < T:
+        raise InsufficientPrecision("transported centre lost too much precision")
+    return composed
+
+
+def _outcome(push, *args):
+    try:
+        return push(*args)
+    except SkewstabError as exc:
+        return type(exc)
+
+
+def _fixture_links(name):
+    text = resources.files("skewstab.fixtures").joinpath(f"{name}.skew").read_text()
+    return parse_definition(text).chain.links
+
+
+def _shaped_point(rng, den, gap=None):
+    """c1*x^e1 (+ c2*x^(e1 + gap)), e1 in [-2, 2] of exact denominator den,
+    radius up to 2 above the last centre exponent."""
+    coefs = (-3, -2, -1, 1, 2, 3)
+    e1 = F(rng.choice([k for k in range(-2 * den, 2 * den + 1) if math.gcd(k, den) == 1]), den)
+    center = PuiseuxPoly.monomial(rng.choice(coefs), e1)
+    top = e1
+    if gap is not None:
+        top = e1 + gap
+        center = center + PuiseuxPoly.monomial(rng.choice(coefs), top)
+    t_den = rng.randint(1, 4)
+    return TypeIIPoint(center, F(math.floor(top * t_den) + rng.randint(1, 2 * t_den), t_den))
+
+
+SHAPES = [(den, None) for den in (1, 2, 3, 4)] + [
+    (1, F(2)), (2, F(1)), (4, F(1, 2)), (3, F(1, 6)),
+]
+
+
+def test_pushforward_matches_fixed_precision_oracle():
+    links = {name: _fixture_links(name)[0] for name in ("thmB", "thm6")}
+    rng = random.Random(503)
+    inverses = {}
+    for den, gap in SHAPES:
+        p = _shaped_point(rng, den, gap)
+        for name, s in links.items():
+            got = _outcome(pushforward, s, p)
+            assert got == _outcome(_oracle_pushforward, s, p, inverses), f"{name}: {p}"
+
+
+def test_pushforward_matches_oracle_over_a_ramified_non_monomial_germ():
+    # thmB's fibre 1 has base germ x^2 - x^3
+    s = _fixture_links("thmB")[1]
+    rng = random.Random(509)
+    inverses = {}
+    for den, gap in SHAPES[:6]:
+        p = _shaped_point(rng, den, gap)
+        got = _outcome(pushforward, s, p)
+        assert got == _outcome(_oracle_pushforward, s, p, inverses, F(16)), f"{p}"
+
+
+def test_ratio_known_only_to_the_image_radius_is_expanded_further():
+    # (1 + y^2)/y over base x at centres a with val(a) < -2: the ratio
+    # P_0/Q_0 = (1 + a^2)/a decides the Gauss valuation already when known
+    # only to O(x^radius).  The finer redo of a winner known that coarsely
+    # reaches O(x^(radius + 2 + val(a))), short of the radius, so the
+    # expansion must go on until the ratio is known past the radius.
+    s = SkewLocal(BaseGerm(X), [ONE, ZERO, ONE], [ZERO, ONE])
+    for centre, t in [
+        (S((F(-7, 2), F(-2)), (F(-5, 2), F(2))), F(3, 2)),
+        (S((F(-3), F(2)), (F(-2), F(2))), F(-3, 2)),
+        (S((F(-5, 2), F(-3)), (F(-13, 6), F(3))), F(-1, 6)),
+    ]:
+        p = Z(centre, t)
+        got = _outcome(pushforward, s, p)
+        assert isinstance(got, TypeIIPoint), f"{p}: {got}"
+        assert got == _oracle_pushforward(s, p, {})
+
+
+def test_deep_disk_transport_fails_as_under_the_fixed_rule():
+    # y^2 over base x at centre x^(-1): the image zeta(x^(-2), t - 1) needs
+    # the inverse germ to O(x^(t + 3)); the fixed rule gave max(64, t + 1)
+    # and failed from t = 63.  The demand-driven request is capped by that
+    # rule, so the same disks fail.
+    s = square_map()
+    centre = S((F(-1), F(1)))
+    for t in (F(60), F(62), F(63), F(200)):
+        p = Z(centre, t)
+        got = _outcome(pushforward, s, p)
+        assert got == _outcome(_oracle_pushforward, s, p, {}), f"{p}"
+        assert (got is InsufficientPrecision) == (t >= 63)
+
+
+def _unchecked_link(base, num, den):
+    # SkewLocal refuses a fibre map constant in y; build one without the check
+    s = object.__new__(SkewLocal)
+    for slot, value in (
+        ("base", base), ("num", tuple(num)), ("den", tuple(den)), ("label", ""),
+        ("_poles", None), ("_crit", None), ("_zeros", None),
+    ):
+        object.__setattr__(s, slot, value)
+    return s
+
+
+def test_constant_fibre_map_is_degenerate_as_before():
+    # (x^2 + x*y) / (x + y) = x: at the centre 0 the denominator's
+    # coefficients are monomials, whose ratio is exact; off it, x + a is
+    # not, and the expanded ratio leaves the constant undecided
+    s = _unchecked_link(BaseGerm(X), [S((F(2), F(1))), X], [X, ONE])
+    for p, expected in [
+        (Z(0, 1), DegenerateImage),
+        (Z(S((F(1, 2), F(1))), 1), InsufficientPrecision),
+        (Z(S((F(0), F(2)), (F(1, 2), F(1))), F(3, 2)), InsufficientPrecision),
+    ]:
+        assert _outcome(_oracle_pushforward, s, p, {}) is expected
+        assert _outcome(pushforward, s, p) is expected
+
+
+def test_base_germ_keeps_one_growing_reversion(monkeypatch):
+    series = S((F(1), F(1)), (F(2), F(-2)), (F(3), F(1)))
+    germ = BaseGerm(series)
+    asked = []
+
+    def counting_reversion(f, precision):
+        asked.append(precision)
+        return reversion(f, precision)
+
+    monkeypatch.setattr(skew, "reversion", counting_reversion)
+    computed = F(0)
+    for precision in [F(3), F(5), F(4), F(2), F(7, 2), F(6), F(13), F(1), F(9)]:
+        calls = len(asked)
+        g = germ.inverse_to(precision)
+        assert g == reversion(series, precision)
+        if precision > computed:
+            assert len(asked) == calls + 1 and asked[-1] >= precision
+            computed = asked[-1]
+        else:
+            assert len(asked) == calls
+    assert asked == [F(3), F(6), F(13)]

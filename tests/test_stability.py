@@ -232,6 +232,19 @@ class TestStabilizeSmooth:
         assert report.verdict in (DESTABILISING, INCONCLUSIVE)
         assert any("no resolution rule" in n for n in report.notes)
 
+    def test_unresolved_note_names_eight_points_and_counts_the_rest(self):
+        cfg = StabilizationConfig(horizon=12, max_rounds=3, max_level=4)
+        _, report, _, trace = stabilize_smooth([gauss_point()], thm6_map(), cfg)
+        unresolved = trace[-1]["unresolved"]
+        assert len(unresolved) > 8
+        (note,) = [n for n in report.notes if "no resolution rule" in n]
+        assert note.count(" @ fibre ") == 8
+        for j, p in unresolved[:8]:
+            assert f"{p} @ fibre {j}" in note
+        rest = len(unresolved) - 8
+        assert note.endswith(f", ... and {rest} more ({len(unresolved)} in all)")
+        assert len(note) < 1000
+
     def test_residue_cycle_rule_fires(self):
         cfg = StabilizationConfig(horizon=16, max_rounds=4, max_level=8)
         res, report, registry, trace = stabilize_smooth(
