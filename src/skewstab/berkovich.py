@@ -119,11 +119,7 @@ def direction_to_class(at: TypeIIPoint, member) -> Direction:
         raise InsufficientPrecision(
             f"class member only known to O(x^{member.precision}) at level {at.t}"
         )
-    if member.precision is INF and at.center.precision is INF:
-        v = _diff_val(member, at.center)
-    else:
-        diff = member - at.center
-        v = diff.val() if diff.terms else None
+    v = _diff_val(member, at.center)
     if v is not None and v < at.t:
         raise ValueError("class member lies outside the disk of the point")
     return Direction(at=at, at_infinity=False, rep=class_rep(member, at.t))
@@ -137,57 +133,52 @@ def direction_infinity(at: TypeIIPoint) -> Direction:
 
 
 def _diff_val(a: PuiseuxPoly, b: PuiseuxPoly):
-    """Valuation of a - b without building it; None when a == b.
+    """Valuation of a - b without building it; None when a - b shows no
+    term below the coarser precision of the two (for exact series: a == b).
 
-    Only valid for exact series: both term lists are canonical (sorted,
-    nonzero coefficients), so the first disagreement is the leading term
-    of the difference.
+    Both term lists are canonical (sorted, nonzero coefficients), so the
+    first disagreement is the leading term of the difference.
     """
     ta, tb = a.terms, b.terms
-    i = j = 0
-    while i < len(ta) and j < len(tb):
-        ea, ca = ta[i]
-        eb, cb = tb[j]
-        if ea != eb:
-            return min(ea, eb)
-        if ca != cb:
-            return ea
+    n = min(len(ta), len(tb))
+    i = 0
+    while i < n and ta[i] == tb[i]:
         i += 1
-        j += 1
-    if i < len(ta):
-        return ta[i][0]
-    if j < len(tb):
-        return tb[j][0]
-    return None
+    if i < n:
+        e = min(ta[i][0], tb[i][0])
+    elif i < len(ta):
+        e = ta[i][0]
+    elif i < len(tb):
+        e = tb[i][0]
+    else:
+        return None
+    pa, pb = a.precision, b.precision
+    if (pa is not INF and e >= pa) or (pb is not INF and e >= pb):
+        return None
+    return e
 
 
 def leq(p1: TypeIIPoint, p2: TypeIIPoint) -> bool:
     """Disk containment: the disk of p1 is contained in the disk of p2."""
     if p1.t < p2.t:
         return False
-    if p1.center.precision is INF and p2.center.precision is INF:
-        v = _diff_val(p1.center, p2.center)
-        return v is None or v >= p2.t
-    diff = p1.center - p2.center
-    return (not diff.terms) or diff.val() >= p2.t
+    v = _diff_val(p1.center, p2.center)
+    return v is None or v >= p2.t
 
 
 def join(p1: TypeIIPoint, p2: TypeIIPoint) -> TypeIIPoint:
     """Least upper bound: the smallest disk containing both."""
     s = min(p1.t, p2.t)
+    v = _diff_val(p1.center, p2.center)
+    if v is not None:
+        s = min(s, v)
+    # the join of a nested pair is the outer point itself; a truncated
+    # (classical) centre is canonicalised at s instead
     if p1.center.precision is INF and p2.center.precision is INF:
-        v = _diff_val(p1.center, p2.center)
-        if v is not None:
-            s = min(s, v)
-        # the join of a nested pair is the outer point itself
         if s == p1.t:
             return p1
         if s == p2.t:
             return p2
-        return TypeIIPoint(p1.center, s)
-    diff = p1.center - p2.center
-    if diff.terms:
-        s = min(s, diff.val())
     return TypeIIPoint(p1.center, s)
 
 
@@ -214,11 +205,7 @@ def point_in_direction(v: Direction, p: TypeIIPoint) -> bool:
         return not leq(p, anchor)
     if p.t <= anchor.t:
         return False
-    if p.center.precision is INF and v.rep.precision is INF:
-        d = _diff_val(p.center, v.rep)
-    else:
-        diff = p.center - v.rep
-        d = diff.val() if diff.terms else None
+    d = _diff_val(p.center, v.rep)
     return d is None or d > anchor.t
 
 

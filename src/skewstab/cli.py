@@ -142,11 +142,6 @@ def _level(args, pts) -> int:
     return max(1, max(g_point(p) for p in pts))
 
 
-def _no_dot(args) -> None:
-    if args.format == "dot":
-        raise _CliError("dot output is only available for the dual-graph command")
-
-
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -159,7 +154,6 @@ def _emit(args, text: str) -> None:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_image(args):
-    _no_dot(args)
     d = _load(args)
     p = parse_point(args.point)
     if not 0 <= args.fibre < d.size:
@@ -177,7 +171,6 @@ def cmd_image(args):
 
 
 def cmd_hull(args):
-    _no_dot(args)
     pts = _points_input(args)
     n = _level(args, pts)
     vs = n_convex_hull(pts, n)
@@ -191,7 +184,6 @@ def cmd_hull(args):
 
 
 def cmd_smooth_hull(args):
-    _no_dot(args)
     pts = _points_input(args)
     n = _level(args, pts)
     vs = smooth_n_convex_hull(pts, n, max_rounds=args.max_rounds)
@@ -205,7 +197,6 @@ def cmd_smooth_hull(args):
 
 
 def cmd_check_smooth(args):
-    _no_dot(args)
     pts = _points_input(args)
     rep = is_smooth(VertexSet(pts))
     if args.format == "structured":
@@ -224,7 +215,6 @@ def cmd_check_smooth(args):
 
 
 def cmd_domains(args):
-    _no_dot(args)
     pts = _points_input(args)
     doms = enumerate_domains(VertexSet(pts))
     lines = []
@@ -268,7 +258,6 @@ def _wandering_lines(d: DefinitionFile, report, cfg) -> list:
 
 
 def cmd_check_stability(args):
-    _no_dot(args)
     d = _load(args)
     cfg = _config(args)
     report = is_analytically_stable(d.gammas, d.chain, cfg)
@@ -295,7 +284,6 @@ def _step_lines(steps, fmt) -> list:
 
 
 def cmd_min_stabilize(args):
-    _no_dot(args)
     d = _load(args)
     cfg = _config(args)
     try:
@@ -312,7 +300,6 @@ def cmd_min_stabilize(args):
 
 
 def cmd_stabilize(args):
-    _no_dot(args)
     d = _load(args)
     cfg = _config(args)
     try:
@@ -526,7 +513,6 @@ def _demo_thmB(cfg: StabilizationConfig) -> list:
 
 
 def cmd_demo(args):
-    _no_dot(args)
     if args.name == "thm6":
         checks = _demo_thm6(_config(args))
     elif args.name == "thmB":
@@ -560,10 +546,6 @@ def _add_common(sp) -> None:
     sp.add_argument(
         "--probe-budget", type=int, default=8, dest="probe_budget",
         help="denominator budget for probe rays (default 8)",
-    )
-    sp.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for randomised exploration (current commands are deterministic)",
     )
     sp.add_argument(
         "--format", choices=("text", "structured", "dot"), default="text",
@@ -648,6 +630,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if args.format == "dot" and args.handler is not cmd_dual_graph:
+            raise _CliError("dot output is only available for the dual-graph command")
         code, text = args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

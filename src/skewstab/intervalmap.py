@@ -53,12 +53,7 @@ class PLMap:
         t = rat(t)
         if t < self.lo or t > self.hi:
             raise ValueError(f"{t} outside domain [{self.lo}, {self.hi}]")
-        idx = 0
-        for b in self.breakpoints:
-            if t < b:
-                break
-            idx += 1
-        s, c = self.pieces[idx]
+        s, c = _piece_at(self, t)
         return s * t + c
 
     def cuts(self):

@@ -407,7 +407,8 @@ class PuiseuxPoly:
         Needs a rational e.denominator-th root of the leading coefficient;
         raises NotRepresentable otherwise.  Fractional powers of
         multi-term series are infinite expansions and are truncated at
-        ``precision`` (DEFAULT_PRECISION-based fallback).
+        ``precision`` (DEFAULT_PRECISION-based fallback), and never past
+        what a truncated input supports.
         """
         e = rat(e)
         if e.denominator == 1 and e >= 0:
@@ -430,12 +431,13 @@ class PuiseuxPoly:
         if not h and unit.precision is INF:
             res = PuiseuxPoly.monomial(lead, v * e)
             return res if precision is None else res.truncate_soft(rat(precision))
-        if precision is not None:
-            out_prec = rat(precision)
-        elif unit.precision is not INF:
-            out_prec = v * e + (unit.precision if not h else unit.precision)
+        if precision is None:
+            out_prec = v * e + (DEFAULT_PRECISION if unit.precision is INF else unit.precision)
         else:
-            out_prec = v * e + DEFAULT_PRECISION
+            # a truncated unit bounds what the expansion can know
+            out_prec = rat(precision)
+            if unit.precision is not INF:
+                out_prec = min(out_prec, v * e + unit.precision)
         rel = out_prec - v * e
         if rel <= 0:
             raise InsufficientPrecision("fractional power truncated away entirely")

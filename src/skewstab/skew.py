@@ -28,9 +28,8 @@ below its radius T, so nothing is expanded further than those need:
   Ratios over monomial ``Q_i`` are exact and are not truncated.
 * The inverse of the base germ is read to
   ``O(x^(T + 1 + (1 - val(w))/n))``, what composing the winning ratio w
-  with it to ``O(x^(T + 1))`` consumes, and never further than
-  ``max(64, (|T| + 2)*n)``.  The germ keeps one reversion and grows it
-  geometrically (``BaseGerm.inverse_to``).
+  with it to ``O(x^(T + 1))`` consumes.  The germ keeps one reversion
+  and grows it geometrically (``BaseGerm.inverse_to``).
 """
 
 from __future__ import annotations
@@ -338,10 +337,8 @@ def _transport_center(base: BaseGerm, w: PuiseuxPoly, T: Fraction) -> PuiseuxPol
         return ZERO
     n = base.n
     # w.compose(g, precision=T + 1) reads g to O(x^(T + 1 + (1 - val(w))/n));
-    # g needs at least its leading term x^(1/n), and the request never
-    # exceeds the fixed rule this replaced, so what failed then fails now
+    # g needs at least its leading term x^(1/n)
     need = max(T + 1 + (1 - w.val()) / n, Fraction(2))
-    need = min(need, max(DEFAULT_PRECISION, (abs(T) + 2) * n))
     g = base.inverse_to(need)
     composed = w.compose(g, precision=T + 1)
     if composed.precision is not INF and composed.precision < T:
@@ -434,7 +431,7 @@ def _frac_poly_gcd(a, b):
     a = [Fraction(c) for c in a]
     b = [Fraction(c) for c in b]
     while any(c != 0 for c in b):
-        a, b = b, _frac_poly_mod(a, b)
+        a, b = b, _frac_divmod(a, b)[1]
     while a and a[-1] == 0:
         a.pop()
     if a:
@@ -443,34 +440,22 @@ def _frac_poly_gcd(a, b):
     return a
 
 
-def _frac_poly_mod(a, b):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        factor = a[-1] / b[-1]
-        shift = len(a) - 1 - db
+def _frac_divmod(a, b):
+    """(quotient, remainder) of a by b, coefficient lists from degree 0
+    up; b's top coefficient is nonzero and the remainder is trimmed."""
+    rem = list(a)
+    while rem and rem[-1] == 0:
+        rem.pop()
+    quo = [Fraction(0)] * (len(rem) - len(b) + 1)
+    while len(rem) >= len(b) and rem:
+        factor = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = factor
         for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _frac_poly_div(a, b):
-    # exact division, used after gcd
-    a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        out[shift] = factor
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        while a and a[-1] == 0:
-            a.pop()
-    return out
+            rem[i + shift] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quo, rem
 
 
 def reduction_mod_x(s: SkewLocal) -> ReducedMap:
@@ -498,8 +483,8 @@ def reduction_mod_x(s: SkewLocal) -> ReducedMap:
         return ReducedMap(tuple(num_bar or [Fraction(0)]), tuple(den_bar or [Fraction(0)]))
     g = _frac_poly_gcd(num_bar, den_bar)
     if len(g) > 1:
-        num_bar = _frac_poly_div(num_bar, g)
-        den_bar = _frac_poly_div(den_bar, g)
+        num_bar = _frac_divmod(num_bar, g)[0]
+        den_bar = _frac_divmod(den_bar, g)[0]
     return ReducedMap(tuple(num_bar), tuple(den_bar))
 
 

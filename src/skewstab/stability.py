@@ -17,7 +17,7 @@ the vertex sets is genuinely trapped; it is never used to claim a hit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -82,36 +82,30 @@ INCONCLUSIVE = "Inconclusive"
 #: orbits whose radius exponent leaves this band are treated as escaped
 _T_BOUND = Fraction(10**6)
 
+#: steps a J-search probe orbit may take to reach the vertex family
+_PROBE_HORIZON = 16
+
 
 @dataclass(frozen=True)
 class StabilizationConfig:
     """Budgets for classification and stabilisation loops.
 
-    horizon caps orbit length, max_rounds caps closure rounds, m0 is the
-    working lattice level (default: largest g over the input vertices),
+    horizon caps orbit length, max_rounds caps closure rounds,
     probe_budget caps probe denominators and retry counts, max_level caps
-    the lattice level of points the resolution rules may add.
+    the lattice level of points the resolution rules may add.  The
+    working lattice level of smooth stabilisation is the largest g over
+    the input vertices.
     """
 
     horizon: int = 64
     max_rounds: int = 32
-    m0: Optional[int] = None
     probe_budget: int = 8
-    probe_horizon: int = 16
     max_level: int = 16
 
     def __post_init__(self):
-        for name in (
-            "horizon",
-            "max_rounds",
-            "probe_budget",
-            "probe_horizon",
-            "max_level",
-        ):
+        for name in ("horizon", "max_rounds", "probe_budget", "max_level"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.m0 is not None and self.m0 < 1:
-            raise ValueError("m0 must be positive")
 
 
 # -- domain classes -------------------------------------------------------
@@ -249,6 +243,13 @@ class PersistentFDiskRegistry:
                 return d
         return None
 
+    def covering(self, j: int, b: TypeIIPoint, v: Direction) -> Optional[RegistryDisk]:
+        """The first disk of fibre j that contains the open disk D(b, v)."""
+        for d in self.in_fibre(j):
+            if _disk_contained(b, v, d.boundary, d.direction):
+                return d
+        return None
+
     def audit(self, gammas: dict, chain: Chain):
         """Failure strings for every axiom violation; empty means pass."""
         failures = []
@@ -268,10 +269,7 @@ class PersistentFDiskRegistry:
             nxt = chain.next_fibre(d.fibre)
             if img is None:
                 failures.append(f"{tag}: image disk not computable")
-            elif not any(
-                _disk_contained(img[0], img[1], e.boundary, e.direction)
-                for e in self.in_fibre(nxt)
-            ):
+            elif self.covering(nxt, *img) is None:
                 failures.append(f"{tag}: image not inside any registry disk")
         if len(self._disks) < self._high_water:
             failures.append("registry shrank")
@@ -376,6 +374,7 @@ class _Analyzer:
         self.gammas = self._normalise(gammas)
         self._push_cache = {}
         self._cls_cache = {}
+        self._reduced = None
 
     def _normalise(self, gammas) -> dict:
         if isinstance(gammas, dict):
@@ -420,6 +419,15 @@ class _Analyzer:
     def set_gammas(self, gammas: dict):
         self.gammas = {j: VertexSet(v) for j, v in gammas.items()}
         self._flush_classifications()
+
+    def reduced_maps(self):
+        """Every link's map mod x, computed once; None unless every link
+        is simple with good reduction."""
+        if self._reduced is None:
+            links = self.chain.links
+            good = all(is_simple(l) and has_good_reduction(l) for l in links)
+            self._reduced = [reduction_mod_x(l) for l in links] if good else []
+        return self._reduced or None
 
     def _flush_classifications(self):
         # J-certificates persist under enlargement; F and Unknown do not
@@ -469,7 +477,7 @@ class _Analyzer:
         """(steps, path) when the exact orbit reaches the vertex family."""
         path = [(j, p)]
         jj, pp = j, p
-        for k in range(1, self.cfg.probe_horizon + 1):
+        for k in range(1, _PROBE_HORIZON + 1):
             try:
                 jj, pp = self.step(jj, pp)
             except SkewstabError:
@@ -535,17 +543,13 @@ class _Analyzer:
     def _registry_f(self, j: int, b, v):
         if self.registry is None:
             return None
-        for d in self.registry.in_fibre(j):
-            if _disk_contained(b, v, d.boundary, d.direction):
-                return FCertified(MapsIntoPersistentFDisk(d))
-        img = _disk_image(self.chain.links[j], b, v)
-        if img is None:
-            return None
-        nxt = self.chain.next_fibre(j)
-        for d in self.registry.in_fibre(nxt):
-            if _disk_contained(img[0], img[1], d.boundary, d.direction):
-                return FCertified(MapsIntoPersistentFDisk(d))
-        return None
+        d = self.registry.covering(j, b, v)
+        if d is None:
+            img = _disk_image(self.chain.links[j], b, v)
+            if img is None:
+                return None
+            d = self.registry.covering(self.chain.next_fibre(j), *img)
+        return None if d is None else FCertified(MapsIntoPersistentFDisk(d))
 
     def _disk_cycle_f(self, j: int, b, v):
         disks = [(j, b, v)]
@@ -574,45 +578,23 @@ class _Analyzer:
         if dom.kind != "disk" or dom.direction is None:
             return None
         b, v = dom.boundary[0], dom.direction
-        if b != gauss_point() or v.at_infinity:
+        gauss = gauss_point()
+        if b != gauss or v.at_infinity:
             return None
-        if not all(is_simple(l) and has_good_reduction(l) for l in self.chain.links):
+        found = _residue_cycle(self, j, v.rep.residue())
+        if found is None:
             return None
-        blocked = {}
+        walk, start = found
+        # the residue classes at the Gauss point that hold a vertex
+        blocked = set()
         for jj in range(self.chain.size):
-            bl = set()
             for g in self.gammas[jj]:
-                if g == gauss_point():
-                    continue
-                d = direction_at(gauss_point(), g)
-                bl.add(None if d.at_infinity else d.rep.residue())
-            blocked[jj] = bl
-        reduced = [reduction_mod_x(l) for l in self.chain.links]
-        cur = v.rep.residue()
-        jj = j
-        if cur in blocked[jj]:
+                if g != gauss:
+                    d = direction_at(gauss, g)
+                    blocked.add((jj, None if d.at_infinity else d.rep.residue()))
+        if blocked.intersection(walk):
             return None
-        seen = {}
-        path = []
-        for k in range(self.cfg.horizon):
-            if (jj, cur) in seen:
-                return FCertified(
-                    GoodReductionInvariance(tuple(path[seen[(jj, cur)] :]))
-                )
-            seen[(jj, cur)] = k
-            path.append((jj, cur))
-            try:
-                cur = reduced[jj].apply(cur)
-            except ArithmeticError:
-                return None
-            jj = self.chain.next_fibre(jj)
-            if cur is not None and (
-                abs(cur.numerator) > 10**9 or cur.denominator > 10**9
-            ):
-                return None
-            if cur in blocked[jj]:
-                return None
-        return None
+        return FCertified(GoodReductionInvariance(tuple(walk[start:])))
 
     # -- classification -------------------------------------------------------
 
@@ -649,6 +631,36 @@ class _Analyzer:
         return Unknown(self.cfg.horizon, note=note)
 
 
+def _residue_cycle(an: _Analyzer, j: int, residue):
+    """Walk a residue class at the Gauss point under the reduced maps.
+
+    Returns (walk, start): the (fibre, residue) pairs visited from
+    (j, residue), None standing for infinity, of which walk[start:] is
+    the cycle the walk closed.  None when some link lacks good reduction,
+    a reduced map meets 0/0, a residue's height passes 10^9, or no cycle
+    closes within the horizon.
+    """
+    reduced = an.reduced_maps()
+    if reduced is None:
+        return None
+    seen = {}
+    walk = []
+    cur = residue
+    for k in range(an.cfg.horizon):
+        if (j, cur) in seen:
+            return walk, seen[(j, cur)]
+        seen[(j, cur)] = k
+        walk.append((j, cur))
+        try:
+            cur = reduced[j].apply(cur)
+        except ArithmeticError:
+            return None
+        j = an.chain.next_fibre(j)
+        if cur is not None and (abs(cur.numerator) > 10**9 or cur.denominator > 10**9):
+            return None
+    return None
+
+
 def _solve_level(pl: PLMap, level: Fraction, center) -> Optional[TypeIIPoint]:
     """A parameter t with pl(t) == level, as a point on the centre ray."""
     cuts = pl.cuts()
@@ -664,11 +676,16 @@ def _solve_level(pl: PLMap, level: Fraction, center) -> Optional[TypeIIPoint]:
 # -- classification entry points -------------------------------------------
 
 
-def classify_domain(dom, gammas, chain, cfg=None, fibre: int = 0, registry=None):
-    """Classify one complement region of the vertex family."""
+def _chain_and_config(chain, cfg):
+    """A bare link as a one-link chain, and the default budgets if none."""
     if isinstance(chain, SkewLocal):
         chain = single_chain(chain)
-    cfg = cfg if cfg is not None else StabilizationConfig()
+    return chain, cfg if cfg is not None else StabilizationConfig()
+
+
+def classify_domain(dom, gammas, chain, cfg=None, fibre: int = 0, registry=None):
+    """Classify one complement region of the vertex family."""
+    chain, cfg = _chain_and_config(chain, cfg)
     return _Analyzer(chain, gammas, cfg, registry).classify(fibre, dom)
 
 
@@ -800,9 +817,7 @@ def destabilising_points(gammas, chain, cfg=None, registry=None):
     are images in Unknown regions, which block a stable verdict without
     forcing a destabilising one.
     """
-    if isinstance(chain, SkewLocal):
-        chain = single_chain(chain)
-    cfg = cfg if cfg is not None else StabilizationConfig()
+    chain, cfg = _chain_and_config(chain, cfg)
     return _scan(_Analyzer(chain, gammas, cfg, registry))
 
 
@@ -813,9 +828,7 @@ def is_analytically_stable(gammas, chain, cfg=None, registry=None) -> StabilityR
     sits in an F-certified region; any Unknown region downgrades the
     verdict to Inconclusive rather than guessing.
     """
-    if isinstance(chain, SkewLocal):
-        chain = single_chain(chain)
-    cfg = cfg if cfg is not None else StabilizationConfig()
+    chain, cfg = _chain_and_config(chain, cfg)
     return _report(_Analyzer(chain, gammas, cfg, registry))
 
 
@@ -843,9 +856,7 @@ def minimal_stabilisation(gammas, chain, cfg=None):
     raises RoundCapExceeded with the trace attached when the loop does
     not close.
     """
-    if isinstance(chain, SkewLocal):
-        chain = single_chain(chain)
-    cfg = cfg if cfg is not None else StabilizationConfig()
+    chain, cfg = _chain_and_config(chain, cfg)
     an = _Analyzer(chain, gammas, cfg, None)
     trace = []
     for rnd in range(1, cfg.max_rounds + 1):
@@ -882,14 +893,10 @@ def stabilize_smooth(gammas, chain, cfg=None):
     registry, trace) where the report comes from the independent
     stability checker, never from the loop's own bookkeeping.
     """
-    if isinstance(chain, SkewLocal):
-        chain = single_chain(chain)
-    cfg = cfg if cfg is not None else StabilizationConfig()
+    chain, cfg = _chain_and_config(chain, cfg)
     registry = PersistentFDiskRegistry()
     an = _Analyzer(chain, gammas, cfg, registry)
-    m0 = cfg.m0
-    if m0 is None:
-        m0 = max((g_point(p) for _, p in an.vertices()), default=1)
+    m0 = max((g_point(p) for _, p in an.vertices()), default=1)
 
     # seed with the folding locus, cut at the working level
     for j, link in enumerate(chain.links):
@@ -936,11 +943,9 @@ def stabilize_smooth(gammas, chain, cfg=None):
             continue
         report = is_analytically_stable(an.result(), chain, cfg, registry)
         if unresolved:
-            report = StabilityReport(
+            report = replace(
+                report,
                 verdict=INCONCLUSIVE if report.verdict == STABLE else report.verdict,
-                witnesses=report.witnesses,
-                unresolved=report.unresolved,
-                classifications=report.classifications,
                 notes=report.notes + (_unresolved_note(cfg.horizon, unresolved),),
             )
         return an.result(), report, registry, trace
@@ -976,20 +981,18 @@ def _resolve_vertex(an: _Analyzer, rnd: int, j: int, p: TypeIIPoint, additions):
         except SkewstabError:
             return None
         if an.registry.find(jj, pp) is not None:
+            rule = "registry-disk"
+        elif pp in an.gammas[jj] or pp in additions.get(jj, set()):
+            rule = "vertex"
+        elif (jj, pp) in seen:
+            rule = "preperiodic"
+        else:
+            rule = None
+        if rule is not None:
             if not _level_ok(an, path):
                 return None
             _add_points(additions, path)
-            return "registry-disk"
-        if pp in an.gammas[jj] or pp in additions.get(jj, set()):
-            if not _level_ok(an, path):
-                return None
-            _add_points(additions, path)
-            return "vertex"
-        if (jj, pp) in seen:
-            if not _level_ok(an, path):
-                return None
-            _add_points(additions, path)
-            return "preperiodic"
+            return rule
         seen.add((jj, pp))
         path.append((jj, pp))
         if abs(pp.t) > _T_BOUND:
@@ -1142,33 +1145,19 @@ def _residue_disks(an: _Analyzer, rnd: int, path, additions):
     in residue classes at the Gauss point whose reduced orbit cycles;
     the cycle becomes registry disks at depth 1, deepened on conflict.
     """
-    if not path or not all(
-        is_simple(l) and has_good_reduction(l) for l in an.chain.links
-    ):
+    if not path:
         return None
     j0, q0 = path[0]
     if q0.t <= 0:
         return None
-    reduced = [reduction_mod_x(l) for l in an.chain.links]
-    cur = q0.center.residue()
-    jj = j0
-    seen = {}
-    cyc = []
-    for k in range(an.cfg.horizon):
-        if (jj, cur) in seen:
-            cyc = cyc[seen[(jj, cur)] :]
-            break
-        seen[(jj, cur)] = k
-        cyc.append((jj, cur))
-        try:
-            cur = reduced[jj].apply(cur)
-        except ArithmeticError:
-            return None
-        if cur is None:
-            return None
-        jj = an.chain.next_fibre(jj)
-    else:
+    found = _residue_cycle(an, j0, q0.center.residue())
+    if found is None:
         return None
+    walk, start = found
+    # a disk at the Gauss point needs a finite residue
+    if any(r is None for _, r in walk):
+        return None
+    cyc = walk[start:]
     # depth 0 anchors the disks at the Gauss point: the full residue class
     depth = Fraction(0)
     for _ in range(an.cfg.probe_budget):
@@ -1247,9 +1236,7 @@ def wandering_julia_report(chain, point: TypeIIPoint, cfg=None, fibre: int = 0):
     shows a finite (preperiodic) orbit or stays inconclusive.  Raises
     NotApplicable when no interval model exists on the point's ray.
     """
-    if isinstance(chain, SkewLocal):
-        chain = single_chain(chain)
-    cfg = cfg if cfg is not None else StabilizationConfig()
+    chain, cfg = _chain_and_config(chain, cfg)
     j, p = fibre, point
     for _ in range(chain.size):
         if j >= chain.tail:

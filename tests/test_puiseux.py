@@ -111,6 +111,16 @@ def test_inv_tracks_input_precision():
     assert b.terms == ((F(-1), F(1)), (F(0), F(-1)), (F(1), F(1)))
 
 
+def test_rational_power_precision_stops_at_the_input():
+    # x + x^2 + O(x^3) fixes its square root only to O(x^(5/2)); a larger
+    # requested precision must not label unknown terms as known
+    a = P((F(1), F(1)), (F(2), F(1)), precision=F(3))
+    root = a.rational_power(F(1, 2), precision=6)
+    assert root == a.rational_power(F(1, 2))
+    assert root.precision == F(5, 2)
+    assert root.terms == ((F(1, 2), F(1)), (F(3, 2), F(1, 2)))
+
+
 def test_inv_of_invisible_leading_term_raises():
     with pytest.raises(InsufficientPrecision):
         PuiseuxPoly.zero(precision=F(3)).inv()

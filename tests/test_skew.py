@@ -507,18 +507,18 @@ def test_ratio_known_only_to_the_image_radius_is_expanded_further():
         assert got == _oracle_pushforward(s, p, {})
 
 
-def test_deep_disk_transport_fails_as_under_the_fixed_rule():
-    # y^2 over base x at centre x^(-1): the image zeta(x^(-2), t - 1) needs
-    # the inverse germ to O(x^(t + 3)); the fixed rule gave max(64, t + 1)
-    # and failed from t = 63.  The demand-driven request is capped by that
-    # rule, so the same disks fail.
+def test_deep_disk_transport_has_the_closed_form():
+    # y^2 over base x at centre x^(-1): the image is zeta(x^(-2), t - 1) at
+    # every depth, which needs the inverse germ to O(x^(t + 3)); the oracle's
+    # fixed rule reads it to max(64, t + 1) and fails from t = 63
     s = square_map()
     centre = S((F(-1), F(1)))
     for t in (F(60), F(62), F(63), F(200)):
         p = Z(centre, t)
-        got = _outcome(pushforward, s, p)
-        assert got == _outcome(_oracle_pushforward, s, p, {}), f"{p}"
-        assert (got is InsufficientPrecision) == (t >= 63)
+        got = pushforward(s, p)
+        assert got == Z(S((F(-2), F(1))), t - 1), f"{p}"
+        if t < 63:
+            assert got == _oracle_pushforward(s, p, {}), f"{p}"
 
 
 def _unchecked_link(base, num, den):

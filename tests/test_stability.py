@@ -27,6 +27,7 @@ from skewstab.stability import (
     STABLE,
     StabilizationConfig,
     _Analyzer,
+    _residue_cycle,
     classify_domain,
     destabilising_points,
     is_analytically_stable,
@@ -57,8 +58,6 @@ class TestConfig:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             StabilizationConfig(horizon=0)
-        with pytest.raises(ValueError):
-            StabilizationConfig(m0=-1)
 
 
 class TestDestabilising:
@@ -152,6 +151,30 @@ class TestClassify:
         assert cert is not None and cert.kind == "F"
         assert isinstance(cert.reason, GoodReductionInvariance)
         assert cert.reason.residues == ((0, F(1)),)
+
+    def test_residue_cycle_into_a_blocked_class(self):
+        # 1 is fixed by the reduced map y^2, but zeta(1, 1) sits in its class
+        an = _Analyzer(
+            single_chain(square_map()),
+            [gauss_point(), zp(1, 1)],
+            StabilizationConfig(),
+            None,
+        )
+        assert _residue_cycle(an, 0, F(1)) == ([(0, F(1))], 0)
+        assert _residue_cycle(an, 0, F(-1)) == ([(0, F(-1)), (0, F(1))], 1)
+        b = gauss_point()
+        for r in (1, -1):
+            dom = GammaDomain("disk", (b,), direction_to_class(b, as_series(r)))
+            assert an._good_reduction_f(0, dom) is None
+
+    def test_residue_cycle_height_bound(self):
+        # 2 -> 4 -> 16 -> 256 -> 65536 -> 2^32 passes 10^9 before any cycle
+        an = _Analyzer(
+            single_chain(square_map()), [gauss_point()], StabilizationConfig(), None
+        )
+        assert _residue_cycle(an, 0, F(2)) is None
+        assert _residue_cycle(an, 0, F(0)) == ([(0, F(0))], 0)
+        assert _residue_cycle(an, 0, None) == ([(0, None)], 0)
 
 
 class TestMinimalStabilisation:
