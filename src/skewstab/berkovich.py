@@ -4,8 +4,9 @@ tree structure on them.
 A point ``zeta(a, t)`` is the sup-seminorm on the closed disk of centre
 ``a`` and radius ``|x|^t``; ``t`` ranges over Q and may be negative
 (disks larger than the unit disk).  ``zeta(0, 0)`` is the Gauss point.
-Only these disk points (and classical points, flagged) are represented:
-that is exactly what the algorithms downstream need.
+Only these disk points are represented: that is exactly what the
+algorithms downstream need.  Classical points enter only as series
+tested against directions (``classical_in_direction``).
 
 The centre is stored in canonical form: every exponent of the stored
 centre is strictly below ``t``, and the stored series is the exact finite
@@ -32,26 +33,22 @@ from .puiseux import INF, PuiseuxPoly, as_series, rat
 class TypeIIPoint:
     """Disk point ``zeta(center, t)`` in canonical form.
 
-    ``classical=True`` marks a classical (radius-zero) probe; those skip
-    canonicalisation and compare by centre identity.
+    The stored centre is exact: a truncated centre known to O(x^t) or
+    beyond is cut at t, and one known less far is rejected.
     """
 
-    __slots__ = ("center", "t", "classical", "_hash")
+    __slots__ = ("center", "t", "_hash")
 
-    def __init__(self, center, t, classical=False):
+    def __init__(self, center, t):
         center = as_series(center)
         t = rat(t)
-        if classical:
-            object.__setattr__(self, "center", center)
-        else:
-            if center.precision is not INF and center.precision < t:
-                raise InsufficientPrecision(
-                    f"centre only known to O(x^{center.precision}), "
-                    f"cannot canonicalise at t = {t}"
-                )
-            object.__setattr__(self, "center", center.drop_from(t))
+        if center.precision is not INF and center.precision < t:
+            raise InsufficientPrecision(
+                f"centre only known to O(x^{center.precision}), "
+                f"cannot canonicalise at t = {t}"
+            )
+        object.__setattr__(self, "center", center.drop_from(t))
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "classical", classical)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -60,16 +57,12 @@ class TypeIIPoint:
     def __eq__(self, other):
         if not isinstance(other, TypeIIPoint):
             return NotImplemented
-        return (
-            self.t == other.t
-            and self.classical == other.classical
-            and self.center == other.center
-        )
+        return self.t == other.t and self.center == other.center
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.center, self.t, self.classical))
+            h = hash((self.center, self.t))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -133,11 +126,14 @@ def direction_infinity(at: TypeIIPoint) -> Direction:
 
 
 def _diff_val(a: PuiseuxPoly, b: PuiseuxPoly):
-    """Valuation of a - b without building it; None when a - b shows no
-    term below the coarser precision of the two (for exact series: a == b).
+    """Valuation of a - b without building it; None when the two term
+    lists are equal.
 
     Both term lists are canonical (sorted, nonzero coefficients), so the
-    first disagreement is the leading term of the difference.
+    first disagreement is the leading term of the difference.  Point
+    centres and class representatives are exact, and the one truncated
+    argument, a class member in ``direction_to_class``, is known past the
+    point's level, so that term is known in both.
     """
     ta, tb = a.terms, b.terms
     n = min(len(ta), len(tb))
@@ -145,17 +141,12 @@ def _diff_val(a: PuiseuxPoly, b: PuiseuxPoly):
     while i < n and ta[i] == tb[i]:
         i += 1
     if i < n:
-        e = min(ta[i][0], tb[i][0])
-    elif i < len(ta):
-        e = ta[i][0]
-    elif i < len(tb):
-        e = tb[i][0]
-    else:
-        return None
-    pa, pb = a.precision, b.precision
-    if (pa is not INF and e >= pa) or (pb is not INF and e >= pb):
-        return None
-    return e
+        return min(ta[i][0], tb[i][0])
+    if i < len(ta):
+        return ta[i][0]
+    if i < len(tb):
+        return tb[i][0]
+    return None
 
 
 def leq(p1: TypeIIPoint, p2: TypeIIPoint) -> bool:
@@ -172,13 +163,11 @@ def join(p1: TypeIIPoint, p2: TypeIIPoint) -> TypeIIPoint:
     v = _diff_val(p1.center, p2.center)
     if v is not None:
         s = min(s, v)
-    # the join of a nested pair is the outer point itself; a truncated
-    # (classical) centre is canonicalised at s instead
-    if p1.center.precision is INF and p2.center.precision is INF:
-        if s == p1.t:
-            return p1
-        if s == p2.t:
-            return p2
+    # the join of a nested pair is the outer point itself
+    if s == p1.t:
+        return p1
+    if s == p2.t:
+        return p2
     return TypeIIPoint(p1.center, s)
 
 

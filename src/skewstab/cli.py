@@ -1,9 +1,19 @@
 """Command line front end for inspecting and stabilizing skew products.
 
-Subcommands: image, hull, smooth-hull, check-smooth, domains, dual-graph,
-check-stability, min-stabilize, stabilize, demo.  Definition arguments
-accept a path or the name of a bundled fixture (thm6, thmB, xy2,
-goodred).
+Subcommands, with the common flags each one reads:
+
+* image, hull, smooth-hull, check-smooth, domains: --precision,
+  --format, --out;
+* dual-graph, which always prints DOT: --precision, --out;
+* check-stability, which always prints the structured report:
+  --precision, --horizon, --probe-budget, --out;
+* min-stabilize: --precision, --horizon, --max-rounds, --probe-budget,
+  --format, --out;
+* stabilize: the same without --format;
+* demo: --horizon, --probe-budget, --out.
+
+Definition arguments accept a path or the name of a bundled fixture
+(thm6, thmB, xy2, goodred).
 
 Exit codes: 0 success (StableCertified for the stability family),
 1 failed check (non-smooth input, demo mismatch), 2 usage or parse
@@ -112,11 +122,11 @@ def _load(args) -> DefinitionFile:
     return d
 
 
-def _config(args) -> StabilizationConfig:
+def _config(args, **rounds) -> StabilizationConfig:
+    """Settings from --horizon and --probe-budget; the stabilising
+    commands pass max_rounds too."""
     return StabilizationConfig(
-        horizon=args.horizon,
-        max_rounds=args.max_rounds,
-        probe_budget=args.probe_budget,
+        horizon=args.horizon, probe_budget=args.probe_budget, **rounds
     )
 
 
@@ -186,7 +196,7 @@ def cmd_hull(args):
 def cmd_smooth_hull(args):
     pts = _points_input(args)
     n = _level(args, pts)
-    vs = smooth_n_convex_hull(pts, n, max_rounds=args.max_rounds)
+    vs = smooth_n_convex_hull(pts, n)
     if args.format == "structured":
         lines = [f"smooth-hull.level: {n}", f"smooth-hull.size: {len(vs)}"]
         lines += [f"smooth-hull.point.{i}: {p}" for i, p in enumerate(vs)]
@@ -285,7 +295,7 @@ def _step_lines(steps, fmt) -> list:
 
 def cmd_min_stabilize(args):
     d = _load(args)
-    cfg = _config(args)
+    cfg = _config(args, max_rounds=args.max_rounds)
     try:
         res, report, trace = minimal_stabilisation(d.gammas, d.chain, cfg)
     except RoundCapExceeded as exc:
@@ -301,7 +311,7 @@ def cmd_min_stabilize(args):
 
 def cmd_stabilize(args):
     d = _load(args)
-    cfg = _config(args)
+    cfg = _config(args, max_rounds=args.max_rounds)
     try:
         res, report, registry, trace = stabilize_smooth(d.gammas, d.chain, cfg)
     except RoundCapExceeded as exc:
@@ -531,27 +541,34 @@ def cmd_demo(args):
 
 # -- argument parsing -------------------------------------------------------------
 
-def _add_common(sp) -> None:
-    sp.add_argument(
-        "--precision",
-        type=int,
-        default=None,
+_FLAGS = {
+    "--precision": dict(
+        type=int, default=None,
         help="largest exponent allowed in input series (default: file's declaration, else 64)",
-    )
-    sp.add_argument("--horizon", type=int, default=64, help="orbit horizon (default 64)")
-    sp.add_argument(
-        "--max-rounds", type=int, default=32, dest="max_rounds",
-        help="round cap for iterative closures (default 32)",
-    )
-    sp.add_argument(
-        "--probe-budget", type=int, default=8, dest="probe_budget",
+    ),
+    "--horizon": dict(type=int, default=64, help="orbit horizon (default 64)"),
+    "--max-rounds": dict(
+        type=int, default=32, dest="max_rounds", help="round cap for stabilisation (default 32)"
+    ),
+    "--probe-budget": dict(
+        type=int, default=8, dest="probe_budget",
         help="denominator budget for probe rays (default 8)",
-    )
-    sp.add_argument(
-        "--format", choices=("text", "structured", "dot"), default="text",
-        help="output format (dot applies to dual-graph only)",
-    )
-    sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    ),
+    "--format": dict(choices=("text", "structured"), default="text", help="output format"),
+    "--out": dict(default=None, help="write output to this path instead of stdout"),
+}
+
+# the common flags each kind of subcommand reads
+_LISTING = ("--precision", "--format", "--out")
+_STABILIZE = ("--precision", "--horizon", "--max-rounds", "--probe-budget", "--out")
+
+
+def _add_command(sub, name, handler, help_text, flags):
+    sp = sub.add_parser(name, help=help_text)
+    for flag in flags:
+        sp.add_argument(flag, **_FLAGS[flag])
+    sp.set_defaults(handler=handler)
+    return sp
 
 
 def _add_points_args(sp) -> None:
@@ -570,56 +587,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("image", help="exact orbit of a Type II point")
+    sp = _add_command(sub, "image", cmd_image, "exact orbit of a Type II point", _LISTING)
     sp.add_argument("definition", help="definition file or bundled fixture")
     sp.add_argument("point", help="point literal, e.g. 'zeta(0, 1)'")
     sp.add_argument("steps", type=int, help="number of orbit points to print")
     sp.add_argument("--fibre", type=int, default=0, help="starting fibre (default 0)")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_image)
 
-    sp = sub.add_parser("hull", help="n-convex hull of marked points")
-    _add_points_args(sp)
-    sp.add_argument("-n", "--level", type=int, default=None, help="lattice level (default: max g)")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_hull)
-
-    sp = sub.add_parser("smooth-hull", help="smooth n-convex hull of marked points")
-    _add_points_args(sp)
-    sp.add_argument("-n", "--level", type=int, default=None, help="lattice level (default: max g)")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_smooth_hull)
-
-    sp = sub.add_parser("check-smooth", help="audit a vertex set for smoothness")
-    _add_points_args(sp)
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_check_smooth)
-
-    sp = sub.add_parser("domains", help="enumerate complement domains of a vertex set")
-    _add_points_args(sp)
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_domains)
-
-    sp = sub.add_parser("dual-graph", help="dual graph of a vertex set as DOT")
-    _add_points_args(sp)
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_dual_graph)
-
-    for name, handler, help_text in (
-        ("check-stability", cmd_check_stability, "three-valued stability verdict"),
-        ("min-stabilize", cmd_min_stabilize, "blow up destabilising images until closed"),
-        ("stabilize", cmd_stabilize, "smooth stabilisation with persistent disk registry"),
+    for name, handler, help_text, flags in (
+        ("hull", cmd_hull, "n-convex hull of marked points", _LISTING),
+        ("smooth-hull", cmd_smooth_hull, "smooth n-convex hull of marked points", _LISTING),
+        ("check-smooth", cmd_check_smooth, "audit a vertex set for smoothness", _LISTING),
+        ("domains", cmd_domains, "enumerate complement domains of a vertex set", _LISTING),
+        (
+            "dual-graph", cmd_dual_graph, "dual graph of a vertex set as DOT",
+            ("--precision", "--out"),
+        ),
     ):
-        sp = sub.add_parser(name, help=help_text)
+        sp = _add_command(sub, name, handler, help_text, flags)
+        _add_points_args(sp)
+        if name in ("hull", "smooth-hull"):
+            sp.add_argument(
+                "-n", "--level", type=int, default=None, help="lattice level (default: max g)"
+            )
+
+    for name, handler, help_text, flags in (
+        (
+            "check-stability", cmd_check_stability, "three-valued stability verdict",
+            ("--precision", "--horizon", "--probe-budget", "--out"),
+        ),
+        (
+            "min-stabilize", cmd_min_stabilize, "blow up destabilising images until closed",
+            _STABILIZE + ("--format",),
+        ),
+        (
+            "stabilize", cmd_stabilize, "smooth stabilisation with persistent disk registry",
+            _STABILIZE,
+        ),
+    ):
+        sp = _add_command(sub, name, handler, help_text, flags)
         sp.add_argument("definition", help="definition file or bundled fixture")
-        _add_common(sp)
-        sp.set_defaults(handler=handler)
 
-    sp = sub.add_parser("demo", help="scripted walkthrough reproducing frozen results")
+    sp = _add_command(
+        sub, "demo", cmd_demo, "scripted walkthrough reproducing frozen results",
+        ("--horizon", "--probe-budget", "--out"),
+    )
     sp.add_argument("name", help="demo name: thm6 or thmB")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_demo)
-
     return parser
 
 
@@ -630,8 +642,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.format == "dot" and args.handler is not cmd_dual_graph:
-            raise _CliError("dot output is only available for the dual-graph command")
         code, text = args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -87,28 +87,26 @@ def _radius_image(smap: SkewLocal, center: PuiseuxPoly, t: Fraction) -> TypeIIPo
     return pushforward(smap, TypeIIPoint(center, t))
 
 
-def induce_interval_map(
-    source,
-    center: PuiseuxPoly,
-    t_range,
-    samples: int = 8,
-    max_refinements: int = 4,
-) -> PLMap:
+#: How many times induce_interval_map doubles its sampling density.
+_REFINEMENTS = 4
+
+
+def induce_interval_map(source, center: PuiseuxPoly, t_range, samples: int = 8) -> PLMap:
     """Reconstruct the radius-exponent action T on a centre-ray.
 
     ``source`` is a single skew map or a chain (composed over one
     period).  Samples the pushforward on a rational grid over
     ``t_range``, fits affine pieces with exact breakpoints, then
     verifies at piece midpoints, breakpoints, and endpoints with fresh
-    pushforward calls; sampling density doubles on mismatch up to
-    ``max_refinements``.  Images must all lie on a single output ray.
+    pushforward calls; sampling density doubles on mismatch, up to
+    ``_REFINEMENTS`` times.  Images must all lie on a single output ray.
     """
     if isinstance(source, Chain):
-        return _induce_chain(source, center, t_range, samples, max_refinements)
+        return _induce_chain(source, center, t_range, samples)
     lo, hi = rat(t_range[0]), rat(t_range[1])
     if hi <= lo:
         raise ValueError("empty range")
-    for _ in range(max_refinements):
+    for _ in range(_REFINEMENTS):
         grid = [lo + (hi - lo) * Fraction(k, samples) for k in range(samples + 1)]
         images = [_radius_image(source, center, t) for t in grid]
         _check_single_ray(center, images)
@@ -174,14 +172,14 @@ def _verify_fit(smap, center, fit: PLMap) -> bool:
     return True
 
 
-def _induce_chain(chain: Chain, center, t_range, samples, max_refinements):
+def _induce_chain(chain: Chain, center, t_range, samples):
     start = chain.tail
     composed = None
     j = start
     c = center
     for _ in range(chain.period):
         link = chain.links[j]
-        piece = induce_interval_map(link, c, t_range, samples, max_refinements)
+        piece = induce_interval_map(link, c, t_range, samples)
         img = pushforward(link, TypeIIPoint(c, piece.lo))
         composed = piece if composed is None else pl_compose(piece, composed)
         c = img.center

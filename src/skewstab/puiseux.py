@@ -145,10 +145,6 @@ class PuiseuxPoly:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def is_exact(self) -> bool:
-        return self.precision is INF
-
-    @property
     def is_exact_zero(self) -> bool:
         return not self.terms and self.precision is INF
 
@@ -352,8 +348,9 @@ class PuiseuxPoly:
         """Multiplicative inverse by geometric series.
 
         The natural output precision is ``self.precision - 2*val(self)``;
-        pass ``precision`` to ask for more or less.  Exact inputs default
-        to DEFAULT_PRECISION worth of output unless they invert exactly.
+        pass ``precision`` to ask for another, which a truncated input
+        caps at the natural one.  Exact inputs default to DEFAULT_PRECISION
+        worth of output unless they invert exactly.
         """
         v = self.val()  # raises on invisible leading term
         if v is INF:
@@ -365,12 +362,14 @@ class PuiseuxPoly:
             out_prec = INF if precision is None else rat(precision)
             res = PuiseuxPoly.monomial(1 / c0, -v)
             return res if out_prec is INF else res.truncate_soft(out_prec)
-        if precision is not None:
-            out_prec = rat(precision)
-        elif self.precision is INF:
-            out_prec = DEFAULT_PRECISION - v
-        else:
+        if self.precision is not INF:
             out_prec = self.precision - 2 * v
+            if precision is not None:
+                out_prec = min(out_prec, rat(precision))
+        elif precision is not None:
+            out_prec = rat(precision)
+        else:
+            out_prec = DEFAULT_PRECISION - v
         rel = out_prec + v  # precision needed for 1/unit
         if h:
             if rel <= 0:
@@ -391,15 +390,11 @@ class PuiseuxPoly:
             inv_unit = PuiseuxPoly.const(1).truncate_soft(rel)
         return inv_unit.scale(1 / c0).shift(-v).truncate_soft(out_prec)
 
-    def div(self, other, precision=None) -> "PuiseuxPoly":
-        o = self._coerce(other)
-        return self * o.inv(precision=precision)
-
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.div(o)
+        return self * o.inv()
 
     def rational_power(self, e, precision=None) -> "PuiseuxPoly":
         """self ** e for rational e, when representable over Q.

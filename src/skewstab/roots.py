@@ -50,12 +50,57 @@ def poly_eval(coeffs, value: PuiseuxPoly) -> PuiseuxPoly:
     return acc
 
 
+def shift_poly(coeffs, a: PuiseuxPoly):
+    """Coefficients of the same polynomial in tau = y - a."""
+    if a.is_exact_zero:
+        return list(coeffs)
+    d = len(coeffs) - 1
+    out = [PuiseuxPoly.zero() for _ in range(d + 1)]
+    apow = [PuiseuxPoly.const(1)]
+    for _ in range(d):
+        apow.append(apow[-1] * a)
+    for j, cj in enumerate(coeffs):
+        if cj.is_exact_zero:
+            continue
+        b = 1
+        for i in range(j, -1, -1):
+            out[i] = out[i] + cj.scale(b) * apow[j - i]
+            if i > 0:
+                b = b * i // (j - i + 1)
+    return out
+
+
 def frac_poly_eval(coeffs, v: Fraction) -> Fraction:
     """Horner evaluation of a polynomial with rational coefficients (ascending)."""
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * v + c
     return acc
+
+
+def frac_trim(coeffs) -> list:
+    """The rational coefficients (ascending) as a list without zero top
+    coefficients; the zero polynomial gives []."""
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def frac_divmod(a, b):
+    """(quotient, remainder) of a by b, rational coefficient lists from
+    degree 0 up; b's top coefficient is nonzero and the remainder is
+    trimmed."""
+    rem = frac_trim(a)
+    quo = [Fraction(0)] * (len(rem) - len(b) + 1)
+    while len(rem) >= len(b) and rem:
+        factor = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = factor
+        for i, c in enumerate(b):
+            rem[i + shift] -= factor * c
+        rem = frac_trim(rem)
+    return quo, rem
 
 
 def poly_derivative(coeffs):
@@ -145,7 +190,9 @@ def _expand(coeffs, target, depth):
                     PuiseuxRoot(PuiseuxPoly.zero(min(target, mu)), mult)
                 )
                 continue
-            sub = _substitute(coeffs, mu, u0)
+            # F(x, x^mu * (u0 + z)) as a polynomial in z
+            shifted = [c.shift(mu * i) for i, c in enumerate(coeffs)]
+            sub = shift_poly(shifted, PuiseuxPoly.const(u0))
             sub_roots, sub_descs = _expand(sub, rem, depth + 1)
             for r in sub_roots:
                 lifted = (PuiseuxPoly.const(u0) + r.series).shift(mu)
@@ -203,23 +250,6 @@ def _hull_value(hull, i):
     return hull[-1][1]
 
 
-def _substitute(coeffs, mu, u0):
-    """Coefficients of F(x, x^mu * (u0 + z)) as a polynomial in z."""
-    d = len(coeffs) - 1
-    shifted = [c.shift(mu * i) for i, c in enumerate(coeffs)]
-    out = [PuiseuxPoly.zero() for _ in range(d + 1)]
-    for j, cj in enumerate(shifted):
-        if not cj.terms and cj.is_exact_zero:
-            continue
-        b = Fraction(1)
-        for i in range(j, -1, -1):
-            # binomial(j, i) * u0^(j-i)
-            out[i] = out[i] + cj.scale(b)
-            if i > 0:
-                b = b * i / (j - i + 1) * u0
-    return out
-
-
 def rational_roots(poly):
     """Rational roots with multiplicity of a Q-coefficient polynomial.
 
@@ -227,9 +257,7 @@ def rational_roots(poly):
     the remaining factor that has no rational root (or whose integer
     coefficients are too large to factor here).
     """
-    coeffs = [rat(c) for c in poly]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = frac_trim(rat(c) for c in poly)
     if not coeffs:
         raise ValueError("zero polynomial")
     zero_mult = 0
@@ -245,8 +273,8 @@ def rational_roots(poly):
             break
         mult = 0
         while True:
-            quot, rem = _deflate(coeffs, r)
-            if rem != 0:
+            quot, rem = frac_divmod(coeffs, [-r, 1])
+            if rem:
                 break
             coeffs = quot
             mult += 1
@@ -284,17 +312,6 @@ def _one_rational_root(coeffs):
                 if frac_poly_eval(coeffs, cand) == 0:
                     return cand
     return None
-
-
-def _deflate(coeffs, r: Fraction):
-    # synthetic division by (y - r): coeffs ascending
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * r
-        out[i - 1] = carry
-    rem = coeffs[0] + carry * r
-    return out, rem
 
 
 def _divisors(n: int):

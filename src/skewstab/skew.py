@@ -53,10 +53,17 @@ from .puiseux import (
     rat,
     reversion,
 )
-from .roots import frac_poly_eval, newton_puiseux, poly_derivative, poly_eval
+from .roots import (
+    frac_divmod,
+    frac_poly_eval,
+    frac_trim,
+    newton_puiseux,
+    poly_derivative,
+    poly_eval,
+    shift_poly,
+)
 
 ZERO = PuiseuxPoly.zero()
-ONE = PuiseuxPoly.const(1)
 
 
 class BaseGerm:
@@ -158,10 +165,10 @@ class SkewLocal:
         bot = poly_eval(self.den, b)
         return top * bot.inv(precision=precision)
 
-    def poles(self, precision=None):
+    def poles(self):
         """Fibre poles: roots of the denominator, plus a flag for infinity."""
         if self._poles is None:
-            roots, descs = newton_puiseux(list(self.den), precision)
+            roots, descs = newton_puiseux(list(self.den))
             at_inf = _visible_degree(self.num) > _visible_degree(self.den)
             object.__setattr__(self, "_poles", (roots, descs, at_inf))
         return self._poles
@@ -227,26 +234,6 @@ def gauss_val(coeffs, t):
     return best
 
 
-def shift_poly(coeffs, a: PuiseuxPoly):
-    """Coefficients of the same polynomial in tau = y - a."""
-    if not a.terms and a.is_exact_zero:
-        return list(coeffs)
-    d = len(coeffs) - 1
-    out = [ZERO for _ in range(d + 1)]
-    apow = [ONE]
-    for _ in range(d):
-        apow.append(apow[-1] * a)
-    for j, cj in enumerate(coeffs):
-        if not cj.terms and cj.is_exact_zero:
-            continue
-        b = 1
-        for i in range(j, -1, -1):
-            out[i] = out[i] + cj.scale(b) * apow[j - i]
-            if i > 0:
-                b = b * i // (j - i + 1)
-    return out
-
-
 # -- pushforward ----------------------------------------------------------------
 
 
@@ -257,8 +244,6 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
     InsufficientPrecision when coefficient truncation blocks a decision,
     NotRepresentable when the centre transport needs an irrational root.
     """
-    if p.classical:
-        raise ValueError("pushforward expects a disk point, not a classical probe")
     t = p.t
     P = shift_poly(list(s.num), p.center)
     Q = shift_poly(list(s.den), p.center)
@@ -346,21 +331,23 @@ def _transport_center(base: BaseGerm, w: PuiseuxPoly, T: Fraction) -> PuiseuxPol
     return composed
 
 
-def pushforward_direction(
-    s: SkewLocal, p: TypeIIPoint, v: Direction, cap: int = 8
-) -> Direction:
+#: Probe refinements pushforward_direction makes before giving up.
+_DIRECTION_PROBES = 8
+
+
+def pushforward_direction(s: SkewLocal, p: TypeIIPoint, v: Direction) -> Direction:
     """Image of a tangent direction, by probing points along it.
 
     Probes step into the direction at shrinking distance until two
     consecutive probe images select the same direction at the image
-    point; ProbeDivergence after ``cap`` refinements.
+    point; ProbeDivergence after ``_DIRECTION_PROBES`` refinements.
     """
     if v.at != p:
         raise ValueError("direction is not anchored at the given point")
     image = pushforward(s, p)
     delta = Fraction(1)
     prev = None
-    for _ in range(cap):
+    for _ in range(_DIRECTION_PROBES):
         if v.at_infinity:
             probe = TypeIIPoint(p.center, p.t - delta)
         else:
@@ -375,7 +362,7 @@ def pushforward_direction(
             prev = None
         delta = delta / 2
     raise ProbeDivergence(
-        f"direction image at {p} did not settle within {cap} refinements"
+        f"direction image at {p} did not settle within {_DIRECTION_PROBES} refinements"
     )
 
 
@@ -431,31 +418,12 @@ def _frac_poly_gcd(a, b):
     a = [Fraction(c) for c in a]
     b = [Fraction(c) for c in b]
     while any(c != 0 for c in b):
-        a, b = b, _frac_divmod(a, b)[1]
-    while a and a[-1] == 0:
-        a.pop()
+        a, b = b, frac_divmod(a, b)[1]
+    a = frac_trim(a)
     if a:
         lead = a[-1]
         a = [c / lead for c in a]
     return a
-
-
-def _frac_divmod(a, b):
-    """(quotient, remainder) of a by b, coefficient lists from degree 0
-    up; b's top coefficient is nonzero and the remainder is trimmed."""
-    rem = list(a)
-    while rem and rem[-1] == 0:
-        rem.pop()
-    quo = [Fraction(0)] * (len(rem) - len(b) + 1)
-    while len(rem) >= len(b) and rem:
-        factor = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[i + shift] -= factor * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return quo, rem
 
 
 def reduction_mod_x(s: SkewLocal) -> ReducedMap:
@@ -473,18 +441,14 @@ def reduction_mod_x(s: SkewLocal) -> ReducedMap:
             c0 = v if c0 is None else min(c0, v)
         elif c.precision is not INF:
             raise InsufficientPrecision("truncated coefficient blocks reduction")
-    num_bar = [c.coeff_at(c0) for c in s.num]
-    den_bar = [c.coeff_at(c0) for c in s.den]
-    while num_bar and num_bar[-1] == 0:
-        num_bar.pop()
-    while den_bar and den_bar[-1] == 0:
-        den_bar.pop()
+    num_bar = frac_trim(c.coeff_at(c0) for c in s.num)
+    den_bar = frac_trim(c.coeff_at(c0) for c in s.den)
     if not num_bar or not den_bar:
         return ReducedMap(tuple(num_bar or [Fraction(0)]), tuple(den_bar or [Fraction(0)]))
     g = _frac_poly_gcd(num_bar, den_bar)
     if len(g) > 1:
-        num_bar = _frac_divmod(num_bar, g)[0]
-        den_bar = _frac_divmod(den_bar, g)[0]
+        num_bar = frac_divmod(num_bar, g)[0]
+        den_bar = frac_divmod(den_bar, g)[0]
     return ReducedMap(tuple(num_bar), tuple(den_bar))
 
 
@@ -516,7 +480,7 @@ class CriticalLocus:
         )
 
 
-def critical_points_rational(num, den, precision=None) -> CriticalLocus:
+def critical_points_rational(num, den) -> CriticalLocus:
     num = _trim([as_series(c) for c in num])
     den = _trim([as_series(c) for c in den])
     d = max(_visible_degree(num), _visible_degree(den))
@@ -533,30 +497,35 @@ def critical_points_rational(num, den, precision=None) -> CriticalLocus:
         for j, b in enumerate(dden):
             wronskian[i + j] = wronskian[i + j] - a * b
     wronskian = _trim(wronskian)
-    roots, descs = newton_puiseux(wronskian, precision)
+    roots, descs = newton_puiseux(wronskian)
     finite = sum(r.multiplicity for r in roots) + sum(d_.degree for d_ in descs)
     inf_mult = (2 * d - 2) - finite
     return CriticalLocus(tuple(roots), tuple(descs), inf_mult)
 
 
-def critical_points(s: SkewLocal, precision=None) -> CriticalLocus:
+def critical_points(s: SkewLocal) -> CriticalLocus:
     if s._crit is None:
-        object.__setattr__(
-            s, "_crit", critical_points_rational(s.num, s.den, precision)
-        )
+        object.__setattr__(s, "_crit", critical_points_rational(s.num, s.den))
     return s._crit
 
 
 # -- folding tree (heuristic, probe-validated) -------------------------------------
 
 
-def folding_tree(s: SkewLocal, depth=8, budget=4):
+#: Depth of the folding-tree endpoints below the critical points, and how
+#: many times a failed endpoint is pushed 2 deeper.
+_FOLD_DEPTH = 8
+_FOLD_RETRIES = 4
+
+
+def folding_tree(s: SkewLocal):
     """Endpoints of a finite tree meant to contain all folding of the map.
 
-    HEURISTIC: endpoints are placed at depth ``depth`` below each critical
-    point (and above, for a critical point at infinity) and validated by
-    probing that rays leaving each endpoint map without folding; on
-    failure the endpoint is pushed deeper, up to ``budget`` retries.
+    HEURISTIC: endpoints are placed at depth ``_FOLD_DEPTH`` below each
+    critical point (and above, for a critical point at infinity) and
+    validated by probing that rays leaving each endpoint map without
+    folding; on failure the endpoint is pushed deeper, up to
+    ``_FOLD_RETRIES`` retries.
     Degree-1 fibre maps fold nothing and give the empty tree.
     """
     if s.rdeg < 2:
@@ -571,8 +540,8 @@ def folding_tree(s: SkewLocal, depth=8, budget=4):
         rays.append(("infinity", None))
     endpoints = []
     for kind, data in rays:
-        e = Fraction(depth)
-        for attempt in range(budget + 1):
+        e = Fraction(_FOLD_DEPTH)
+        for _ in range(_FOLD_RETRIES + 1):
             pt = _folding_endpoint(kind, data, e)
             if pt is None:
                 break

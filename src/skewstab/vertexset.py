@@ -50,7 +50,6 @@ from .berkovich import (
     special_directions,
 )
 from .errors import RoundCapExceeded
-from .puiseux import INF
 
 
 class VertexSet:
@@ -189,10 +188,7 @@ def _build_tree(vs: VertexSet) -> HullTree:
     pts = vs.points
     if not pts:
         raise ValueError("hull of an empty set")
-    if all(not p.classical and p.center.precision is INF for p in pts):
-        order = _join_closure(pts)
-    else:
-        order = sorted(_join_closure_by_pairs(pts), key=_tree_key)
+    order = _join_closure(pts)
     parent_of = {}
     stack = []
     for p in order:
@@ -214,7 +210,7 @@ def _build_tree(vs: VertexSet) -> HullTree:
 
 
 def _join_closure_by_pairs(pts):
-    """Quadratic reference closure; the path for inexact centres."""
+    """Quadratic reference closure, kept as the tests' oracle."""
     nodes = set(pts)
     for i, a in enumerate(pts):
         for b in pts[i + 1 :]:
@@ -243,7 +239,7 @@ def _tree_key(p: TypeIIPoint):
 
 
 def _join_closure(pts):
-    """The join-closure in depth-first order (exact centres only).
+    """The join-closure in depth-first order.
 
     In that order the join of any two points is the highest join of
     neighbours between them, so n - 1 joins close the set.
@@ -253,14 +249,12 @@ def _join_closure(pts):
     return sorted(order + list(joins), key=_tree_key) if joins else order
 
 
-def segment_lattice_points(
-    outer: TypeIIPoint, inner: TypeIIPoint, bound: int, closed: bool = False
-):
-    """Level-`bound` vertices on the segment between two comparable points.
+def segment_lattice_points(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
+    """Level-`bound` vertices strictly between two comparable points.
 
     These are the points zeta(c, p/q) on the inner centre's ray with
     lcm(m, q) <= bound, m the multiplicity of the centre truncated at
-    p/q.  Open segment by default.
+    p/q.
     """
     if not leq(inner, outer):
         raise ValueError("segment endpoints are not comparable")
@@ -270,7 +264,7 @@ def segment_lattice_points(
         while Fraction(k, q) <= inner.t:
             s = Fraction(k, q)
             k += 1
-            if not closed and (s == outer.t or s == inner.t):
+            if s == outer.t or s == inner.t:
                 continue
             if s in found:
                 continue
@@ -442,16 +436,21 @@ def is_smooth(gammas) -> SmoothnessReport:
     return SmoothnessReport(not violations, tuple(violations))
 
 
-def smooth_n_convex_hull(points, n: int, max_rounds: int = 64) -> VertexSet:
+#: Round cap of smooth_n_convex_hull.  It guards against internal errors
+#: only, since each round only adds vertices at bounded levels in a
+#: bounded region.
+_SMOOTH_HULL_ROUNDS = 64
+
+
+def smooth_n_convex_hull(points, n: int) -> VertexSet:
     """Close under joins, level-n fill, and flank completion until stable.
 
     The result contains the input, is level-n convex, and passes
-    is_smooth; the round cap guards against internal errors only, since
-    each round only adds vertices at bounded levels in a bounded region.
+    is_smooth.
     """
     current = VertexSet(points)
     trace = []
-    for _ in range(max_rounds):
+    for _ in range(_SMOOTH_HULL_ROUNDS):
         filled = n_convex_hull(current, n)
         extra = []
         for p in filled:
@@ -463,7 +462,7 @@ def smooth_n_convex_hull(points, n: int, max_rounds: int = 64) -> VertexSet:
             return current
         current = new
     raise RoundCapExceeded(
-        f"smooth hull did not stabilise within {max_rounds} rounds", trace
+        f"smooth hull did not stabilise within {_SMOOTH_HULL_ROUNDS} rounds", trace
     )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from skewstab.cli import main
+from skewstab.cli import _build_parser, main
 
 
 def run_cli(*argv):
@@ -74,7 +74,7 @@ class TestImage:
     def test_dot_format_rejected(self):
         code, _, err = run_cli("image", "thm6", "zeta(0,1)", "2", "--format", "dot")
         assert code == 2
-        assert "dual-graph" in err
+        assert "--format: invalid choice: 'dot'" in err
 
 
 class TestVertexSetCommands:
@@ -174,8 +174,8 @@ class TestStabilityCommands:
         assert "verdict: StableCertified" in out
 
     def test_structured_output_is_deterministic(self):
-        a = run_cli("check-stability", "thm6", "--format", "structured")
-        b = run_cli("check-stability", "thm6", "--format", "structured")
+        a = run_cli("check-stability", "thm6")
+        b = run_cli("check-stability", "thm6")
         assert a == b and a[0] == 3
 
 
@@ -204,6 +204,49 @@ class TestDemo:
         code, _, err = run_cli("demo", "bogus")
         assert code == 2
         assert "unknown demo" in err
+
+
+class TestFlags:
+    COMMON = {"--precision", "--horizon", "--max-rounds", "--probe-budget", "--format", "--out"}
+
+    def test_each_subcommand_declares_the_common_flags_it_reads(self):
+        listing = {"--precision", "--format", "--out"}
+        stabilize = {"--precision", "--horizon", "--max-rounds", "--probe-budget", "--out"}
+        want = {
+            "image": listing,
+            "hull": listing,
+            "smooth-hull": listing,
+            "check-smooth": listing,
+            "domains": listing,
+            "dual-graph": {"--precision", "--out"},
+            "check-stability": {"--precision", "--horizon", "--probe-budget", "--out"},
+            "min-stabilize": stabilize | {"--format"},
+            "stabilize": stabilize,
+            "demo": {"--horizon", "--probe-budget", "--out"},
+        }
+        (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+        got = {
+            name: {o for a in sp._actions for o in a.option_strings} & self.COMMON
+            for name, sp in sub.choices.items()
+        }
+        assert got == want
+        assert sum(len(flags) for flags in got.values()) == 35
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hull", "thm6", "--horizon", "5"),
+            ("smooth-hull", "thm6", "--max-rounds", "5"),
+            ("dual-graph", "thm6", "--format", "dot"),
+            ("check-stability", "thm6", "--format", "structured"),
+            ("stabilize", "xy2", "--format", "text"),
+            ("demo", "thm6", "--precision", "8"),
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
 
 
 class TestOutputPlumbing:

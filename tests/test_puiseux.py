@@ -111,6 +111,18 @@ def test_inv_tracks_input_precision():
     assert b.terms == ((F(-1), F(1)), (F(0), F(-1)), (F(1), F(1)))
 
 
+def test_inv_precision_stops_at_the_input():
+    # 1 + x + O(x^2) fixes its inverse only to O(x^2); asking for more must
+    # not label unknown terms as known, asking for less still truncates
+    a = P((F(0), F(1)), (F(1), F(1)), precision=F(2))
+    assert a.inv(precision=5) == a.inv() == P((F(0), F(1)), (F(1), F(-1)), precision=F(2))
+    assert str(a.inv(precision=5)) == "1 - x + O(x^2)"
+    assert a.inv(precision=1) == P((F(0), F(1)), precision=F(1))
+    # x + x^2 + O(x^4): natural precision 4 - 2*1 = 2
+    b = P((F(1), F(1)), (F(2), F(1)), precision=F(4))
+    assert b.inv(precision=10) == b.inv()
+
+
 def test_rational_power_precision_stops_at_the_input():
     # x + x^2 + O(x^3) fixes its square root only to O(x^(5/2)); a larger
     # requested precision must not label unknown terms as known

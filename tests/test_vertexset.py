@@ -354,8 +354,8 @@ class TestSmoothHullProperty:
     def test_lattice_points_on_tree(self):
         pts = tree_lattice_points([GAUSS, zeta(ZERO, 1)], 2)
         assert pts == VertexSet([GAUSS, zeta(ZERO, F(1, 2)), zeta(ZERO, 1)])
-        ends = segment_lattice_points(GAUSS, zeta(ZERO, 1), 2, closed=True)
-        assert [p.t for p in ends] == [0, F(1, 2), 1]
+        inside = segment_lattice_points(GAUSS, zeta(ZERO, 1), 2)
+        assert [p.t for p in inside] == [F(1, 2)]
 
 
 # -- differential tests of the tree index against pairwise oracles ---------
@@ -603,19 +603,3 @@ class TestTreeIndexAgainstPairwiseOracles:
                     f"case {case}: {p}"
                 )
                 assert missing_flanks(p, []) == _oracle_missing_flanks(p, [])
-
-    def test_hull_with_a_classical_point(self):
-        # a radius-zero point with an inexact centre takes the pairwise
-        # closure path
-        rng = random.Random(64)
-        for case in range(60):
-            pts = [random_point(rng) for _ in range(rng.randint(1, 5))]
-            base = rng.choice(pts)
-            centre = PuiseuxPoly(
-                base.center.terms + ((base.t + F(1, 2), 3),), precision=base.t + 5
-            )
-            pts.append(TypeIIPoint(centre, base.t + 5, classical=True))
-            h = hull(pts)
-            assert (h.nodes, h.edges, h.top) == _oracle_hull(list(VertexSet(pts))), (
-                f"case {case}"
-            )
