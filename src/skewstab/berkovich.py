@@ -207,13 +207,13 @@ def classical_in_direction(v: Direction, value: PuiseuxPoly) -> bool:
     anchor = v.at
     if v.at_infinity:
         diff = value - anchor.center
-        if diff.terms:
+        if diff:
             return diff.val() < anchor.t
         if diff.precision is INF or diff.precision >= anchor.t:
             return False
         raise InsufficientPrecision("classical point too close to the boundary disk")
     diff = value - v.rep
-    if diff.terms:
+    if diff:
         return diff.val() > anchor.t
     if diff.precision is INF or diff.precision > anchor.t:
         return True

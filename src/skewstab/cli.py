@@ -17,7 +17,8 @@ Definition arguments accept a path or the name of a bundled fixture
 
 Exit codes: 0 success (StableCertified for the stability family),
 1 failed check (non-smooth input, demo mismatch), 2 usage or parse
-error, 3 DestabilisingFound, 4 Inconclusive or round cap exceeded.
+error, 3 DestabilisingFound, 4 Inconclusive or round cap exceeded,
+5 internal error (an unexpected exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
 EXIT_DESTABILISING = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_INTERNAL = 5
 
 _VERDICT_CODE = {
     STABLE: EXIT_OK,
@@ -309,23 +311,30 @@ def cmd_min_stabilize(args):
     return _VERDICT_CODE[report.verdict], "\n".join(lines)
 
 
+def _round_lines(trace) -> list:
+    """One ``round k: added ...`` line per round of a smooth stabilisation."""
+    lines = []
+    for r in trace:
+        rules = sorted({rule for _, _, rule in r["resolutions"]})
+        line = f"round {r['round']}: added {len(r['added'])} vertex(es)"
+        if rules:
+            line += f", rules [{', '.join(rules)}]"
+        if r["registry_audit"]:
+            line += f", AUDIT FAILURES: {'; '.join(r['registry_audit'])}"
+        lines.append(line)
+    return lines
+
+
 def cmd_stabilize(args):
     d = _load(args)
     cfg = _config(args, max_rounds=args.max_rounds)
     try:
         res, report, registry, trace = stabilize_smooth(d.gammas, d.chain, cfg)
     except RoundCapExceeded as exc:
-        return EXIT_INCONCLUSIVE, f"round cap exceeded: {exc}"
-    lines = []
-    for r in trace:
-        added = r["added"]
-        rules = sorted({rule for _, _, rule in r["resolutions"]})
-        line = f"round {r['round']}: added {len(added)} vertex(es)"
-        if rules:
-            line += f", rules [{', '.join(rules)}]"
-        if r["registry_audit"]:
-            line += f", AUDIT FAILURES: {'; '.join(r['registry_audit'])}"
-        lines.append(line)
+        lines = _round_lines(exc.trace)
+        lines.append(f"round cap exceeded: {exc}")
+        return EXIT_INCONCLUSIVE, "\n".join(lines)
+    lines = _round_lines(trace)
     for j in sorted(res):
         lines.append(f"fibre {j}: {len(res[j])} vertex(es)")
     for disk in registry:
@@ -652,6 +661,10 @@ def main(argv=None) -> int:
     except SkewstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED_CHECK
+    except Exception as exc:  # any other failure is a bug: one line, no traceback
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     if text:
         _emit(args, text)
     return code

@@ -7,6 +7,21 @@ An element is a finite sum ``c_1*x^(e_1) + ... + c_k*x^(e_k)`` with
 ``|a| = |x|^val(a)`` with ``|x| < 1``: larger valuation means smaller
 element.
 
+Stored form: ``(N, lo, nums, den, precision)``, integers N >= 1 and
+den >= 1 and a tuple ``nums`` of integers; slot k is the term
+``(nums[k]/den) * x^((lo+k)/N)``.  It is canonical: N is least (the
+ramification index), gcd(den, nums) = 1, the end slots are nonzero, and
+no slot reaches the precision; zero is ``(1, 0, (), 1, precision)``, and
+with finite precision stands for "some element of O(x^precision)".  So
+two series are equal exactly when their forms are.  ``terms``, the
+(Fraction exponent, Fraction coefficient) pairs, is a view cached on
+first read.  Costs for s and r slots: ``*`` is an O(s*r) convolution of
+the nonzero slots on the lcm lattice, cut at the precision; ``+``, ``-``
+and ``scale`` are O(s + r) after aligning indices and denominators;
+``shift``, ``stretch``, ``derivative``, the truncations and ``coeff_at``
+are index arithmetic; ``ramification_index`` reads N.  ``inv``,
+``rational_power``, ``compose`` and ``reversion`` are built on these.
+
 Precision is explicit rather than ambient: every arithmetic operation
 propagates the tightest bound that is actually justified, and operations
 whose result is undecidable at the available precision raise
@@ -59,8 +74,7 @@ class _Infinity:
     def __add__(self, other):
         return self
 
-    def __radd__(self, other):
-        return self
+    __radd__ = __add__
 
     def __sub__(self, other):
         if other is self:
@@ -72,8 +86,7 @@ class _Infinity:
             raise ArithmeticError("INF * 0")
         return self
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __neg__(self):
         raise ArithmeticError("-INF is not representable")
@@ -96,47 +109,44 @@ def _is_prec(p) -> bool:
     return p is INF or isinstance(p, Fraction)
 
 
+def _ceil(q: Fraction, n: int) -> int:
+    """ceil(q*n): the first lattice index at or past the exponent q."""
+    return -(-q.numerator * n // q.denominator)
+
+
 class PuiseuxPoly:
-    """Immutable truncated Puiseux series.
+    """Truncated Puiseux series in the stored form above; immutable by
+    convention (the hot constructor skips a ``__setattr__`` guard)."""
 
-    ``terms`` is a tuple of ``(exponent, coefficient)`` pairs, exponents
-    strictly increasing, coefficients nonzero, every exponent below
-    ``precision``.  The zero element has no terms; with finite precision
-    it stands for "some element of O(x^precision)".
-    """
-
-    __slots__ = ("terms", "precision", "_hash")
+    __slots__ = ("N", "lo", "nums", "den", "precision", "_terms", "_hash")
 
     def __init__(self, terms=(), precision=INF):
         if not _is_prec(precision):
             precision = rat(precision)
         merged: dict = {}
         for e, c in terms:
-            e = rat(e)
-            c = rat(c)
-            if c == 0 or not e < precision:
-                continue
-            s = merged.get(e, Fraction(0)) + c
-            if s == 0:
-                merged.pop(e, None)
-            else:
-                merged[e] = s
-        object.__setattr__(self, "terms", tuple(sorted(merged.items())))
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PuiseuxPoly is immutable")
+            e, c = rat(e), rat(c)
+            if e < precision:
+                merged[e] = merged.get(e, 0) + c
+        terms = tuple(sorted((e, c) for e, c in merged.items() if c))
+        N = math.lcm(*(e.denominator for e, _ in terms))
+        den = math.lcm(*(c.denominator for _, c in terms))
+        at = [e.numerator * (N // e.denominator) for e, _ in terms] or [0]
+        nums = [0] * (at[-1] - at[0] + 1 if terms else 0)
+        for k, (_, c) in zip(at, terms):
+            nums[k - at[0]] = c.numerator * (den // c.denominator)
+        _new(N, at[0], tuple(nums), den, precision, terms, into=self)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, precision=INF) -> "PuiseuxPoly":
-        return cls((), precision)
+        return _new(1, 0, (), 1, precision if _is_prec(precision) else rat(precision))
 
     @classmethod
     def const(cls, c) -> "PuiseuxPoly":
-        return cls(((Fraction(0), rat(c)),))
+        c = rat(c)
+        return _new(1, 0, (c.numerator,), c.denominator, INF) if c else _new(1, 0, (), 1, INF)
 
     @classmethod
     def monomial(cls, coeff, exponent, precision=INF) -> "PuiseuxPoly":
@@ -145,39 +155,44 @@ class PuiseuxPoly:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def terms(self) -> tuple:
+        """The (exponent, coefficient) pairs as Fractions, built on first read."""
+        t = self._terms
+        if t is None:
+            N, lo, den = self.N, self.lo, self.den
+            t = tuple(
+                (Fraction(lo + k, N), Fraction(c, den)) for k, c in enumerate(self.nums) if c
+            )
+            self._terms = t
+        return t
+
+    @property
     def is_exact_zero(self) -> bool:
-        return not self.terms and self.precision is INF
+        return not self.nums and self.precision is INF
 
     def val(self):
         """Valuation: exponent of the leading term; INF for exact zero.
-
-        Raises InsufficientPrecision when no term is visible but the tail
-        O(x^precision) could hide one.
-        """
-        if self.terms:
-            return self.terms[0][0]
+        InsufficientPrecision when O(x^precision) could hide the term."""
+        if self.nums:
+            return Fraction(self.lo, self.N)
         if self.precision is INF:
             return INF
-        raise InsufficientPrecision(
-            f"valuation undecidable: element is O(x^{self.precision})"
-        )
+        raise InsufficientPrecision(f"valuation undecidable: element is O(x^{self.precision})")
 
     def val_floor(self):
         """A safe lower bound for the valuation; never raises."""
-        if self.terms:
-            return self.terms[0][0]
-        return self.precision
+        return Fraction(self.lo, self.N) if self.nums else self.precision
 
     def leading_coeff(self) -> Fraction:
-        if not self.terms:
+        if not self.nums:
             raise InsufficientPrecision("no visible leading term")
-        return self.terms[0][1]
+        return Fraction(self.nums[0], self.den)
 
     def coeff_at(self, exponent) -> Fraction:
         e = rat(exponent)
-        for te, tc in self.terms:
-            if te == e:
-                return tc
+        k = e.numerator * self.N
+        if k % e.denominator == 0 and 0 <= k // e.denominator - self.lo < len(self.nums):
+            return Fraction(self.nums[k // e.denominator - self.lo], self.den)
         return Fraction(0)
 
     def residue(self) -> Fraction:
@@ -186,149 +201,147 @@ class PuiseuxPoly:
 
     def ramification_index(self) -> int:
         """Least n with all exponents in (1/n)Z; 1 for the zero element."""
-        n = 1
-        for e, _ in self.terms:
-            n = n * e.denominator // math.gcd(n, e.denominator)
-        return n
+        return self.N
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxPoly):
             return NotImplemented
-        return self.terms == other.terms and self.precision == other.precision
+        return (self.nums == other.nums and self.lo == other.lo and self.N == other.N
+                and self.den == other.den and self.precision == other.precision)
 
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash((self.terms, self.precision))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     def agrees_with(self, other: "PuiseuxPoly") -> bool:
         """Equality modulo the coarser of the two precisions."""
         p = min(self.precision, other.precision)
-        return self.truncate_soft(p).terms == other.truncate_soft(p).terms
+        return self.truncate_soft(p) == other.truncate_soft(p)
 
     # -- truncation --------------------------------------------------------
 
+    def _cut(self, bound, precision) -> "PuiseuxPoly":
+        """The slots below lattice index ``bound`` (all for None), known
+        to O(x^precision); the slots at or past a finite precision go too."""
+        if bound is None and precision is not INF:
+            bound = _ceil(precision, self.N)
+        k = len(self.nums) if bound is None else bound - self.lo
+        if k >= len(self.nums):
+            if precision is self.precision or precision == self.precision:
+                return self
+            return _new(self.N, self.lo, self.nums, self.den, precision, self._terms)
+        return _canon(self.N, self.lo, list(self.nums[: max(k, 0)]), self.den, precision)
+
     def truncate(self, t) -> "PuiseuxPoly":
         """Drop terms with exponent >= t; the result has precision exactly t.
-
-        Raises ValueError when t exceeds the known precision (the dropped
-        tail would not be justified).
-        """
+        ValueError when t exceeds the known precision."""
         t = rat(t)
         if self.precision is not INF and t > self.precision:
-            raise ValueError(
-                f"cannot truncate at {t}: element only known to O(x^{self.precision})"
-            )
-        return PuiseuxPoly(self.terms, t)
+            raise ValueError(f"cannot truncate at {t}: only known to O(x^{self.precision})")
+        return self._cut(None, t)
 
     def truncate_soft(self, t) -> "PuiseuxPoly":
         """Like truncate but clamps t to the available precision."""
-        if self.precision is not INF and t > self.precision:
-            t = self.precision
-        return PuiseuxPoly(self.terms, t)
+        return self._cut(None, min(self.precision, t if _is_prec(t) else rat(t)))
 
     def drop_from(self, t) -> "PuiseuxPoly":
-        """Discard terms with exponent >= t but keep the stated precision INF.
-
-        Used for canonical representatives where the dropped tail is
-        irrelevant by definition, not unknown.
-        """
-        t = rat(t)
-        if self.precision is INF and (not self.terms or self.terms[-1][0] < t):
-            return self
-        return PuiseuxPoly(tuple((e, c) for e, c in self.terms if e < t), INF)
+        """Discard terms with exponent >= t but keep the precision INF: for
+        canonical representatives, whose tail is irrelevant, not unknown."""
+        return self._cut(_ceil(rat(t), self.N), INF)
 
     def keep_through(self, t) -> "PuiseuxPoly":
         """Discard terms with exponent > t; exact result (class representative)."""
         t = rat(t)
-        return PuiseuxPoly(tuple((e, c) for e, c in self.terms if e <= t), INF)
+        return self._cut(t.numerator * self.N // t.denominator + 1, INF)
 
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, PuiseuxPoly):
             return other
-        if isinstance(other, (int, Fraction)):
-            return PuiseuxPoly.const(other)
-        return None
+        return PuiseuxPoly.const(other) if isinstance(other, (int, Fraction)) else None
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = min(self.precision, o.precision)
-        return PuiseuxPoly(self.terms + o.terms, prec)
+        return NotImplemented if o is None else _add(self, o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxPoly(tuple((e, -c) for e, c in self.terms), self.precision)
+        return _new(self.N, self.lo, tuple(-c for c in self.nums), self.den, self.precision)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else _add(self, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else _add(o, self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         # precision: unknown tail of one factor times the other factor
-        prec = INF
-        if self.precision is not INF:
-            prec = min(prec, self.precision + o.val_floor())
+        prec = INF if self.precision is INF else self.precision + o.val_floor()
         if o.precision is not INF:
             prec = min(prec, o.precision + self.val_floor())
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in o.terms:
-                e = e1 + e2
-                if prec is not INF and e >= prec:
-                    continue
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return PuiseuxPoly(tuple(acc.items()), prec)
+        a, b = self.nums, o.nums
+        if not a or not b:
+            return _new(1, 0, (), 1, prec)
+        N = math.lcm(self.N, o.N)
+        sa, sb = N // self.N, N // o.N
+        lo = self.lo * sa + o.lo * sb
+        size = (len(a) - 1) * sa + (len(b) - 1) * sb + 1
+        if prec is not INF:
+            size = min(size, _ceil(prec, N) - lo)
+        acc = [0] * max(size, 0)
+        bs = [(j * sb, d) for j, d in enumerate(b) if d]
+        for i, c in enumerate(a):
+            i *= sa
+            if i >= size:
+                break
+            if c:
+                for j, d in bs:
+                    if i + j >= size:
+                        break
+                    acc[i + j] += c * d
+        return _canon(N, lo, acc, self.den * o.den, prec)
 
     __rmul__ = __mul__
 
     def shift(self, delta) -> "PuiseuxPoly":
         """Multiply by x^delta."""
         d = rat(delta)
-        prec = self.precision if self.precision is INF else self.precision + d
-        return PuiseuxPoly(tuple((e + d, c) for e, c in self.terms), prec)
+        N = math.lcm(self.N, d.denominator)
+        lo = self.lo * (N // self.N) + d.numerator * (N // d.denominator)
+        return _canon(N, lo, _spread(self.nums, N // self.N), self.den, self.precision + d)
 
     def stretch(self, factor) -> "PuiseuxPoly":
         """Substitute x -> x^factor (factor a positive rational)."""
         f = rat(factor)
         if f <= 0:
             raise ValueError("stretch factor must be positive")
-        prec = self.precision if self.precision is INF else self.precision * f
-        return PuiseuxPoly(tuple((e * f, c) for e, c in self.terms), prec)
+        N, lo = self.N * f.denominator, self.lo * f.numerator
+        return _canon(N, lo, _spread(self.nums, f.numerator), self.den, self.precision * f)
 
     def scale(self, c) -> "PuiseuxPoly":
         c = rat(c)
-        if c == 0:
-            return PuiseuxPoly.zero(self.precision)
-        return PuiseuxPoly(tuple((e, c * k) for e, k in self.terms), self.precision)
+        nums = [k * c.numerator for k in self.nums]
+        return _canon(self.N, self.lo, nums, self.den * c.denominator, self.precision)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        result = PuiseuxPoly.const(1)
-        base = self
+        result, base = PuiseuxPoly.const(1), self
         while k:
             if k & 1:
                 result = result * base
@@ -337,64 +350,25 @@ class PuiseuxPoly:
         return result
 
     def derivative(self) -> "PuiseuxPoly":
-        prec = self.precision if self.precision is INF else self.precision - 1
-        return PuiseuxPoly(
-            tuple((e - 1, c * e) for e, c in self.terms if e != 0), prec
-        )
+        N, lo = self.N, self.lo
+        nums = [c * (lo + k) for k, c in enumerate(self.nums)]
+        return _canon(N, lo - N, nums, self.den * N, self.precision - 1)
 
     # -- inversion and powers ----------------------------------------------
 
     def inv(self, precision=None) -> "PuiseuxPoly":
-        """Multiplicative inverse by geometric series.
+        """Multiplicative inverse: ``rational_power(-1)``, a geometric series.
 
         The natural output precision is ``self.precision - 2*val(self)``;
         pass ``precision`` to ask for another, which a truncated input
         caps at the natural one.  Exact inputs default to DEFAULT_PRECISION
         worth of output unless they invert exactly.
         """
-        v = self.val()  # raises on invisible leading term
-        if v is INF:
-            raise ZeroDivisionError("inverse of exact zero")
-        c0 = self.leading_coeff()
-        unit = self.shift(-v).scale(1 / c0)  # 1 + h, val(h) > 0
-        h = unit - 1
-        if not h and unit.precision is INF:
-            out_prec = INF if precision is None else rat(precision)
-            res = PuiseuxPoly.monomial(1 / c0, -v)
-            return res if out_prec is INF else res.truncate_soft(out_prec)
-        if self.precision is not INF:
-            out_prec = self.precision - 2 * v
-            if precision is not None:
-                out_prec = min(out_prec, rat(precision))
-        elif precision is not None:
-            out_prec = rat(precision)
-        else:
-            out_prec = DEFAULT_PRECISION - v
-        rel = out_prec + v  # precision needed for 1/unit
-        if h:
-            if rel <= 0:
-                raise InsufficientPrecision(
-                    f"inverse would be O(x^{out_prec}) with no visible term"
-                )
-            acc = {Fraction(0): Fraction(1)}
-            pw = PuiseuxPoly.const(1)
-            step = h.val()
-            k = 1
-            while step * k < rel:
-                pw = (pw * (-h)).truncate_soft(rel)
-                for e, c in pw.terms:
-                    acc[e] = acc.get(e, Fraction(0)) + c
-                k += 1
-            inv_unit = PuiseuxPoly(acc.items(), rel)
-        else:
-            inv_unit = PuiseuxPoly.const(1).truncate_soft(rel)
-        return inv_unit.scale(1 / c0).shift(-v).truncate_soft(out_prec)
+        return self.rational_power(-1, precision)
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+        return NotImplemented if o is None else self * o.inv()
 
     def rational_power(self, e, precision=None) -> "PuiseuxPoly":
         """self ** e for rational e, when representable over Q.
@@ -417,39 +391,32 @@ class PuiseuxPoly:
         c0 = self.leading_coeff()
         root = nth_root_fraction(c0, e.denominator)
         if root is None:
-            raise NotRepresentable(
-                f"{c0} has no rational {e.denominator}-th root"
-            )
+            raise NotRepresentable(f"{c0} has no rational {e.denominator}-th root")
         lead = Fraction(root) ** e.numerator
         unit = self.shift(-v).scale(1 / c0)
         h = unit - 1
         if not h and unit.precision is INF:
             res = PuiseuxPoly.monomial(lead, v * e)
             return res if precision is None else res.truncate_soft(rat(precision))
-        if precision is None:
-            out_prec = v * e + (DEFAULT_PRECISION if unit.precision is INF else unit.precision)
-        else:
-            # a truncated unit bounds what the expansion can know
-            out_prec = rat(precision)
-            if unit.precision is not INF:
-                out_prec = min(out_prec, v * e + unit.precision)
+        # a truncated unit bounds what the expansion can know
+        out_prec = v * e + unit.precision
+        if precision is not None:
+            out_prec = min(rat(precision), out_prec)
+        elif out_prec is INF:
+            out_prec = v * e + DEFAULT_PRECISION
         rel = out_prec - v * e
-        if rel <= 0:
-            raise InsufficientPrecision("fractional power truncated away entirely")
-        acc = {Fraction(0): Fraction(1)}
-        pw = PuiseuxPoly.const(1)
-        k = 0
-        binom = Fraction(1)
+        if rel <= 0 and h:
+            raise InsufficientPrecision(f"power would be O(x^{out_prec}) with no visible term")
+        acc = pw = PuiseuxPoly.const(1)
+        k, binom = 0, Fraction(1)
         if h:
             hv = h.val()
             while hv * (k + 1) < rel:
                 k += 1
                 binom = binom * (e - (k - 1)) / k
                 pw = (pw * h).truncate_soft(rel)
-                for te, tc in pw.terms:
-                    acc[te] = acc.get(te, Fraction(0)) + binom * tc
-        unit_pow = PuiseuxPoly(acc.items(), rel)
-        return unit_pow.scale(lead).shift(v * e).truncate_soft(out_prec)
+                acc = acc + pw.scale(binom)
+        return acc.truncate_soft(rel).scale(lead).shift(v * e).truncate_soft(out_prec)
 
     # -- composition and reversion -------------------------------------------
 
@@ -457,90 +424,128 @@ class PuiseuxPoly:
         """Substitute ``inner`` (valuation > 0) for x in self."""
         if inner.val_floor() is not INF and inner.val_floor() <= 0:
             raise ValueError("compose requires val(inner) > 0")
-        if not inner.terms and inner.precision is INF:
+        if inner.is_exact_zero:
             # inner is exactly 0: only nonnegative-exponent terms survive
-            for e, _ in self.terms:
-                if e < 0:
-                    raise ZeroDivisionError("negative exponent at inner = 0")
+            if self.nums and self.lo < 0:
+                raise ZeroDivisionError("negative exponent at inner = 0")
             return PuiseuxPoly.const(self.coeff_at(0))
         iv = inner.val()
-        out_prec = INF
-        if self.precision is not INF:
-            out_prec = min(out_prec, self.precision * iv)
+        out_prec = self.precision * iv
         if inner.precision is not INF:
-            worst = min((e for e, _ in self.terms), default=Fraction(1))
+            worst = self.val_floor() if self.nums else Fraction(1)
             out_prec = min(out_prec, (worst - 1) * iv + inner.precision)
         if precision is not None:
-            out_prec = rat(precision) if out_prec is INF else min(out_prec, rat(precision))
-        needs_cutoff = any(
-            (e.denominator != 1 or e < 0) for e, _ in self.terms
-        ) and len(inner.terms) > 1
-        if out_prec is INF and needs_cutoff:
+            out_prec = min(out_prec, rat(precision))
+        # a fractional or negative exponent expands to an infinite series
+        if out_prec is INF and (self.N > 1 or self.lo < 0) and len(inner.nums) > 1:
             out_prec = DEFAULT_PRECISION * max(iv, 1)
-        acc = PuiseuxPoly.zero(out_prec) if out_prec is not INF else PuiseuxPoly.zero()
+        acc = PuiseuxPoly.zero(out_prec)
         # incremental powers for the integer exponents (the common case),
         # one fractional-power expansion per remaining term
-        int_terms = sorted(
-            (e, c) for e, c in self.terms if e.denominator == 1 and e >= 0
-        )
-        pw = PuiseuxPoly.const(1)
-        cur = 0
-        for e, c in int_terms:
-            if out_prec is not INF and iv * e >= out_prec:
-                break
-            while cur < e:
-                pw = pw * inner
-                if out_prec is not INF:
-                    pw = pw.truncate_soft(out_prec)
-                cur += 1
-            acc = acc + pw.scale(c)
+        pw, cur = PuiseuxPoly.const(1), 0
         for e, c in self.terms:
+            if iv * e >= out_prec:
+                break  # this term and every later one live beyond the output precision
             if e.denominator == 1 and e >= 0:
-                continue
-            if out_prec is not INF and iv * e >= out_prec:
-                continue  # whole term lives beyond the output precision
-            frac_pw = inner.rational_power(
-                e, None if out_prec is INF else out_prec
-            )
-            acc = acc + frac_pw.scale(c)
-        if out_prec is not INF:
-            acc = acc.truncate_soft(out_prec)
-        return acc
+                while cur < e:
+                    pw = (pw * inner).truncate_soft(out_prec)
+                    cur += 1
+                acc = acc + pw.scale(c)
+            else:
+                acc = acc + inner.rational_power(e, None if out_prec is INF else out_prec).scale(c)
+        return acc.truncate_soft(out_prec)
 
     # -- presentation ---------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            body = "0"
-        else:
-            parts = []
-            for i, (e, c) in enumerate(self.terms):
-                coeff = abs(c)
-                if e == 0:
-                    piece = str(coeff)
-                else:
-                    xp = "x" if e == 1 else (
-                        f"x^{e}" if e.denominator == 1 and e > 0 else f"x^({e})"
-                    )
-                    piece = xp if coeff == 1 else f"{coeff}*{xp}"
-                if i == 0:
-                    parts.append(piece if c > 0 else f"-{piece}")
-                else:
-                    parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
-            body = " ".join(parts)
-        if self.precision is INF:
+        parts = []
+        for e, c in self.terms:
+            xp = "x" if e == 1 else f"x^{e}" if e.denominator == 1 and e > 0 else f"x^({e})"
+            piece = str(abs(c)) if e == 0 else xp if abs(c) == 1 else f"{abs(c)}*{xp}"
+            parts.append(f"{'-' if c < 0 else '+'} {piece}")
+        body = " ".join(parts)
+        body = "0" if not body else body[2:] if body[0] == "+" else "-" + body[2:]
+        p = self.precision
+        if p is INF:
             return body
-        ptxt = (
-            f"x^{self.precision}"
-            if self.precision.denominator == 1
-            else f"x^({self.precision})"
-        )
-        if body == "0":
-            return f"O({ptxt})"
-        return f"{body} + O({ptxt})"
+        ptxt = f"x^{p}" if p.denominator == 1 else f"x^({p})"
+        return f"O({ptxt})" if body == "0" else f"{body} + O({ptxt})"
 
     def __repr__(self):
         return f"PuiseuxPoly({self})"
+
+
+# -- the integer kernel -----------------------------------------------------------
+
+
+def _new(N, lo, nums, den, precision, terms=None, into=None) -> PuiseuxPoly:
+    """The series of an already canonical form, set up in ``into`` if given."""
+    s = object.__new__(PuiseuxPoly) if into is None else into
+    s.N, s.lo, s.nums, s.den = N, lo, nums, den
+    s.precision, s._terms, s._hash = precision, terms, None
+    return s
+
+
+def _canon(N, lo, nums: list, den, precision) -> PuiseuxPoly:
+    """The series of the form (N, lo, nums, den, precision), made
+    canonical: slots at or past the precision cut, zero ends stripped,
+    the common factor of den and nums divided out, N made least."""
+    if precision is not INF:
+        del nums[max(_ceil(precision, N) - lo, 0):]
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _new(1, 0, (), 1, precision)
+    i = 0
+    while not nums[i]:
+        i += 1
+    if i:
+        nums, lo = nums[i:], lo + i
+    if den > 1:
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den, nums = den // g, [c // g for c in nums]
+    if N > 1:
+        g = math.gcd(N, lo)
+        k = 1
+        while g > 1 and k < len(nums):
+            if nums[k]:
+                g = math.gcd(g, k)
+            k += 1
+        if g > 1:
+            N, lo, nums = N // g, lo // g, nums[::g]
+    return _new(N, lo, tuple(nums), den, precision)
+
+
+def _spread(nums, s: int) -> list:
+    """The slots moved from the lattice x^(1/N) to x^(1/(s*N))."""
+    if s == 1 or not nums:
+        return list(nums)
+    out = [0] * ((len(nums) - 1) * s + 1)
+    out[::s] = nums
+    return out
+
+
+def _add(a: PuiseuxPoly, b: PuiseuxPoly, sign: int) -> PuiseuxPoly:
+    """a + sign*b on the lcm lattice over the lcm denominator."""
+    prec = min(a.precision, b.precision)
+    if not b.nums:
+        return a._cut(None, prec)
+    if not a.nums:
+        return (b if sign > 0 else -b)._cut(None, prec)
+    N, den = math.lcm(a.N, b.N), math.lcm(a.den, b.den)
+    sa, sb = N // a.N, N // b.N
+    ma, mb = den // a.den, sign * (den // b.den)
+    la, lb = a.lo * sa, b.lo * sb
+    lo = min(la, lb)
+    acc = [0] * (max(la + (len(a.nums) - 1) * sa, lb + (len(b.nums) - 1) * sb) - lo + 1)
+    start = la - lo
+    acc[start : start + (len(a.nums) - 1) * sa + 1 : sa] = [c * ma for c in a.nums]
+    start = lb - lo
+    for k, c in enumerate(b.nums):
+        if c:
+            acc[start + k * sb] += c * mb
+    return _canon(N, lo, acc, den, prec)
 
 
 #: The series x, exactly.
@@ -566,34 +571,26 @@ def nth_root_fraction(q: Fraction, n: int):
         raise ValueError("root index must be positive")
     if n == 1:
         return q
-    if q == 0:
-        return Fraction(0)
-    sign = 1
-    if q < 0:
-        if n % 2 == 0:
-            return None
-        sign = -1
-        q = -q
-    num = _int_nth_root(q.numerator, n)
+    if q < 0 and n % 2 == 0:
+        return None
+    num = _int_nth_root(abs(q.numerator), n)
     den = _int_nth_root(q.denominator, n)
     if num is None or den is None:
         return None
-    return Fraction(sign * num, den)
+    return Fraction(num if q > 0 else -num, den)
 
 
 def _int_nth_root(m: int, n: int):
-    if m == 0:
-        return 0
-    if m == 1:
-        return 1
-    if n == 2:
-        r = math.isqrt(m)
-        return r if r * r == m else None
-    r = round(m ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand > 0 and cand**n == m:
-            return cand
-    return None
+    """The integer n-th root of m >= 0 when m is an n-th power, else None."""
+    if m < 2:
+        return m
+    # Newton's iteration from above descends to floor(m^(1/n))
+    r = 1 << -(-m.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + m // r ** (n - 1)) // n
+        if s >= r:
+            return r if r**n == m else None
+        r = s
 
 
 def reversion(phi1: PuiseuxPoly, target_precision=None) -> PuiseuxPoly:
@@ -614,9 +611,7 @@ def reversion(phi1: PuiseuxPoly, target_precision=None) -> PuiseuxPoly:
     else:
         root = nth_root_fraction(lam, n)
         if root is None:
-            raise NotRepresentable(
-                f"reversion needs a rational {n}-th root of {lam}"
-            )
+            raise NotRepresentable(f"reversion needs a rational {n}-th root of {lam}")
         # phi1 = (root * x * unit^(1/n))^n ; invert the inner simple germ
         unit = phi1.shift(-v).scale(1 / lam)
         work = max(target * n, Fraction(4))
@@ -646,5 +641,5 @@ def _reversion_simple(f: PuiseuxPoly, target: Fraction) -> PuiseuxPoly:
         if p >= work:
             return g.truncate_soft(work)
         p = min(work, p * 2)
-        g = PuiseuxPoly(g.terms, p)
+        g = g._cut(None, p)
     raise InsufficientPrecision("reversion iteration did not converge")

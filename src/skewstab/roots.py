@@ -119,8 +119,8 @@ def newton_puiseux(coeffs, target_precision=None):
     coeffs = [c for c in coeffs]
     while len(coeffs) > 1 and coeffs[-1].is_exact_zero:
         coeffs.pop()
-    if len(coeffs) == 1 or all(not c.terms for c in coeffs):
-        if any(not c.terms and c.precision is not INF for c in coeffs):
+    if len(coeffs) == 1 or all(not c for c in coeffs):
+        if any(not c and c.precision is not INF for c in coeffs):
             raise InsufficientPrecision("polynomial not visibly nonzero")
         if len(coeffs) == 1:
             return [], []
@@ -138,7 +138,7 @@ def _expand(coeffs, target, depth):
     k = 0
     while k < len(coeffs):
         c = coeffs[k]
-        if c.terms:
+        if c:
             break
         if c.precision is not INF:
             raise InsufficientPrecision(
@@ -156,7 +156,7 @@ def _expand(coeffs, target, depth):
     pts = []
     uncertain = []
     for i, c in enumerate(coeffs):
-        if c.terms:
+        if c:
             pts.append((i, c.val()))
         elif c.precision is not INF:
             uncertain.append((i, c.precision))
@@ -170,7 +170,7 @@ def _expand(coeffs, target, depth):
         online = {
             i: c.leading_coeff()
             for i, c in enumerate(coeffs)
-            if c.terms and i1 <= i <= i2 and c.val() == v1 - mu * (i - i1)
+            if c and i1 <= i <= i2 and c.val() == v1 - mu * (i - i1)
         }
         residual = [online.get(i, Fraction(0)) for i in range(i1, i2 + 1)]
         found, leftover = rational_roots(residual)

@@ -123,7 +123,7 @@ def _trim(coeffs):
 def _visible_degree(coeffs) -> int:
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
-        if c.terms:
+        if c:
             return i
         if c.precision is not INF:
             raise InsufficientPrecision(f"degree undecidable: coefficient {i} truncated")
@@ -138,9 +138,9 @@ class SkewLocal:
     def __init__(self, base: BaseGerm, num, den, label: str = ""):
         num = _trim([as_series(c) for c in num])
         den = _trim([as_series(c) for c in den])
-        if all(not c.terms for c in den):
+        if all(not c for c in den):
             raise ValueError("fibre map denominator is zero")
-        if all(not c.terms for c in num):
+        if all(not c for c in num):
             raise ValueError("fibre map numerator is zero")
         if _proportional(num, den):
             raise ValueError("fibre map is constant in y (degenerate skew product)")
@@ -181,7 +181,7 @@ class SkewLocal:
 def _poly_str(coeffs) -> str:
     parts = []
     for i, c in enumerate(coeffs):
-        if not c.terms:
+        if not c:
             continue
         ys = "1" if i == 0 else ("y" if i == 1 else f"y^{i}")
         parts.append(f"({c})*{ys}" if i else f"({c})")
@@ -217,7 +217,7 @@ def gauss_val(coeffs, t):
     best = None
     bounds = []
     for i, c in enumerate(coeffs):
-        if c.terms:
+        if c:
             v = c.val() + t * i
             best = v if best is None else min(best, v)
         elif c.precision is not INF:
@@ -254,14 +254,14 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
     candidates = []
     seen = set()
     for i, qi in enumerate(Q):
-        if not qi.terms:
+        if not qi:
             if qi.precision is not INF:
                 raise InsufficientPrecision(
                     f"candidate ratio at y-degree {i} blocked by truncated coefficient"
                 )
             continue
         pi = P[i] if i < len(P) else ZERO
-        key = (pi, qi) if pi.terms else None
+        key = (pi, qi) if pi else None
         if key not in seen:
             seen.add(key)
             candidates.append((pi, qi))
@@ -274,7 +274,7 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
         # disk's level t up, doubling to the DEFAULT_PRECISION orders of a
         # plain inv().  Other ratios are exact, or as known as their data.
         rel = None
-        if not pi.terms:
+        if not pi:
             w = ZERO
         elif qi.precision is INF and len(qi.terms) > 1:
             rel = min(max(t - pi.val() + qi.val(), Fraction(1)), DEFAULT_PRECISION)
@@ -309,7 +309,7 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
     q = s.base.scale_factor
     T = q * best_s
     w, pi, qi = best
-    if w.terms and w.precision is not INF and w.precision <= best_s:
+    if w and w.precision is not INF and w.precision <= best_s:
         # the winner only matters modulo x^best_s; redo its division finer
         w = pi * qi.inv(precision=best_s + 2 - pi.val_floor() + qi.val_floor())
     center = _transport_center(s.base, w, T)
@@ -318,7 +318,7 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
 
 def _transport_center(base: BaseGerm, w: PuiseuxPoly, T: Fraction) -> PuiseuxPoly:
     """Express the new centre in the image coordinate via the inverse germ."""
-    if not w.terms:
+    if not w:
         return ZERO
     n = base.n
     # w.compose(g, precision=T + 1) reads g to O(x^(T + 1 + (1 - val(w))/n));
@@ -436,7 +436,7 @@ def reduction_mod_x(s: SkewLocal) -> ReducedMap:
         raise ValueError("reduction requires a simple base germ")
     c0 = None
     for c in list(s.num) + list(s.den):
-        if c.terms:
+        if c:
             v = c.val()
             c0 = v if c0 is None else min(c0, v)
         elif c.precision is not INF:

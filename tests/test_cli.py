@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from skewstab.cli import _build_parser, main
+from skewstab.cli import EXIT_INTERNAL, _build_parser, main
 
 
 def run_cli(*argv):
@@ -159,6 +159,13 @@ class TestStabilityCommands:
         assert "added zeta(0, 11/16)" in lines[3]
         assert lines[-1].startswith("round cap exceeded")
 
+    def test_stabilize_cap_exits_4_with_round_trace(self):
+        code, out, _ = run_cli("stabilize", "thm6", "--max-rounds", "1")
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[0].startswith("round 1: added ")
+        assert lines[-1] == "round cap exceeded: smooth stabilisation open after 1 rounds"
+
     def test_min_stabilize_goodred_closes(self):
         code, out, _ = run_cli("min-stabilize", "goodred")
         assert code == 0
@@ -177,6 +184,27 @@ class TestStabilityCommands:
         a = run_cli("check-stability", "thm6")
         b = run_cli("check-stability", "thm6")
         assert a == b and a[0] == 3
+
+
+class TestFailureSurface:
+    def test_root_of_a_huge_coefficient_is_a_one_line_error(self, tmp_path):
+        # 2^1100 is past float range; its cube root does not exist over Q
+        f = tmp_path / "big.skew"
+        f.write_text("period 1\n[fibre 0]\nphi1 = 2^1100*x^3\nphi2 = y^2\n")
+        code, out, err = run_cli("image", str(f), "zeta(x, 2)", "3")
+        assert code == 1
+        assert err.startswith("error: reversion needs a rational 3-th root of ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_an_unexpected_exception_exits_5_on_one_line(self, monkeypatch):
+        def boom(args):
+            raise ValueError("unexpected\nsecond line")
+
+        monkeypatch.setattr("skewstab.cli.cmd_image", boom)
+        code, out, err = run_cli("image", "thm6", "zeta(0, 1)", "2")
+        assert code == EXIT_INTERNAL == 5
+        assert out == ""
+        assert err == "internal error: ValueError: unexpected second line\n"
 
 
 class TestDemo:

@@ -1,17 +1,21 @@
 """Series arithmetic: frozen examples plus seeded property checks."""
 
+import math
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
 
-from skewstab.errors import InsufficientPrecision, NotRepresentable
+from skewstab.errors import InsufficientPrecision, NotRepresentable, SkewstabError
 from skewstab.puiseux import (
     INF,
     DEFAULT_PRECISION,
     PuiseuxPoly,
     X,
+    _is_prec,
     nth_root_fraction,
+    rat,
     reversion,
 )
 
@@ -287,3 +291,613 @@ def test_nth_root_fraction():
     assert nth_root_fraction(F(-8), 3) == F(-2)
     assert nth_root_fraction(F(2), 2) is None
     assert nth_root_fraction(F(-4), 2) is None
+
+
+def test_nth_root_fraction_past_float_range():
+    assert nth_root_fraction(2**1101, 3) == 2**367
+    assert nth_root_fraction(F(-(3**700), 2**1400), 7) == F(-(3**100), 2**200)
+    assert nth_root_fraction(2**1100, 3) is None
+    assert nth_root_fraction(2**1101 + 1, 3) is None
+
+
+# -- differential test of the integer kernel --------------------------------
+#
+# Oracle is PuiseuxPoly as it was before the integer kernel: a sorted tuple
+# of (Fraction exponent, Fraction coefficient) pairs with dict accumulators,
+# kept verbatim apart from its docstrings.  The kernel must agree with it
+# on every observable: terms, precision, ==, hash and str.
+
+class Oracle:
+
+    __slots__ = ("terms", "precision", "_hash")
+
+    def __init__(self, terms=(), precision=INF):
+        if not _is_prec(precision):
+            precision = rat(precision)
+        merged: dict = {}
+        for e, c in terms:
+            e = rat(e)
+            c = rat(c)
+            if c == 0 or not e < precision:
+                continue
+            s = merged.get(e, Fraction(0)) + c
+            if s == 0:
+                merged.pop(e, None)
+            else:
+                merged[e] = s
+        object.__setattr__(self, "terms", tuple(sorted(merged.items())))
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Oracle is immutable")
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, precision=INF) -> "Oracle":
+        return cls((), precision)
+
+    @classmethod
+    def const(cls, c) -> "Oracle":
+        return cls(((Fraction(0), rat(c)),))
+
+    @classmethod
+    def monomial(cls, coeff, exponent, precision=INF) -> "Oracle":
+        return cls(((rat(exponent), rat(coeff)),), precision)
+
+    # -- basic queries -----------------------------------------------------
+
+    @property
+    def is_exact_zero(self) -> bool:
+        return not self.terms and self.precision is INF
+
+    def val(self):
+        if self.terms:
+            return self.terms[0][0]
+        if self.precision is INF:
+            return INF
+        raise InsufficientPrecision(
+            f"valuation undecidable: element is O(x^{self.precision})"
+        )
+
+    def val_floor(self):
+        if self.terms:
+            return self.terms[0][0]
+        return self.precision
+
+    def leading_coeff(self) -> Fraction:
+        if not self.terms:
+            raise InsufficientPrecision("no visible leading term")
+        return self.terms[0][1]
+
+    def coeff_at(self, exponent) -> Fraction:
+        e = rat(exponent)
+        for te, tc in self.terms:
+            if te == e:
+                return tc
+        return Fraction(0)
+
+    def residue(self) -> Fraction:
+        return self.coeff_at(0)
+
+    def ramification_index(self) -> int:
+        n = 1
+        for e, _ in self.terms:
+            n = n * e.denominator // math.gcd(n, e.denominator)
+        return n
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, Oracle):
+            return NotImplemented
+        return self.terms == other.terms and self.precision == other.precision
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.terms, self.precision))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def agrees_with(self, other: "Oracle") -> bool:
+        p = min(self.precision, other.precision)
+        return self.truncate_soft(p).terms == other.truncate_soft(p).terms
+
+    # -- truncation --------------------------------------------------------
+
+    def truncate(self, t) -> "Oracle":
+        t = rat(t)
+        if self.precision is not INF and t > self.precision:
+            raise ValueError(
+                f"cannot truncate at {t}: element only known to O(x^{self.precision})"
+            )
+        return Oracle(self.terms, t)
+
+    def truncate_soft(self, t) -> "Oracle":
+        if self.precision is not INF and t > self.precision:
+            t = self.precision
+        return Oracle(self.terms, t)
+
+    def drop_from(self, t) -> "Oracle":
+        t = rat(t)
+        if self.precision is INF and (not self.terms or self.terms[-1][0] < t):
+            return self
+        return Oracle(tuple((e, c) for e, c in self.terms if e < t), INF)
+
+    def keep_through(self, t) -> "Oracle":
+        t = rat(t)
+        return Oracle(tuple((e, c) for e, c in self.terms if e <= t), INF)
+
+    # -- ring operations ---------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, Oracle):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Oracle.const(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        prec = min(self.precision, o.precision)
+        return Oracle(self.terms + o.terms, prec)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Oracle(tuple((e, -c) for e, c in self.terms), self.precision)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        # precision: unknown tail of one factor times the other factor
+        prec = INF
+        if self.precision is not INF:
+            prec = min(prec, self.precision + o.val_floor())
+        if o.precision is not INF:
+            prec = min(prec, o.precision + self.val_floor())
+        acc: dict = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in o.terms:
+                e = e1 + e2
+                if prec is not INF and e >= prec:
+                    continue
+                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+        return Oracle(tuple(acc.items()), prec)
+
+    __rmul__ = __mul__
+
+    def shift(self, delta) -> "Oracle":
+        d = rat(delta)
+        prec = self.precision if self.precision is INF else self.precision + d
+        return Oracle(tuple((e + d, c) for e, c in self.terms), prec)
+
+    def stretch(self, factor) -> "Oracle":
+        f = rat(factor)
+        if f <= 0:
+            raise ValueError("stretch factor must be positive")
+        prec = self.precision if self.precision is INF else self.precision * f
+        return Oracle(tuple((e * f, c) for e, c in self.terms), prec)
+
+    def scale(self, c) -> "Oracle":
+        c = rat(c)
+        if c == 0:
+            return Oracle.zero(self.precision)
+        return Oracle(tuple((e, c * k) for e, k in self.terms), self.precision)
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inv() ** (-k)
+        result = Oracle.const(1)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    def derivative(self) -> "Oracle":
+        prec = self.precision if self.precision is INF else self.precision - 1
+        return Oracle(
+            tuple((e - 1, c * e) for e, c in self.terms if e != 0), prec
+        )
+
+    # -- inversion and powers ----------------------------------------------
+
+    def inv(self, precision=None) -> "Oracle":
+        v = self.val()  # raises on invisible leading term
+        if v is INF:
+            raise ZeroDivisionError("inverse of exact zero")
+        c0 = self.leading_coeff()
+        unit = self.shift(-v).scale(1 / c0)  # 1 + h, val(h) > 0
+        h = unit - 1
+        if not h and unit.precision is INF:
+            out_prec = INF if precision is None else rat(precision)
+            res = Oracle.monomial(1 / c0, -v)
+            return res if out_prec is INF else res.truncate_soft(out_prec)
+        if self.precision is not INF:
+            out_prec = self.precision - 2 * v
+            if precision is not None:
+                out_prec = min(out_prec, rat(precision))
+        elif precision is not None:
+            out_prec = rat(precision)
+        else:
+            out_prec = DEFAULT_PRECISION - v
+        rel = out_prec + v  # precision needed for 1/unit
+        if h:
+            if rel <= 0:
+                raise InsufficientPrecision(
+                    f"inverse would be O(x^{out_prec}) with no visible term"
+                )
+            acc = {Fraction(0): Fraction(1)}
+            pw = Oracle.const(1)
+            step = h.val()
+            k = 1
+            while step * k < rel:
+                pw = (pw * (-h)).truncate_soft(rel)
+                for e, c in pw.terms:
+                    acc[e] = acc.get(e, Fraction(0)) + c
+                k += 1
+            inv_unit = Oracle(acc.items(), rel)
+        else:
+            inv_unit = Oracle.const(1).truncate_soft(rel)
+        return inv_unit.scale(1 / c0).shift(-v).truncate_soft(out_prec)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inv()
+
+    def rational_power(self, e, precision=None) -> "Oracle":
+        e = rat(e)
+        if e.denominator == 1 and e >= 0:
+            res = self ** int(e)
+            return res if precision is None else res.truncate_soft(rat(precision))
+        v = self.val()
+        if v is INF:
+            if e > 0:
+                return Oracle.zero()
+            raise ZeroDivisionError("negative power of exact zero")
+        c0 = self.leading_coeff()
+        root = nth_root_fraction(c0, e.denominator)
+        if root is None:
+            raise NotRepresentable(
+                f"{c0} has no rational {e.denominator}-th root"
+            )
+        lead = Fraction(root) ** e.numerator
+        unit = self.shift(-v).scale(1 / c0)
+        h = unit - 1
+        if not h and unit.precision is INF:
+            res = Oracle.monomial(lead, v * e)
+            return res if precision is None else res.truncate_soft(rat(precision))
+        if precision is None:
+            out_prec = v * e + (DEFAULT_PRECISION if unit.precision is INF else unit.precision)
+        else:
+            # a truncated unit bounds what the expansion can know
+            out_prec = rat(precision)
+            if unit.precision is not INF:
+                out_prec = min(out_prec, v * e + unit.precision)
+        rel = out_prec - v * e
+        if rel <= 0:
+            raise InsufficientPrecision("fractional power truncated away entirely")
+        acc = {Fraction(0): Fraction(1)}
+        pw = Oracle.const(1)
+        k = 0
+        binom = Fraction(1)
+        if h:
+            hv = h.val()
+            while hv * (k + 1) < rel:
+                k += 1
+                binom = binom * (e - (k - 1)) / k
+                pw = (pw * h).truncate_soft(rel)
+                for te, tc in pw.terms:
+                    acc[te] = acc.get(te, Fraction(0)) + binom * tc
+        unit_pow = Oracle(acc.items(), rel)
+        return unit_pow.scale(lead).shift(v * e).truncate_soft(out_prec)
+
+    # -- composition and reversion -------------------------------------------
+
+    def compose(self, inner: "Oracle", precision=None) -> "Oracle":
+        if inner.val_floor() is not INF and inner.val_floor() <= 0:
+            raise ValueError("compose requires val(inner) > 0")
+        if not inner.terms and inner.precision is INF:
+            # inner is exactly 0: only nonnegative-exponent terms survive
+            for e, _ in self.terms:
+                if e < 0:
+                    raise ZeroDivisionError("negative exponent at inner = 0")
+            return Oracle.const(self.coeff_at(0))
+        iv = inner.val()
+        out_prec = INF
+        if self.precision is not INF:
+            out_prec = min(out_prec, self.precision * iv)
+        if inner.precision is not INF:
+            worst = min((e for e, _ in self.terms), default=Fraction(1))
+            out_prec = min(out_prec, (worst - 1) * iv + inner.precision)
+        if precision is not None:
+            out_prec = rat(precision) if out_prec is INF else min(out_prec, rat(precision))
+        needs_cutoff = any(
+            (e.denominator != 1 or e < 0) for e, _ in self.terms
+        ) and len(inner.terms) > 1
+        if out_prec is INF and needs_cutoff:
+            out_prec = DEFAULT_PRECISION * max(iv, 1)
+        acc = Oracle.zero(out_prec) if out_prec is not INF else Oracle.zero()
+        # incremental powers for the integer exponents (the common case),
+        # one fractional-power expansion per remaining term
+        int_terms = sorted(
+            (e, c) for e, c in self.terms if e.denominator == 1 and e >= 0
+        )
+        pw = Oracle.const(1)
+        cur = 0
+        for e, c in int_terms:
+            if out_prec is not INF and iv * e >= out_prec:
+                break
+            while cur < e:
+                pw = pw * inner
+                if out_prec is not INF:
+                    pw = pw.truncate_soft(out_prec)
+                cur += 1
+            acc = acc + pw.scale(c)
+        for e, c in self.terms:
+            if e.denominator == 1 and e >= 0:
+                continue
+            if out_prec is not INF and iv * e >= out_prec:
+                continue  # whole term lives beyond the output precision
+            frac_pw = inner.rational_power(
+                e, None if out_prec is INF else out_prec
+            )
+            acc = acc + frac_pw.scale(c)
+        if out_prec is not INF:
+            acc = acc.truncate_soft(out_prec)
+        return acc
+
+    # -- presentation ---------------------------------------------------------
+
+    def __str__(self):
+        if not self.terms:
+            body = "0"
+        else:
+            parts = []
+            for i, (e, c) in enumerate(self.terms):
+                coeff = abs(c)
+                if e == 0:
+                    piece = str(coeff)
+                else:
+                    xp = "x" if e == 1 else (
+                        f"x^{e}" if e.denominator == 1 and e > 0 else f"x^({e})"
+                    )
+                    piece = xp if coeff == 1 else f"{coeff}*{xp}"
+                if i == 0:
+                    parts.append(piece if c > 0 else f"-{piece}")
+                else:
+                    parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
+            body = " ".join(parts)
+        if self.precision is INF:
+            return body
+        ptxt = (
+            f"x^{self.precision}"
+            if self.precision.denominator == 1
+            else f"x^({self.precision})"
+        )
+        if body == "0":
+            return f"O({ptxt})"
+        return f"{body} + O({ptxt})"
+
+    def __repr__(self):
+        return f"Oracle({self})"
+
+
+
+
+def oracle_reversion(phi1: Oracle, target_precision=None) -> Oracle:
+    target = DEFAULT_PRECISION if target_precision is None else rat(target_precision)
+    v = phi1.val()
+    if v is INF or v <= 0 or v.denominator != 1:
+        raise ValueError("germ must have integer valuation n >= 1")
+    n = int(v)
+    lam = phi1.leading_coeff()
+    if n == 1:
+        g = _oracle_reversion_simple(phi1, target)
+    else:
+        root = nth_root_fraction(lam, n)
+        if root is None:
+            raise NotRepresentable(
+                f"reversion needs a rational {n}-th root of {lam}"
+            )
+        # phi1 = (root * x * unit^(1/n))^n ; invert the inner simple germ
+        unit = phi1.shift(-v).scale(1 / lam)
+        work = max(target * n, Fraction(4))
+        inner = (OX * unit.rational_power(Fraction(1, n), work)).scale(root)
+        rev = _oracle_reversion_simple(inner, work)
+        g = rev.stretch(Fraction(1, n))
+    check = g.compose(phi1, precision=target)
+    if not check.agrees_with(OX.truncate_soft(target)):
+        raise InsufficientPrecision("reversion failed its self-check")
+    return g.truncate_soft(target)
+
+
+def _oracle_reversion_simple(f: Oracle, target: Fraction) -> Oracle:
+    # Newton iteration g <- g - (f(g) - x) / f'(g) with progressive
+    # precision lifting; quadratic convergence keeps this cheap.
+    c1 = f.leading_coeff()
+    work = target + 1
+    g = OX.scale(1 / c1)
+    fp = f.derivative()
+    p = min(Fraction(3), work)
+    for _ in range(200):
+        err = f.compose(g, precision=p) - OX
+        if err and err.val_floor() < p:
+            corr = err * fp.compose(g, precision=p).inv(precision=p)
+            g = (g - corr).truncate_soft(p)
+            continue
+        if p >= work:
+            return g.truncate_soft(work)
+        p = min(work, p * 2)
+        g = Oracle(g.terms, p)
+    raise InsufficientPrecision("reversion iteration did not converge")
+
+
+OX = Oracle.monomial(1, 1)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ArithmeticError, ValueError, SkewstabError) as exc:
+        return exc
+
+
+def _same(new, old) -> bool:
+    if isinstance(old, Exception):
+        return type(new) is type(old)
+    if isinstance(old, Oracle):
+        return (
+            isinstance(new, PuiseuxPoly)
+            and new.terms == old.terms
+            and new.precision == old.precision
+            and str(new) == str(old)
+            and hash(new) == hash(old)
+            and new.ramification_index() == old.ramification_index()
+            # the stored form is canonical: it is the one the terms give
+            and new == PuiseuxPoly(old.terms, old.precision)
+        )
+    return new == old
+
+
+def _check(fn, a, o, *args, **kwargs):
+    new, old = _outcome(fn, a, *args, **kwargs), _outcome(fn, o, *args, **kwargs)
+    assert _same(new, old), (fn, a, o, args, kwargs, new, old)
+
+
+def _random_terms(rng, n, count, bits, lo=-3, hi=6):
+    terms = []
+    for _ in range(count):
+        e = F(rng.randint(lo * n, hi * n), n)
+        c = F(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2 ** rng.choice((1, 8, 60))))
+        terms.append((e, c))
+    if terms and rng.random() < 0.2:
+        terms.append((terms[0][0], -terms[0][1]))  # cancels a term, or merges into one
+    return terms
+
+
+def _random_pair(rng, small=False):
+    """One random series, built by the kernel and by the oracle."""
+    n = rng.randint(1, 12)
+    count = rng.choice((0, 1, 1, 2, 3) if small else (0, 1, 1, 2, 3, 5, 8))
+    terms = _random_terms(rng, n, count, rng.choice((3, 30, 200)))
+    precision = rng.choice((INF, INF, F(0), F(rng.randint(-2 * n, 8 * n), rng.randint(1, n))))
+    return PuiseuxPoly(terms, precision), Oracle(terms, precision)
+
+
+def _rational(rng):
+    return F(rng.randint(-40, 40), rng.randint(1, 12))
+
+
+def test_kernel_matches_the_oracle_on_construction_and_queries():
+    rng = random.Random(601)
+    for _ in range(500):
+        a, o = _random_pair(rng)
+        assert _same(a, o)
+        for fn in (PuiseuxPoly.val, PuiseuxPoly.ramification_index, PuiseuxPoly.leading_coeff):
+            new, old = _outcome(fn, a), _outcome(getattr(Oracle, fn.__name__), o)
+            assert _same(new, old), (fn, a, new, old)
+        e = _rational(rng)
+        assert a.coeff_at(e) == o.coeff_at(e)
+        assert a.is_exact_zero == o.is_exact_zero and bool(a) == bool(o.terms)
+
+
+def test_kernel_matches_the_oracle_on_ring_operations():
+    rng = random.Random(602)
+    for _ in range(500):
+        (a, o), (b, ob) = _random_pair(rng), _random_pair(rng)
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            assert _same(_outcome(op, a, b), _outcome(op, o, ob)), (a, b)
+        c = rng.choice((0, 1, -3, _rational(rng)))
+        for op in (lambda x: x + c, lambda x: c - x, lambda x: x * c, lambda x: -x):
+            assert _same(_outcome(op, a), _outcome(op, o)), (a, c)
+        assert (a == b) == (o == ob) and a == PuiseuxPoly(o.terms, o.precision)
+        assert _same(_outcome(a.agrees_with, b), _outcome(o.agrees_with, ob))
+        assert _same(_outcome(a.agrees_with, a.truncate_soft(c)), _outcome(o.agrees_with, o.truncate_soft(c)))
+
+
+def test_kernel_matches_the_oracle_on_index_operations():
+    rng = random.Random(603)
+    for _ in range(500):
+        a, o = _random_pair(rng)
+        t = _rational(rng)
+        f, c, k = abs(t) + F(1, rng.randint(1, 5)), rng.choice((0, -1, t)), rng.randint(0, 3)
+        _check(lambda x: x.shift(t), a, o)
+        _check(lambda x: x.stretch(f), a, o)
+        _check(lambda x: x.scale(c), a, o)
+        _check(lambda x: x.derivative(), a, o)
+        for fn in ("truncate", "truncate_soft", "drop_from", "keep_through"):
+            _check(lambda x: getattr(x, fn)(t), a, o)
+        _check(lambda x: x**k, a, o)
+
+
+def test_kernel_matches_the_oracle_on_inverses_and_powers():
+    rng = random.Random(604)
+    for _ in range(150):
+        a, o = _random_pair(rng, small=True)
+        v = o.val() if o.terms else F(0)
+        p = -v + F(rng.randint(-2, 3 * a.ramification_index()), a.ramification_index())
+        _check(lambda x: x.inv(precision=p), a, o)
+        if o.precision is not INF:
+            _check(lambda x: x.inv(), a, o)
+        # a leading coefficient with a rational sixth root, so that the
+        # fractional powers below exist
+        n = rng.randint(1, 6)
+        lead = (F(rng.randint(1, 2**60)) / rng.randint(1, 99)) ** 6
+        terms = [(F(-n, n), lead)] + _random_terms(rng, n, rng.randint(0, 3), 30, lo=0, hi=3)
+        precision = rng.choice((INF, F(rng.randint(1, 4 * n), n)))
+        a, o = PuiseuxPoly(terms, precision), Oracle(terms, precision)
+        e = rng.choice((F(1, 2), F(-1, 3), F(2, 3), F(-1), F(3), F(0), F(5, 6), F(-3, 2)))
+        p = e * o.val() + F(rng.randint(1, 3 * n), n) if o.terms else None
+        _check(lambda x: x.rational_power(e, precision=p), a, o)
+
+
+def test_kernel_matches_the_oracle_on_composition():
+    rng = random.Random(605)
+    for _ in range(150):
+        a, o = _random_pair(rng, small=True)
+        n = rng.randint(1, 6)
+        lead_e = F(rng.randint(1, 2 * n), n)
+        terms = [(lead_e, rng.choice((1, 1, -1)))]
+        terms += [(lead_e + e, c) for e, c in _random_terms(rng, n, rng.randint(0, 2), 30, lo=1, hi=2)]
+        precision = rng.choice((INF, lead_e + F(rng.randint(1, 3 * n), n)))
+        inner, oinner = PuiseuxPoly(terms, precision), Oracle(terms, precision)
+        p = F(rng.randint(1, 12), rng.randint(1, 3))
+        new = _outcome(a.compose, inner, precision=p)
+        assert _same(new, _outcome(o.compose, oinner, precision=p)), (a, inner, p)
+
+
+@pytest.mark.parametrize("germ", [
+    ((2, 1),),  # thm6
+    ((1, 1), (2, -2), (3, 1)),  # thmB, fibre 0
+    ((2, 1), (3, -1)),  # thmB, fibre 1
+])
+def test_reversion_of_the_fixture_germs_matches_the_oracle(germ):
+    for target in (F(2), F(7, 2), F(9)):
+        new = reversion(PuiseuxPoly(germ), target)
+        assert _same(new, oracle_reversion(Oracle(germ), target))
