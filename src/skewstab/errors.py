@@ -38,13 +38,6 @@ class NotRayInvariant(SkewstabError):
     """An interval model was requested along a ray the map does not preserve."""
 
 
-class FitFailure(SkewstabError):
-    """No piecewise-linear model matched the sampled data.
-
-    Carries the offending parameter in ``args[1]`` when known.
-    """
-
-
 class ValidationFailure(SkewstabError):
     """Probe validation of a heuristic construction failed within budget."""
 

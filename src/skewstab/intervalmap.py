@@ -2,11 +2,13 @@
 
 The direct image of zeta(a, t) under a skew map, for t sweeping a ray,
 has radius exponent T(t) for a continuous piecewise-affine T with
-rational slopes and breakpoints.  T is reconstructed by sampling the
-exact pushforward at rational parameters, fitting affine pieces, and
-re-verifying the fit at fresh parameters; nothing is interpolated
-without an exact confirmation.  Orbit analysis of T is exact rational
-arithmetic throughout.
+rational slopes and breakpoints.  T is read exactly off the fibre map's
+coefficients shifted to the centre: it is a difference of a max of mins
+and a min of lines in t (``_induce_link``), so its breakpoints are among
+the crossings of those lines.  Between two crossings one candidate
+centre wins, and one pushforward at the deeper end gives the image ray
+there; the rays must agree, or the map is not ray-invariant.  Orbit
+analysis of T is exact rational arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .berkovich import TypeIIPoint
-from .errors import FitFailure, NotRayInvariant
-from .puiseux import PuiseuxPoly, Rat, rat
-from .skew import Chain, SkewLocal, pushforward
+from .errors import InsufficientPrecision, NotRayInvariant
+from .puiseux import INF, PuiseuxPoly, Rat, rat
+from .roots import shift_poly
+from .skew import ZERO, Chain, SkewLocal, gauss_lines, lines_min, pushforward
 
 
 @dataclass(frozen=True)
@@ -80,114 +83,97 @@ def _affine_str(s, c) -> str:
     return f"{st} + {c}" if c > 0 else f"{st} - {-c}"
 
 
-# -- induction from the pushforward ------------------------------------------
+# -- induction from the Gauss valuations ---------------------------------------
 
 
-def _radius_image(smap: SkewLocal, center: PuiseuxPoly, t: Fraction) -> TypeIIPoint:
-    return pushforward(smap, TypeIIPoint(center, t))
-
-
-#: How many times induce_interval_map doubles its sampling density.
-_REFINEMENTS = 4
-
-
-def induce_interval_map(source, center: PuiseuxPoly, t_range, samples: int = 8) -> PLMap:
-    """Reconstruct the radius-exponent action T on a centre-ray.
+def induce_interval_map(source, center: PuiseuxPoly, t_range) -> PLMap:
+    """The exact radius-exponent action T on the ray through ``center``.
 
     ``source`` is a single skew map or a chain (composed over one
-    period).  Samples the pushforward on a rational grid over
-    ``t_range``, fits affine pieces with exact breakpoints, then
-    verifies at piece midpoints, breakpoints, and endpoints with fresh
-    pushforward calls; sampling density doubles on mismatch, up to
-    ``_REFINEMENTS`` times.  Images must all lie on a single output ray.
+    period).  Raises NotRayInvariant when the images leave a single
+    output ray, InsufficientPrecision when truncated coefficients leave
+    T undecidable somewhere on ``t_range``.
     """
-    if isinstance(source, Chain):
-        return _induce_chain(source, center, t_range, samples)
     lo, hi = rat(t_range[0]), rat(t_range[1])
     if hi <= lo:
         raise ValueError("empty range")
-    for _ in range(_REFINEMENTS):
-        grid = [lo + (hi - lo) * Fraction(k, samples) for k in range(samples + 1)]
-        images = [_radius_image(source, center, t) for t in grid]
-        _check_single_ray(center, images)
-        values = [img.t for img in images]
-        fit = _fit_pl(lo, hi, grid, values)
-        if fit is not None and _verify_fit(source, center, fit):
-            return fit
-        samples *= 2
-    raise FitFailure(
-        "piecewise-linear fit did not verify at the density cap", grid[len(grid) // 2]
-    )
-
-
-def _check_single_ray(center, images):
-    deepest = max(images, key=lambda img: img.t)
-    ref = deepest.center
-    for img in images:
-        if img.center != ref.drop_from(img.t):
-            raise NotRayInvariant(
-                f"image centres leave the ray: {img.center} vs {ref} at t = {img.t}"
-            )
-
-
-def _fit_pl(lo, hi, grid, values) -> Optional[PLMap]:
-    # affine map through each consecutive sample pair
-    affines = []
-    for i in range(len(grid) - 1):
-        dt = grid[i + 1] - grid[i]
-        s = (values[i + 1] - values[i]) / dt
-        c = values[i] - s * grid[i]
-        affines.append((s, c))
-    pieces = [affines[0]]
-    breakpoints = []
-    for a in affines[1:]:
-        if a == pieces[-1]:
-            continue
-        s0, c0 = pieces[-1]
-        s1, c1 = a
-        if s0 == s1:
-            return None  # parallel mismatch: a breakpoint hides between samples
-        b = (c1 - c0) / (s0 - s1)
-        if breakpoints and b <= breakpoints[-1]:
-            return None
-        if not (lo < b < hi):
-            return None
-        breakpoints.append(b)
-        pieces.append(a)
-    try:
-        return PLMap(lo, hi, tuple(breakpoints), tuple(pieces))
-    except ValueError:
-        return None
-
-
-def _verify_fit(smap, center, fit: PLMap) -> bool:
-    cuts = fit.cuts()
-    probes = set(cuts)
-    for i in range(len(cuts) - 1):
-        probes.add((cuts[i] + cuts[i + 1]) / 2)
-    for t in sorted(probes):
-        img = _radius_image(smap, center, t)
-        if img.t != fit(t):
-            return False
-    return True
-
-
-def _induce_chain(chain: Chain, center, t_range, samples):
-    start = chain.tail
+    if not isinstance(source, Chain):
+        return _induce_link(source, center, lo, hi)[0]
     composed = None
-    j = start
-    c = center
-    for _ in range(chain.period):
-        link = chain.links[j]
-        piece = induce_interval_map(link, c, t_range, samples)
-        img = pushforward(link, TypeIIPoint(c, piece.lo))
+    j = source.tail
+    for _ in range(source.period):
+        piece, center = _induce_link(source.links[j], center, lo, hi)
         composed = piece if composed is None else pl_compose(piece, composed)
-        c = img.center
-        t_range = (min(piece(x) for x in piece.cuts()), max(piece(x) for x in piece.cuts()))
-        if t_range[0] == t_range[1]:
-            t_range = (t_range[0], t_range[0] + 1)
-        j = chain.next_fibre(j)
+        values = [piece(x) for x in piece.cuts()]
+        lo, hi = min(values), max(values)
+        if lo == hi:
+            hi = lo + 1
+        j = source.next_fibre(j)
     return composed
+
+
+def _induce_link(smap: SkewLocal, center, lo, hi):
+    """The map of one link on [lo, hi], and the centre of its image ray.
+
+    With P and Q the fibre map's coefficients shifted to the centre and
+    D_ki = P_i*Q_k - P_k*Q_i, pushforward's radius is
+    T(t) = q*(max_k min_i (val D_ki - val Q_k + i*t) - min_i (val Q_i + i*t)):
+    the candidate w = P_k/Q_k has P - w*Q = D_k/Q_k.  Every term is a
+    line in t, so T is affine between their crossings; each stretch
+    between crossings keeps one winning candidate, whose image centre a
+    pushforward at the stretch's deepest end reads.  A truncated zero's
+    bound minus the least line is affine on a stretch too, so checking
+    gauss_val's rule at the cuts checks it on the whole range.
+    """
+    P = shift_poly(list(smap.num), center)
+    Q = shift_poly(list(smap.den), center)
+    n = max(len(P), len(Q))
+    P += [ZERO] * (n - len(P))
+    Q += [ZERO] * (n - len(Q))
+    den = gauss_lines(Q)
+    cands = []
+    for k, qk in enumerate(Q):
+        if not qk:
+            if qk.precision is not INF:
+                raise InsufficientPrecision(
+                    f"candidate ratio at y-degree {k} blocked by truncated coefficient"
+                )
+            continue
+        lines, bounds = gauss_lines([P[i] * qk - P[k] * Q[i] for i in range(n)])
+        vq = qk.val()
+        cands.append(([(i, v - vq) for i, v in lines], [(i, p - vq) for i, p in bounds]))
+    q = smap.base.scale_factor
+
+    def radius(t):
+        return q * (max(lines_min(*c, t) for c in cands) - lines_min(*den, t))
+
+    every = list({*den[0], *(line for lines, _ in cands for line in lines)})
+    crossings = {
+        (v - u) / (i - k) for a, (i, u) in enumerate(every) for k, v in every[a + 1 :] if i != k
+    }
+    cuts = sorted({lo, hi} | {x for x in crossings if lo < x < hi})
+    values = [radius(t) for t in cuts]
+    breakpoints, pieces = [], []
+    for a in range(len(cuts) - 1):
+        s = (values[a + 1] - values[a]) / (cuts[a + 1] - cuts[a])
+        piece = (s, values[a] - s * cuts[a])
+        if pieces and piece == pieces[-1]:
+            continue
+        if pieces:
+            breakpoints.append(cuts[a])
+        pieces.append(piece)
+    images = {}
+    for a in range(len(cuts) - 1):
+        end = cuts[a] if values[a] > values[a + 1] else cuts[a + 1]
+        if end not in images:
+            images[end] = pushforward(smap, TypeIIPoint(center, end))
+    deepest = max(images.values(), key=lambda img: img.t)
+    for img in images.values():
+        if img.center != deepest.center.drop_from(img.t):
+            raise NotRayInvariant(
+                f"image centres leave the ray: {img.center} vs {deepest.center} at t = {img.t}"
+            )
+    return PLMap(lo, hi, tuple(breakpoints), tuple(pieces)), deepest.center
 
 
 def pl_compose(outer: PLMap, inner: PLMap) -> PLMap:

@@ -93,6 +93,10 @@ def _tokenize(text: str, line: int = 1) -> list:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            try:  # past the interpreter's digit limit int() refuses the literal
+                int(text[i:j])
+            except ValueError:
+                raise ParseError(f"integer literal of {j - i} digits is too long", line, col)
             toks.append(_Tok("int", text[i:j], line, col))
             col += j - i
             i = j

@@ -207,31 +207,40 @@ def _proportional(num, den) -> bool:
 # -- Gauss valuations ----------------------------------------------------------
 
 
+def gauss_lines(coeffs):
+    """``(i, val c_i)`` for the nonzero coefficients and ``(i, precision)``
+    for the truncated zero ones: what ``lines_min`` reads at a level t."""
+    lines, bounds = [], []
+    for i, c in enumerate(coeffs):
+        if c:
+            lines.append((i, c.val()))
+        elif c.precision is not INF:
+            bounds.append((i, c.precision))
+    return lines, bounds
+
+
+def lines_min(lines, bounds, t):
+    """min over the lines at t; INF for none; raises when a bound undercuts it."""
+    if not lines:
+        if bounds:
+            raise InsufficientPrecision("Gauss valuation of an all-truncated polynomial")
+        return INF
+    best = min(v + t * i for i, v in lines)
+    for i, p in bounds:
+        if p + t * i < best:
+            raise InsufficientPrecision(
+                f"truncated coefficient (bound {p + t * i}) could undercut Gauss valuation {best}"
+            )
+    return best
+
+
 def gauss_val(coeffs, t):
     """min_i (val(c_i) + t*i) with honest handling of truncated zeros.
 
     Returns INF when the polynomial is exactly zero; raises when a
     truncated coefficient could undercut the visible minimum.
     """
-    t = rat(t)
-    best = None
-    bounds = []
-    for i, c in enumerate(coeffs):
-        if c:
-            v = c.val() + t * i
-            best = v if best is None else min(best, v)
-        elif c.precision is not INF:
-            bounds.append(c.precision + t * i)
-    if best is None:
-        if bounds:
-            raise InsufficientPrecision("Gauss valuation of an all-truncated polynomial")
-        return INF
-    for b in bounds:
-        if b < best:
-            raise InsufficientPrecision(
-                f"truncated coefficient (bound {b}) could undercut Gauss valuation {best}"
-            )
-    return best
+    return lines_min(*gauss_lines(coeffs), rat(t))
 
 
 # -- pushforward ----------------------------------------------------------------

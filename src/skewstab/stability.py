@@ -37,7 +37,6 @@ from .berkovich import (
     special_directions,
 )
 from .errors import (
-    FitFailure,
     InsufficientPrecision,
     NotApplicable,
     NotRayInvariant,
@@ -1245,24 +1244,10 @@ def wandering_julia_report(chain, point: TypeIIPoint, cfg=None, fibre: int = 0):
     links = chain.links[j:] + chain.links[chain.tail : j]
     first_return = Chain(links, period=chain.period, tail=0)
     hi = max(Fraction(2), 2 * abs(p.t) + 2)
-    pl = None
-    err = None
-    # breakpoints must land on the sample grid; vary its density
-    for samples in (8, 6, 12, 9, 10):
-        try:
-            pl = induce_interval_map(
-                first_return, p.center, (Fraction(0), hi), samples=samples
-            )
-            break
-        except (
-            NotRayInvariant,
-            FitFailure,
-            InsufficientPrecision,
-            NotRepresentable,
-        ) as e:
-            err = e
-    if pl is None:
-        raise NotApplicable(f"no interval model on the ray through {point}: {err}")
+    try:
+        pl = induce_interval_map(first_return, p.center, (Fraction(0), hi))
+    except (NotRayInvariant, InsufficientPrecision, NotRepresentable) as e:
+        raise NotApplicable(f"no interval model on the ray through {point}: {e}")
     # the model is only iterable when the first return preserves the ray
     probe = TypeIIPoint(p.center, max(abs(p.t), Fraction(1)))
     jp, qp = 0, probe

@@ -2,8 +2,10 @@
 
 import math
 from fractions import Fraction as F
+from importlib import resources
 
 from skewstab.berkovich import TypeIIPoint
+from skewstab.parsing import parse_definition
 from skewstab.puiseux import PuiseuxPoly
 from skewstab.skew import BaseGerm, SkewLocal
 
@@ -27,6 +29,16 @@ def xy2_map() -> SkewLocal:
 def square_map() -> SkewLocal:
     # base x, fibre map y^2 (good reduction)
     return SkewLocal(BaseGerm(X), [ZERO, ZERO, ONE], [ONE], label="square")
+
+
+def bundled_links():
+    """[(name, link)] for every link of the four bundled definition files."""
+    out = []
+    for name in ("thm6", "thmB", "xy2", "goodred"):
+        text = resources.files("skewstab.fixtures").joinpath(f"{name}.skew").read_text()
+        for j, link in enumerate(parse_definition(text).chain.links):
+            out.append((f"{name}[{j}]", link))
+    return out
 
 
 def random_point(rng, max_den=4):

@@ -129,6 +129,15 @@ class TestVertexSetCommands:
         assert out == 'graph dual {\n  v0 [label="a=0 t=0 m=1 g=1" cls="integral"];\n}\n'
 
 
+def wandering_lines(point):
+    return [
+        f"wandering-julia.point: {point}",
+        "wandering-julia.interval: [0, 1]",
+        "wandering-julia.fixed-point: t = 4/5, multiplier -3/2",
+        "wandering-julia.orbit: odd/2^n with strictly growing n",
+    ]
+
+
 class TestStabilityCommands:
     def test_check_stability_thm6_exits_3_with_witness(self):
         code, out, _ = run_cli("check-stability", "thm6")
@@ -137,7 +146,7 @@ class TestStabilityCommands:
         assert "witness[0].point: zeta(0, 1) @ fibre 0" in out
         assert "witness[0].image: zeta(0, 1/2) @ fibre 0" in out
         assert "replay: start=zeta(0, 2/3)" in out
-        assert "wandering-julia.fixed-point: t = 4/5, multiplier -3/2" in out
+        assert out.splitlines()[-4:] == wandering_lines("zeta(0, 1/2) @ fibre 0")
 
     def test_check_stability_goodred_exits_0(self):
         code, out, _ = run_cli("check-stability", "goodred")
@@ -149,7 +158,7 @@ class TestStabilityCommands:
         assert code == 3
         assert "witness[0].image: zeta(0, 1) @ fibre 1" in out
         assert "replay: start=zeta(0, 4/3)" in out
-        assert "wandering-julia.point: zeta(0, 1) @ fibre 1" in out
+        assert out.splitlines()[-4:] == wandering_lines("zeta(0, 1) @ fibre 1")
 
     def test_min_stabilize_cap_exits_4_with_dyadic_trace(self):
         code, out, _ = run_cli("min-stabilize", "thm6", "--max-rounds", "4")
@@ -195,6 +204,16 @@ class TestFailureSurface:
         assert code == 1
         assert err.startswith("error: reversion needs a rational 3-th root of ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_literal_past_the_digit_limit_is_a_parse_error(self, tmp_path):
+        huge = "7" * 5000
+        f = tmp_path / "huge.skew"
+        f.write_text(f"period 1\n[fibre 0]\nphi1 = x\nphi2 = {huge}*y^2\n")
+        for argv in (("image", str(f), "zeta(0, 1)", "1"), ("image", "thm6", f"zeta({huge}, 1)", "1")):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == ""
+            assert err.startswith("parse error: line ") and err.count("\n") == 1
+            assert "integer literal of 5000 digits is too long" in err
 
     def test_an_unexpected_exception_exits_5_on_one_line(self, monkeypatch):
         def boom(args):

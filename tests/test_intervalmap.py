@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from mapdefs import ZERO, thm6_map, square_map, xy2_map
+from mapdefs import ONE, X, ZERO, bundled_links, thm6_map, square_map, xy2_map
 from skewstab.berkovich import TypeIIPoint
-from skewstab.errors import NotRayInvariant
+from skewstab.errors import InsufficientPrecision, NotRayInvariant
 from skewstab.intervalmap import (
     FixedInterval,
     FixedPoint,
@@ -15,7 +15,7 @@ from skewstab.intervalmap import (
     InfiniteByDenominatorGrowth,
     PLMap,
     Preperiodic,
-    _check_single_ray,
+    _induce_link,
     denominator_growth_certificate,
     detect_preperiodic,
     fixed_points,
@@ -23,8 +23,9 @@ from skewstab.intervalmap import (
     iterate,
     pl_compose,
 )
+from skewstab.parsing import parse_series
 from skewstab.puiseux import PuiseuxPoly
-from skewstab.skew import pushforward
+from skewstab.skew import BaseGerm, Chain, SkewLocal, pushforward
 
 
 def fold_map():
@@ -61,16 +62,87 @@ class TestInduce:
             assert img.center.is_exact_zero
 
     def test_ray_guard_rejects_inconsistent_centres(self):
-        a = TypeIIPoint(PuiseuxPoly.monomial(1, 1), 2)
-        b = TypeIIPoint(PuiseuxPoly.const(1), 2)
+        links = dict(bundled_links())
         with pytest.raises(NotRayInvariant):
-            _check_single_ray(ZERO, [a, b])
+            induce_interval_map(links["thmB[0]"], parse_series("3*x^(1/2)"), (0, 6))
 
     def test_table_rendering(self):
         pl = fold_map()
         assert pl.table() == "\n".join(
             ["[0, 2/3]: T(t) = 3/2*t", "[2/3, 4/3]: T(t) = -3/2*t + 2"]
         )
+
+
+#: The centres of the bundled rays: exact, constant, ramified, two-term.
+RAY_CENTRES = ("0", "1", "3*x^(1/2)", "2 - x^(1/3)")
+
+
+def seeded_parameters(rng, hi, count):
+    return [F(rng.randint(1, 100 * hi), rng.randint(1, 100)) % hi or F(hi) for _ in range(count)]
+
+
+class TestExactMapAgainstPushforward:
+    @pytest.mark.parametrize("name,link", bundled_links())
+    @pytest.mark.parametrize("centre", RAY_CENTRES)
+    def test_bundled_ray(self, name, link, centre):
+        c = parse_series(centre)
+        if (name, centre) == ("thmB[0]", "3*x^(1/2)"):
+            with pytest.raises(NotRayInvariant):
+                _induce_link(link, c, F(0), F(6))
+            return
+        pl, ray = _induce_link(link, c, F(0), F(6))
+        rng = random.Random(f"{name} {centre}")
+        for t in seeded_parameters(rng, 6, 30):
+            img = pushforward(link, TypeIIPoint(c, t))
+            assert img.t == pl(t)
+            assert img.center == ray.drop_from(img.t)
+
+    def test_seeded_random_maps(self):
+        rng = random.Random(11)
+
+        def series():
+            terms = [(rng.choice([-2, -1, 1, 2, 3]), F(rng.randint(0, 6), rng.choice([1, 2, 3])))
+                     for _ in range(rng.randint(0, 2))]
+            return sum((PuiseuxPoly.monomial(a, e) for a, e in terms), ZERO)
+
+        mapped = 0
+        for _ in range(60):
+            num = [series() for _ in range(rng.randint(1, 4))] + [PuiseuxPoly.const(1)]
+            den = [series() for _ in range(rng.randint(0, 3))] + [PuiseuxPoly.const(rng.randint(1, 3))]
+            try:
+                smap = SkewLocal(BaseGerm(X ** rng.choice([1, 1, 2])), num, den)
+            except ValueError:  # constant in y
+                continue
+            c = series()
+            try:
+                pl, ray = _induce_link(smap, c, F(0), F(4))
+            except NotRayInvariant:
+                continue
+            mapped += 1
+            for t in seeded_parameters(rng, 4, 8):
+                img = pushforward(smap, TypeIIPoint(c, t))
+                assert img.t == pl(t)
+                assert img.center == ray.drop_from(img.t)
+        assert mapped >= 30
+
+    def test_truncated_coefficient_bounds_the_ray(self):
+        # y^2 + x + O(x^3): the candidate's own difference is O(x^3), which
+        # undercuts the 2t of y^2 past t = 3/2, for the map and the pushforward
+        smap = SkewLocal(BaseGerm(X), [X + PuiseuxPoly.monomial(0, 0, precision=3), ZERO, ONE], [ONE])
+        assert induce_interval_map(smap, ZERO, (0, F(3, 2))).pieces == ((F(2), F(0)),)
+        with pytest.raises(InsufficientPrecision):
+            induce_interval_map(smap, ZERO, (0, 2))
+        with pytest.raises(InsufficientPrecision):
+            pushforward(smap, TypeIIPoint(ZERO, F(7, 4)))
+
+    def test_breakpoints_are_exact_crossings(self):
+        # thm6's fold at t = 2/3 lies on no dyadic grid over [0, 6]
+        links = dict(bundled_links())
+        fold = induce_interval_map(links["thm6[0]"], ZERO, (0, 6))
+        assert fold.breakpoints == (F(2, 3),)
+        sq = induce_interval_map(links["goodred[0]"], parse_series("3*x^(1/2)"), (0, 6))
+        assert sq.breakpoints == (F(1, 2),)
+        assert sq.pieces == ((F(2), F(0)), (F(1), F(1, 2)))
 
 
 class TestPLMap:
@@ -208,3 +280,28 @@ class TestChainInduce:
         pl = induce_interval_map(chain, ZERO, (0, F(4, 3)))
         assert pl.breakpoints == (F(2, 3),)
         assert pl.pieces == ((F(3, 2), F(0)), (F(-3, 2), F(2)))
+
+    def test_next_link_follows_the_exact_image_ray(self):
+        # y^2 maps zeta(2, t) to zeta(4, t): the ray keeps its depth, and a
+        # centre cut at the image of t = 0 would be 0, where y^2 doubles it
+        links = dict(bundled_links())
+        chain = Chain([links["goodred[0]"]] * 2, period=2)
+        pl = induce_interval_map(chain, parse_series("2"), (0, 4))
+        assert pl.pieces == ((F(1), F(0)),)
+
+    @pytest.mark.parametrize("centre", RAY_CENTRES[1:] + ("2",))
+    def test_two_link_chains_match_chain_pushforward(self, centre):
+        c = parse_series(centre)
+        links = bundled_links()
+        rng = random.Random(centre)
+        mapped = 0
+        for (_, first), (_, second) in [(a, b) for a in links for b in links]:
+            try:
+                pl = induce_interval_map(Chain([first, second], period=2), c, (0, 4))
+            except NotRayInvariant:
+                continue
+            mapped += 1
+            for t in seeded_parameters(rng, 4, 6):
+                img = pushforward(second, pushforward(first, TypeIIPoint(c, t)))
+                assert img.t == pl(t)
+        assert mapped >= 8
