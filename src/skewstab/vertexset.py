@@ -21,12 +21,17 @@ tree of depth d whose nodes have at most k children:
 * building the tree: O(n log n) comparisons to sort the vertices in
   depth-first order, n - 1 joins of neighbours to close them, and one
   stack pass for the parents;
-* ``hull``, ``HullTree.parent``/``children`` and ``in``: lookups;
+* ``hull``, ``HullTree.parent_of``/``children_of`` and ``in``: lookups;
 * ``locate``: a descent from the top, O(d k), then a walk over the
   component found, O(its size);
 * ``missing_flanks`` of a vertex: O(k), from its children;
 * ``is_smooth``, ``enumerate_domains``, ``dual_graph``: one pass over the
-  tree (``is_smooth`` adds a lattice scan per pair of adjacent vertices).
+  tree (``is_smooth`` adds a lattice scan per pair of adjacent vertices);
+* ``segment_lattice_points`` at level N: per piece between the inner
+  centre's exponents, only the denominators q <= N allowed there and the
+  numerators prime to q, so no candidate is built and then rejected;
+* ``smooth_n_convex_hull``: one tree build, then edits of parents and
+  children; a lattice scan per edge and a flank test per vertex, once.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .berkovich import (
     classify_point,
     direction_at,
     g_point,
-    hyperbolic_distance,
     join,
     leq,
     m_point,
@@ -128,15 +132,6 @@ class HullTree:
     parent_of: dict = field(compare=False, repr=False)
     children_of: dict = field(compare=False, repr=False)
 
-    def children(self, p):
-        return list(self.children_of.get(p, ()))
-
-    def parent(self, p):
-        return self.parent_of.get(p)
-
-    def edge_length(self, outer, inner) -> Fraction:
-        return hyperbolic_distance(outer, inner)
-
     def seat(self, p):
         """Where p sits on the tree, found by descending from the top.
 
@@ -196,33 +191,24 @@ def _build_tree(vs: VertexSet) -> HullTree:
             stack.pop()
         parent_of[p] = stack[-1] if stack else None
         stack.append(p)
-    top = stack[0]
     # pts is sorted and a subset of the nodes, so equal sizes mean equal sets
     lst = pts if len(order) == len(pts) else sorted(order, key=TypeIIPoint.sort_key)
+    return _tree_from_parents(parent_of, lst, vs._members)
+
+
+def _tree_from_parents(parent_of, lst, vertices) -> HullTree:
+    """The tree on the nodes ``lst``, given in set order, from each
+    node's parent (None at the top)."""
     children_of = {p: [] for p in lst}
     edges = []
     for p in lst:
         outer = parent_of[p]
-        if outer is not None:
+        if outer is None:
+            top = p
+        else:
             edges.append((outer, p))
             children_of[outer].append(p)
-    return HullTree(tuple(lst), tuple(edges), top, vs._members, parent_of, children_of)
-
-
-def _join_closure_by_pairs(pts):
-    """Quadratic reference closure, kept as the tests' oracle."""
-    nodes = set(pts)
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            nodes.add(join(a, b))
-    # one closure round is enough in a tree, but verify
-    lst = sorted(nodes, key=TypeIIPoint.sort_key)
-    for i, a in enumerate(lst):
-        for b in lst[i + 1 :]:
-            j = join(a, b)
-            if j not in nodes:
-                nodes.add(j)
-    return nodes
+    return HullTree(tuple(lst), tuple(edges), top, vertices, parent_of, children_of)
 
 
 def _tree_key(p: TypeIIPoint):
@@ -254,33 +240,68 @@ def segment_lattice_points(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
 
     These are the points zeta(c, p/q) on the inner centre's ray with
     lcm(m, q) <= bound, m the multiplicity of the centre truncated at
-    p/q.
+    p/q.  The centre's exponents cut the segment into pieces (lo, hi],
+    the last open at inner.t, on each of which the truncation is fixed.
     """
     if not leq(inner, outer):
         raise ValueError("segment endpoints are not comparable")
-    found = {}
-    for q in range(1, bound + 1):
-        k = math.ceil(outer.t * q)
-        while Fraction(k, q) <= inner.t:
-            s = Fraction(k, q)
-            k += 1
-            if s == outer.t or s == inner.t:
-                continue
-            if s in found:
-                continue
-            p = TypeIIPoint(inner.center, s)
-            if math.lcm(m_point(p), s.denominator) <= bound:
-                found[s] = p
-    return [found[s] for s in sorted(found)]
+    cuts = [e for e, _c in inner.center.terms if e > outer.t]
+    lo, found = outer.t, []
+    for i, hi in enumerate(cuts + [inner.t]):
+        center = inner.center.drop_from(hi)
+        m, at_end = center.ramification_index(), i == len(cuts)
+        piece = []
+        for q in range(1, bound + 1):
+            if math.lcm(m, q) <= bound:
+                # lo < k/q <= hi, and k/q < hi on the last piece
+                k0 = lo.numerator * q // lo.denominator + 1
+                k1 = (hi.numerator * q - at_end) // hi.denominator
+                piece += [Fraction(k, q) for k in range(k0, k1 + 1) if math.gcd(k, q) == 1]
+        found += [TypeIIPoint(center, s) for s in sorted(piece)]
+        lo = hi
+    return found
+
+
+def _fill(parent_of, children_of, edges, n: int) -> list:
+    """Hang the level-n vertices strictly inside each (outer, inner) edge
+    on the tree given by its parent and children maps; returns them."""
+    added = []
+    for outer, inner in edges:
+        inside = segment_lattice_points(outer, inner, n)
+        if inside:
+            path = [outer, *inside, inner]
+            kids = children_of[outer]
+            kids[kids.index(inner)] = inside[0]
+            parent_of.update(zip(path[1:], path))
+            children_of.update((up, [down]) for up, down in zip(inside, path[2:]))
+            added += inside
+    return added
+
+
+def _maps(tree: HullTree):
+    """Copies of a tree's parent and children maps, to grow."""
+    return dict(tree.parent_of), {p: list(c) for p, c in tree.children_of.items()}
+
+
+def _grown(parent_of) -> VertexSet:
+    """The nodes of a grown tree as a set, carrying that tree."""
+    vs = VertexSet(parent_of)
+    object.__setattr__(vs, "_tree", _tree_from_parents(parent_of, vs.points, vs._members))
+    return vs
+
+
+def _filled(tree: HullTree, n: int) -> VertexSet:
+    """The nodes of the tree and the level-n vertices along its edges."""
+    parent_of, children_of = _maps(tree)
+    _fill(parent_of, children_of, tree.edges, n)
+    return _grown(parent_of)
 
 
 def tree_lattice_points(points, n: int) -> VertexSet:
     """All level-n vertices (g <= n) on the hull of the given points."""
-    h = hull(points)
-    got = [p for p in h.nodes if g_point(p) <= n]
-    for outer, inner in h.edges:
-        got.extend(segment_lattice_points(outer, inner, n))
-    return VertexSet(got)
+    filled = _filled(hull(points), n)
+    got = [p for p in filled if g_point(p) <= n]
+    return filled if len(got) == len(filled) else VertexSet(got)  # keeps the tree
 
 
 def n_convex_hull(points, n: int) -> VertexSet:
@@ -289,14 +310,14 @@ def n_convex_hull(points, n: int) -> VertexSet:
     Requires every input vertex to have g <= n.  Monotone, idempotent,
     and finite: per edge only denominators up to n occur.
     """
+    _check_level(points, n)
+    return _filled(hull(points), n)
+
+
+def _check_level(points, n: int):
     for p in points:
         if g_point(p) > n:
             raise ValueError(f"{p} has g = {g_point(p)} > n = {n}")
-    h = hull(points)
-    got = list(h.nodes)
-    for outer, inner in h.edges:
-        got.extend(segment_lattice_points(outer, inner, n))
-    return VertexSet(got)
 
 
 # -- flanking ------------------------------------------------------------
@@ -320,22 +341,27 @@ def missing_flanks(p: TypeIIPoint, gammas):
     """Special directions of p with no vertex of gammas in them.
 
     Returns [(direction, nearest flank vertex)]; empty means flanked.
-    A direction down from p holds a vertex exactly when a tree node just
-    below p lies in it; the direction at infinity, when the top is not
-    below p.
     """
     vs = _vertex_set(gammas)
-    if not vs:
-        return [(v, flank_in_direction(p, v)) for v, _mult in special_directions(p)]
+    if not vs:  # nothing below p, and p stands for the top
+        return _missing(p, (), p)
     tree = vs.tree()
     below = tree.children_of.get(p)
     if below is None:  # not a node: only the edge p may lie on leads down
         _u, w = tree.seat(p)
         below = [] if w is None else [w]
+    return _missing(p, below, tree.top)
+
+
+def _missing(p: TypeIIPoint, below, top: TypeIIPoint):
+    """missing_flanks of p, given the tree nodes just below p and the
+    top.  A direction down from p holds a vertex exactly when a node of
+    ``below`` lies in it; the direction at infinity, when the top is not
+    below p."""
     out = []
     for v, _mult in special_directions(p):
         if v.at_infinity:
-            seen = not leq(tree.top, p)
+            seen = not leq(top, p)
         else:
             seen = any(point_in_direction(v, w) for w in below)
         if not seen:
@@ -445,22 +471,34 @@ _SMOOTH_HULL_ROUNDS = 64
 def smooth_n_convex_hull(points, n: int) -> VertexSet:
     """Close under joins, level-n fill, and flank completion until stable.
 
-    The result contains the input, is level-n convex, and passes
-    is_smooth.
+    The result contains the input, is level-n convex, passes is_smooth,
+    and carries its hull tree, grown from the input's: each round fills
+    the edges the round before added (the first, every edge) and flanks
+    the vertices not yet checked.  A flanked vertex stays flanked as the
+    set grows, and a missing flank is a new leaf below its vertex or a
+    new top above it, so no join ever appears.
     """
-    current = VertexSet(points)
-    trace = []
+    vs = _vertex_set(points)
+    _check_level(vs, n)
+    tree = hull(vs)
+    parent_of, children_of = _maps(tree)
+    top, edges, fresh, trace = tree.top, tree.edges, list(tree.nodes), []
     for _ in range(_SMOOTH_HULL_ROUNDS):
-        filled = n_convex_hull(current, n)
-        extra = []
-        for p in filled:
-            for _v, flank in missing_flanks(p, filled):
-                extra.append(flank)
-        new = filled.union(extra)
-        trace.append(len(new))
-        if new == current:
-            return current
-        current = new
+        fresh += _fill(parent_of, children_of, edges, n)
+        flanks = [(p, v, f) for p in fresh for v, f in _missing(p, children_of[p], top)]
+        if not flanks:
+            return _grown(parent_of)
+        edges, fresh = [], []
+        for p, v, f in flanks:
+            if v.at_infinity:  # p is the top
+                parent_of[p], parent_of[f], children_of[f], top = f, None, [p], f
+                edges.append((f, p))
+            else:
+                parent_of[f], children_of[f] = p, []
+                children_of[p].append(f)
+                edges.append((p, f))
+            fresh.append(f)
+        trace.append(len(parent_of))
     raise RoundCapExceeded(
         f"smooth hull did not stabilise within {_SMOOTH_HULL_ROUNDS} rounds", trace
     )

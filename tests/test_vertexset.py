@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,18 +10,23 @@ from skewstab.berkovich import (
     direction_at,
     g_point,
     gauss_point,
+    hyperbolic_distance,
     join,
     leq,
+    m_point,
     point_in_direction,
     special_directions,
 )
+from skewstab import vertexset
+from skewstab.errors import RoundCapExceeded
 from skewstab.puiseux import PuiseuxPoly, Rat
 from skewstab.vertexset import (
     GammaDomain,
     SmoothnessReport,
     VertexSet,
     Violation,
-    _join_closure_by_pairs,
+    _build_tree,
+    _join_closure,
     domain_contains,
     dual_graph,
     dual_graph_dot,
@@ -71,7 +77,7 @@ class TestHull:
         assert GAUSS in h.nodes
         assert h.top == GAUSS
         assert len(h.edges) == 2
-        assert h.edge_length(GAUSS, zeta(ZERO, 1)) == 1
+        assert hyperbolic_distance(GAUSS, zeta(ZERO, 1)) == 1
 
 
 class TestNConvexHull:
@@ -306,12 +312,26 @@ def _random_vertex(rng):
             return p
 
 
+def _join_closure_by_pairs(pts):
+    """Quadratic reference closure: every pairwise join, then a check."""
+    nodes = set(pts)
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            nodes.add(join(a, b))
+    # one closure round is enough in a tree, but verify
+    lst = sorted(nodes, key=TypeIIPoint.sort_key)
+    for i, a in enumerate(lst):
+        for b in lst[i + 1 :]:
+            j = join(a, b)
+            if j not in nodes:
+                nodes.add(j)
+    return nodes
+
+
 class TestJoinClosureAgainstReference:
     """The neighbour-join closure must agree with plain pairwise joining."""
 
     def test_matches_pairwise_closure(self):
-        from skewstab.vertexset import _join_closure, _join_closure_by_pairs
-
         rng = random.Random(97)
         for case in range(200):
             pts = [_random_vertex(rng) for _ in range(rng.randint(1, 7))]
@@ -320,8 +340,6 @@ class TestJoinClosureAgainstReference:
             assert fast == slow, f"case {case}: {sorted(map(str, fast))}"
 
     def test_matches_on_shared_rays(self):
-        from skewstab.vertexset import _join_closure, _join_closure_by_pairs
-
         # stacked points on few rays: nested disks and shared centres
         rng = random.Random(98)
         centers = [ZERO, X, X + PuiseuxPoly.monomial(1, F(3, 2))]
@@ -603,3 +621,140 @@ class TestTreeIndexAgainstPairwiseOracles:
                     f"case {case}: {p}"
                 )
                 assert missing_flanks(p, []) == _oracle_missing_flanks(p, [])
+
+
+# -- the one-tree smooth hull and the piecewise lattice scan against the ---
+# -- round loop and per-candidate scan they replaced ------------------------
+
+
+def _oracle_segment_lattice_points(outer, inner, bound):
+    """Every k/q in range for every q <= bound, each built as a point and
+    kept when its level is at most the bound."""
+    found = {}
+    for q in range(1, bound + 1):
+        k = math.ceil(outer.t * q)
+        while F(k, q) <= inner.t:
+            s = F(k, q)
+            k += 1
+            if s == outer.t or s == inner.t or s in found:
+                continue
+            p = TypeIIPoint(inner.center, s)
+            if math.lcm(m_point(p), s.denominator) <= bound:
+                found[s] = p
+    return [found[s] for s in sorted(found)]
+
+
+def _oracle_n_convex_hull(points, n):
+    h = hull(points)
+    got = list(h.nodes)
+    for outer, inner in h.edges:
+        got.extend(_oracle_segment_lattice_points(outer, inner, n))
+    return VertexSet(got)
+
+
+def _oracle_smooth_hull(points, n):
+    """Fill every edge and flank every vertex of a fresh set each round,
+    until a round adds nothing."""
+    current = VertexSet(points)
+    while True:
+        filled = _oracle_n_convex_hull(current, n)
+        extra = [f for p in filled for _v, f in missing_flanks(p, filled)]
+        new = filled.union(extra)
+        if new == current:
+            return current
+        current = new
+
+
+def _assert_tree_is_fresh(vs):
+    grown, fresh = vs.tree(), _build_tree(VertexSet(vs.points))
+    for name in ("nodes", "edges", "top", "parent_of", "children_of"):
+        assert getattr(grown, name) == getattr(fresh, name), name
+
+
+def _criterion6_sets(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        pts = [random_point(rng) for _ in range(rng.randint(1, 4))]
+        yield pts, max(1, max(g_point(p) for p in pts))
+
+
+class TestOneTreeSmoothHull:
+    def test_matches_the_round_loop(self):
+        for case, (pts, n) in enumerate(_criterion6_sets(806, 200)):
+            out = smooth_n_convex_hull(pts, n)
+            ref = _oracle_smooth_hull(pts, n)
+            assert out == ref, f"case {case}"
+            assert str(is_smooth(out)) == str(is_smooth(ref)) == "smooth", f"case {case}"
+            _assert_tree_is_fresh(out)
+
+    def test_n_convex_hull_and_lattice_points_carry_fresh_trees(self):
+        for case, (pts, n) in enumerate(_criterion6_sets(807, 100)):
+            filled = n_convex_hull(pts, n)
+            assert filled == _oracle_n_convex_hull(pts, n), f"case {case}"
+            _assert_tree_is_fresh(filled)
+            for level in (1, 2, n):
+                got = tree_lattice_points(pts, level)
+                h = hull(pts)
+                ref = [p for p in h.nodes if g_point(p) <= level]
+                for outer, inner in h.edges:
+                    ref += _oracle_segment_lattice_points(outer, inner, level)
+                assert got == VertexSet(ref), f"case {case}, level {level}"
+                if got:
+                    _assert_tree_is_fresh(got)
+
+    def test_scan_matches_on_every_hull_edge(self):
+        for case, (pts, _n) in enumerate(_criterion6_sets(808, 200)):
+            for outer, inner in hull(pts).edges:
+                for bound in range(1, 13):
+                    assert segment_lattice_points(outer, inner, bound) == (
+                        _oracle_segment_lattice_points(outer, inner, bound)
+                    ), f"case {case}: {outer} to {inner} at {bound}"
+
+    def test_multiplicity_changes_inside_the_segment(self):
+        # the truncated centre has m = 1, 2, 6, 12 on the four pieces
+        center = PuiseuxPoly(((F(1, 2), 1), (F(2, 3), 1), (F(3, 4), 1)))
+        inner = zeta(center, 2)
+        got = segment_lattice_points(GAUSS, inner, 6)
+        assert [p.t for p in got] == [F(1, 6), F(1, 5), F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(2, 3)]
+        assert got[-1].center == PuiseuxPoly.monomial(1, F(1, 2))
+        for bound in range(1, 25):
+            assert segment_lattice_points(GAUSS, inner, bound) == (
+                _oracle_segment_lattice_points(GAUSS, inner, bound)
+            ), bound
+
+    def test_negative_radii_and_a_lattice_point_outer_end(self):
+        cases = [
+            (zeta(ZERO, -1), zeta(PuiseuxPoly.monomial(2, F(-1, 2)), 1)),
+            (zeta(ZERO, F(-7, 3)), zeta(ZERO, F(-1, 4))),
+            (zeta(ZERO, F(1, 2)), zeta(ZERO, F(3, 2))),
+            (zeta(ROOT_X, 1), zeta(ROOT_X + PuiseuxPoly.monomial(1, F(5, 4)), 3)),
+        ]
+        for outer, inner in cases:
+            for bound in range(1, 13):
+                assert segment_lattice_points(outer, inner, bound) == (
+                    _oracle_segment_lattice_points(outer, inner, bound)
+                ), (str(outer), str(inner), bound)
+        assert [p.t for p in segment_lattice_points(zeta(ZERO, -1), zeta(ZERO, 1), 2)] == [
+            F(-1, 2), 0, F(1, 2)
+        ]
+        assert [p.t for p in segment_lattice_points(zeta(ZERO, F(1, 2)), zeta(ZERO, F(3, 2)), 2)] == [1]
+
+    def test_long_segment(self):
+        got = segment_lattice_points(GAUSS, zeta(ZERO, 10000), 1)
+        assert [p.t for p in got] == list(range(1, 10000))
+
+    def test_level_and_empty_input_errors(self):
+        p = zeta(ROOT_X, F(3, 4))
+        for build in (smooth_n_convex_hull, n_convex_hull):
+            with pytest.raises(ValueError, match=r"^zeta\(x\^\(1/2\), 3/4\) has g = 4 > n = 2$"):
+                build([GAUSS, p], 2)
+        with pytest.raises(ValueError):
+            smooth_n_convex_hull([], 2)
+
+    def test_round_cap(self, monkeypatch):
+        monkeypatch.setattr(vertexset, "_SMOOTH_HULL_ROUNDS", 1)
+        with pytest.raises(RoundCapExceeded):
+            smooth_n_convex_hull([zeta(ZERO, F(1, 2))], 2)
+        assert smooth_n_convex_hull([GAUSS, zeta(ZERO, 2)], 1) == VertexSet(
+            [GAUSS, zeta(ZERO, 1), zeta(ZERO, 2)]
+        )
