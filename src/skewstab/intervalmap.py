@@ -3,11 +3,13 @@
 The direct image of zeta(a, t) under a skew map, for t sweeping a ray,
 has radius exponent T(t) for a continuous piecewise-affine T with
 rational slopes and breakpoints.  T is read exactly off the fibre map's
-coefficients shifted to the centre: it is a difference of a max of mins
-and a min of lines in t (``_induce_link``), so its breakpoints are among
-the crossings of those lines.  Between two crossings one candidate
-centre wins, and one pushforward at the deeper end gives the image ray
-there; the rays must agree, or the map is not ray-invariant.  Orbit
+coefficients shifted to the centre, through the same candidate lines as
+``skew.pushforward`` (``skew.candidate_lines``): it is a difference of a
+max of mins and a min of lines in t (``_induce_link``), so its
+breakpoints are among the crossings of those lines.  Between two
+crossings one candidate centre wins.  Each winning candidate's centre is
+transported once, at the deepest stretch end it wins, and gives its
+image ray; the rays must agree, or the map is not ray-invariant.  Orbit
 analysis of T is exact rational arithmetic throughout.
 """
 
@@ -17,11 +19,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .berkovich import TypeIIPoint
-from .errors import InsufficientPrecision, NotRayInvariant
-from .puiseux import INF, PuiseuxPoly, Rat, rat
+from .errors import NotRayInvariant
+from .puiseux import PuiseuxPoly, Rat, rat
 from .roots import shift_poly
-from .skew import ZERO, Chain, SkewLocal, gauss_lines, lines_min, pushforward
+from .skew import (
+    Chain,
+    SkewLocal,
+    candidate_lines,
+    gauss_lines,
+    image_point,
+    lines_min,
+    winning_candidate,
+)
 
 
 @dataclass(frozen=True)
@@ -115,65 +124,51 @@ def induce_interval_map(source, center: PuiseuxPoly, t_range) -> PLMap:
 def _induce_link(smap: SkewLocal, center, lo, hi):
     """The map of one link on [lo, hi], and the centre of its image ray.
 
-    With P and Q the fibre map's coefficients shifted to the centre and
-    D_ki = P_i*Q_k - P_k*Q_i, pushforward's radius is
-    T(t) = q*(max_k min_i (val D_ki - val Q_k + i*t) - min_i (val Q_i + i*t)):
-    the candidate w = P_k/Q_k has P - w*Q = D_k/Q_k.  Every term is a
-    line in t, so T is affine between their crossings; each stretch
-    between crossings keeps one winning candidate, whose image centre a
-    pushforward at the stretch's deepest end reads.  A truncated zero's
-    bound minus the least line is affine on a stretch too, so checking
-    gauss_val's rule at the cuts checks it on the whole range.
+    With P and Q the fibre map's coefficients shifted to the centre, the
+    radius is T(t) = q*(max_k vG(P - w_k*Q) - vG(Q)) over the candidate
+    ratios w_k = P_k/Q_k, whose lines ``candidate_lines`` gives.  Every
+    term is a line in t, so T is affine between their crossings, and on
+    each stretch between crossings one candidate wins; it is read at the
+    stretch's midpoint.  A truncated zero's bound minus the least line is
+    affine on a stretch too, so checking gauss_val's rule for the winner
+    at both ends checks it on the whole stretch.  A candidate's centre is
+    one series, so one transport at the deepest stretch end it wins reads
+    its image ray; the rays of all winners must agree.
     """
     P = shift_poly(list(smap.num), center)
     Q = shift_poly(list(smap.den), center)
-    n = max(len(P), len(Q))
-    P += [ZERO] * (n - len(P))
-    Q += [ZERO] * (n - len(Q))
     den = gauss_lines(Q)
-    cands = []
-    for k, qk in enumerate(Q):
-        if not qk:
-            if qk.precision is not INF:
-                raise InsufficientPrecision(
-                    f"candidate ratio at y-degree {k} blocked by truncated coefficient"
-                )
-            continue
-        lines, bounds = gauss_lines([P[i] * qk - P[k] * Q[i] for i in range(n)])
-        vq = qk.val()
-        cands.append(([(i, v - vq) for i, v in lines], [(i, p - vq) for i, p in bounds]))
-    q = smap.base.scale_factor
-
-    def radius(t):
-        return q * (max(lines_min(*c, t) for c in cands) - lines_min(*den, t))
-
-    every = list({*den[0], *(line for lines, _ in cands for line in lines)})
+    cands = candidate_lines(P, Q)
+    every = list({*den[0], *(line for _, _, lines, _ in cands for line in lines)})
     crossings = {
         (v - u) / (i - k) for a, (i, u) in enumerate(every) for k, v in every[a + 1 :] if i != k
     }
     cuts = sorted({lo, hi} | {x for x in crossings if lo < x < hi})
-    values = [radius(t) for t in cuts]
-    breakpoints, pieces = [], []
+    q = smap.base.scale_factor
+    vq = [lines_min(*den, t) for t in cuts]
+    breakpoints, pieces, deepest = [], [], {}
     for a in range(len(cuts) - 1):
-        s = (values[a + 1] - values[a]) / (cuts[a + 1] - cuts[a])
-        piece = (s, values[a] - s * cuts[a])
-        if pieces and piece == pieces[-1]:
-            continue
-        if pieces:
-            breakpoints.append(cuts[a])
-        pieces.append(piece)
-    images = {}
-    for a in range(len(cuts) - 1):
-        end = cuts[a] if values[a] > values[a + 1] else cuts[a + 1]
-        if end not in images:
-            images[end] = pushforward(smap, TypeIIPoint(center, end))
-    deepest = max(images.values(), key=lambda img: img.t)
-    for img in images.values():
-        if img.center != deepest.center.drop_from(img.t):
+        t0, t1 = cuts[a], cuts[a + 1]
+        j, _ = winning_candidate(cands, (t0 + t1) / 2)
+        lines, bounds = cands[j][2:]
+        r0 = lines_min(lines, bounds, t0) - vq[a]
+        r1 = lines_min(lines, bounds, t1) - vq[a + 1]
+        s = q * (r1 - r0) / (t1 - t0)
+        piece = (s, q * r0 - s * t0)
+        if not pieces or piece != pieces[-1]:
+            if pieces:
+                breakpoints.append(t0)
+            pieces.append(piece)
+        r = max(r0, r1)
+        deepest[j] = max(r, deepest.get(j, r))
+    images = [image_point(smap.base, *cands[j][:2], r) for j, r in deepest.items()]
+    ray = max(images, key=lambda img: img.t)
+    for img in images:
+        if img.center != ray.center.drop_from(img.t):
             raise NotRayInvariant(
-                f"image centres leave the ray: {img.center} vs {deepest.center} at t = {img.t}"
+                f"image centres leave the ray: {img.center} vs {ray.center} at t = {img.t}"
             )
-    return PLMap(lo, hi, tuple(breakpoints), tuple(pieces)), deepest.center
+    return PLMap(lo, hi, tuple(breakpoints), tuple(pieces)), ray.center
 
 
 def pl_compose(outer: PLMap, inner: PLMap) -> PLMap:

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 from .berkovich import TypeIIPoint, gauss_point
 from .errors import SkewstabError
-from .puiseux import INF, PuiseuxPoly, as_series
+from .puiseux import PuiseuxPoly, as_series
 from .skew import BaseGerm, Chain, SkewLocal
 from .vertexset import VertexSet
 
@@ -47,7 +46,6 @@ __all__ = [
     "parse_point",
     "parse_points",
     "parse_definition",
-    "load_definition",
     "format_definition",
     "check_precision",
 ]
@@ -568,10 +566,6 @@ def parse_definition(text: str) -> DefinitionFile:
     if precision is not None:
         check_precision(d, precision)
     return d
-
-
-def load_definition(path) -> DefinitionFile:
-    return parse_definition(Path(path).read_text(encoding="utf-8"))
 
 
 def check_precision(d: DefinitionFile, bound) -> None:

@@ -8,24 +8,22 @@ seminorm of ``zeta(a, t)`` evaluates ``f`` at ``|phi2-pullback of f|^(1/n)``.
 
 The pushforward below computes that image point exactly.  Writing
 ``P(tau) = num(a + tau)`` and ``Q(tau) = den(a + tau)``, the image radius
-exponent is ``(1/n) * max_w [vG(P - w*Q) - vG(Q)]`` where ``vG`` is the
+exponent is ``(1/n) * max_k [vG(P - w_k*Q) - vG(Q)]`` where ``vG`` is the
 Gauss valuation at level t and the maximum runs over the coefficient
-ratios ``w = P_i/Q_i``: an ultrametric argument shows some such ratio
+ratios ``w_k = P_k/Q_k``: an ultrametric argument shows some such ratio
 attains the global maximum, and the maximiser is the new centre (up to
 the usual truncation) after transport through the inverse of the base
 germ.
 
-Precision follows demand.  An image point keeps only the centre terms
-below its radius T, so nothing is expanded further than those need:
+One reader of the radius serves ``pushforward`` and the interval map:
+``candidate_lines`` reads each candidate's vG(P - w_k*Q) off
+D_k = Q_k*P - P_k*Q, since P - w_k*Q = D_k/Q_k, so the maximum is
+decided with no series inverted.  Only the winning ratio is inverted,
+once:
 
-* A ratio ``P_i/Q_i`` whose ``Q_i`` is exact with several terms is an
-  infinite series.  It is expanded from the disk's level t, and the
-  expansion doubles while ``gauss_val`` cannot decide its valuation or
-  the ratio is not yet known past the radius it gives, up to the
-  DEFAULT_PRECISION orders of a plain ``inv()``.  ``gauss_val`` either
-  returns the true valuation or raises, so a ratio decided early is
-  decided right, and what fails at the full expansion still fails.
-  Ratios over monomial ``Q_i`` are exact and are not truncated.
+* It is read to ``O(x^(r + 1))``, r the radius before the 1/n, because
+  an image point keeps only the centre terms below its radius; it is
+  exact when its denominator is an exact monomial.
 * The inverse of the base germ is read to
   ``O(x^(T + 1 + (1 - val(w))/n))``, what composing the winning ratio w
   with it to ``O(x^(T + 1))`` consumes.  The germ keeps one reversion
@@ -46,7 +44,6 @@ from .errors import (
     ValidationFailure,
 )
 from .puiseux import (
-    DEFAULT_PRECISION,
     INF,
     PuiseuxPoly,
     as_series,
@@ -67,9 +64,9 @@ ZERO = PuiseuxPoly.zero()
 
 
 class BaseGerm:
-    """Germ ``phi1`` at x = 0: positive integer valuation n, lead lam != 0."""
+    """Germ ``phi1`` at x = 0 with positive integer valuation n."""
 
-    __slots__ = ("series", "n", "lam", "_inverse")
+    __slots__ = ("series", "n", "_inverse")
 
     def __init__(self, series):
         series = as_series(series)
@@ -78,7 +75,6 @@ class BaseGerm:
             raise ValueError("base germ needs phi1(0) = 0 with integer valuation >= 1")
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "n", int(v))
-        object.__setattr__(self, "lam", series.leading_coeff())
         object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
@@ -246,6 +242,87 @@ def gauss_val(coeffs, t):
 # -- pushforward ----------------------------------------------------------------
 
 
+def candidate_lines(P, Q):
+    """The Gauss lines of each candidate centre, read without inverting.
+
+    P and Q are the fibre map's coefficients shifted to a centre.  For
+    each k with Q_k != 0 this gives ``(P_k, Q_k, lines, bounds)``, those of
+    D_k = Q_k*P - P_k*Q lowered by val Q_k: ``lines_min`` of them is
+    vG(P - w_k*Q) for w_k = P_k/Q_k.  A product is skipped only when a
+    factor is an exact zero, so a truncated zero P_k keeps the bounds of
+    its products P_k*Q_i; that of D_kk says how far w_k is known.
+    D_ki = -D_ik, so a pair of candidates costs one difference.
+    """
+    n = max(len(P), len(Q))
+    P = list(P) + [ZERO] * (n - len(P))
+    Q = list(Q) + [ZERO] * (n - len(Q))
+    cands, rows = [], {}
+    for k, qk in enumerate(Q):
+        if not qk:
+            if qk.precision is not INF:
+                raise InsufficientPrecision(
+                    f"candidate ratio at y-degree {k} blocked by truncated coefficient"
+                )
+            continue
+        pk = P[k]
+        if pk.is_exact_zero:  # w_k = 0, so D_k lowered by val Q_k is P
+            cands.append((pk, qk, *gauss_lines(P)))
+            continue
+        d = []
+        for i, (pi, qi) in enumerate(zip(P, Q)):
+            if i in rows:
+                d.append(-rows[i][k])
+                continue
+            di = ZERO if pi.is_exact_zero else pi * qk
+            if not qi.is_exact_zero:
+                di = di - pk * qi
+            d.append(di)
+        rows[k] = d
+        lines, bounds = gauss_lines(d)
+        vq = qk.val()
+        cands.append((pk, qk, [(i, v - vq) for i, v in lines], [(i, b - vq) for i, b in bounds]))
+    return cands
+
+
+def winning_candidate(cands, t):
+    """``(j, v)``: v = max_k vG(P - w_k*Q) at level t, and j the index in
+    ``cands`` of the first candidate that reaches v with no truncation
+    bound below it.  A candidate's least visible line bounds its
+    valuation from above, so that one decides the maximum; raises
+    InsufficientPrecision when none does, DegenerateImage when some
+    P - w_k*Q is exactly zero."""
+    tops = []
+    for _, _, lines, bounds in cands:
+        if not lines and not bounds:
+            raise DegenerateImage("fibre map is constant on the disk")
+        tops.append(min((u + t * i for i, u in lines), default=INF))
+    v = max(tops)
+    for j, (_, _, _, bounds) in enumerate(cands):
+        if tops[j] == v and all(b + t * i >= v for i, b in bounds):
+            return j, v
+    raise InsufficientPrecision(
+        f"truncated coefficients leave the image radius undecided at t = {t}"
+    )
+
+
+def image_point(base: BaseGerm, pk, qk, r) -> TypeIIPoint:
+    """The image point of radius r/n centred at the ratio pk/qk carried
+    through the inverse of the base germ; r = max_k vG(P - w_k*Q) - vG(Q).
+
+    The centre keeps its terms below r only, so the ratio is read to
+    O(x^(r + 1)), exactly when qk is an exact monomial; a truncated zero
+    pk that won has bounds no lower than r, so its ratio is 0 below r.
+    """
+    if not pk:
+        w = ZERO
+    elif qk.precision is INF and len(qk.terms) == 1:
+        w = pk * qk.inv()
+    else:
+        w = pk * qk.inv(precision=max(r - pk.val(), -qk.val()) + 1)
+    T = r / base.n
+    return TypeIIPoint(_transport_center(base, w, T), T)
+
+
 def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
     """Exact image of a disk point under the local model.
 
@@ -253,76 +330,15 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
     InsufficientPrecision when coefficient truncation blocks a decision,
     NotRepresentable when the centre transport needs an irrational root.
     """
-    t = p.t
     P = shift_poly(list(s.num), p.center)
     Q = shift_poly(list(s.den), p.center)
-    vQ = gauss_val(Q, t)
+    vQ = gauss_val(Q, p.t)
     if vQ is INF:
         raise ValueError("denominator vanished identically after shift")
-
-    candidates = []
-    seen = set()
-    for i, qi in enumerate(Q):
-        if not qi:
-            if qi.precision is not INF:
-                raise InsufficientPrecision(
-                    f"candidate ratio at y-degree {i} blocked by truncated coefficient"
-                )
-            continue
-        pi = P[i] if i < len(P) else ZERO
-        key = (pi, qi) if pi else None
-        if key not in seen:
-            seen.add(key)
-            candidates.append((pi, qi))
-
-    best = None
-    best_s = None
-    for pi, qi in candidates:
-        # 1/qi is an infinite series when qi is exact with several terms:
-        # w is then expanded rel orders past its leading term, from the
-        # disk's level t up, doubling to the DEFAULT_PRECISION orders of a
-        # plain inv().  Other ratios are exact, or as known as their data.
-        rel = None
-        if not pi:
-            w = ZERO
-        elif qi.precision is INF and len(qi.terms) > 1:
-            rel = min(max(t - pi.val() + qi.val(), Fraction(1)), DEFAULT_PRECISION)
-            w = pi * qi.inv(precision=rel - qi.val())
-        else:
-            w = pi * qi.inv()
-        while True:
-            diff = [
-                (P[i] if i < len(P) else ZERO) - w * (Q[i] if i < len(Q) else ZERO)
-                for i in range(max(len(P), len(Q)))
-            ]
-            final = rel is None or rel == DEFAULT_PRECISION
-            try:
-                v = gauss_val(diff, t)
-            except InsufficientPrecision:
-                if final:
-                    raise
-            else:
-                if v is INF:
-                    raise DegenerateImage(
-                        f"fibre map is the constant {w} on the disk of {p}"
-                    )
-                # settled once w is also known past the radius it gives
-                if final or w.precision > v - vQ:
-                    break
-            rel = min(2 * rel, DEFAULT_PRECISION)
-            w = pi * qi.inv(precision=rel - qi.val())
-        sw = v - vQ
-        if best_s is None or sw > best_s:
-            best_s = sw
-            best = (w, pi, qi)
-    q = s.base.scale_factor
-    T = q * best_s
-    w, pi, qi = best
-    if w and w.precision is not INF and w.precision <= best_s:
-        # the winner only matters modulo x^best_s; redo its division finer
-        w = pi * qi.inv(precision=best_s + 2 - pi.val_floor() + qi.val_floor())
-    center = _transport_center(s.base, w, T)
-    return TypeIIPoint(center, T)
+    cands = candidate_lines(P, Q)
+    j, v = winning_candidate(cands, p.t)
+    pk, qk = cands[j][:2]
+    return image_point(s.base, pk, qk, v - vQ)
 
 
 def _transport_center(base: BaseGerm, w: PuiseuxPoly, T: Fraction) -> PuiseuxPoly:
@@ -642,11 +658,3 @@ def single_chain(s: SkewLocal) -> Chain:
 def dynamical_degree(s: SkewLocal, deg_phi1: int) -> int:
     """First dynamical degree of the global model this germ came from."""
     return max(deg_phi1, s.rdeg)
-
-
-def is_simple(s: SkewLocal) -> bool:
-    return s.base.is_simple
-
-
-def scale_factor(s: SkewLocal) -> Fraction:
-    return s.base.scale_factor

@@ -59,7 +59,6 @@ from .skew import (
     SkewLocal,
     folding_tree,
     has_good_reduction,
-    is_simple,
     pushforward,
     pushforward_direction,
     reduction_mod_x,
@@ -424,7 +423,7 @@ class _Analyzer:
         is simple with good reduction."""
         if self._reduced is None:
             links = self.chain.links
-            good = all(is_simple(l) and has_good_reduction(l) for l in links)
+            good = all(l.base.is_simple and has_good_reduction(l) for l in links)
             self._reduced = [reduction_mod_x(l) for l in links] if good else []
         return self._reduced or None
 

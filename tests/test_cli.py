@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, frozen outputs, determinism."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -310,6 +311,52 @@ class TestOutputPlumbing:
         assert callable(cli.main)
 
 
+# -- golden runs ---------------------------------------------------------------
+#
+# stdout, stderr and exit code of these runs, pinned byte for byte in
+# cli_golden.json.  Paths are relative to the repository root.  After an
+# intended output change, regenerate the file with
+#   PYTHONPATH=src python tests/test_cli.py
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+GOLDEN_RUNS = [
+    ["check-stability", "thm6"],
+    ["check-stability", "thmB"],
+    ["check-stability", "xy2"],
+    ["check-stability", "goodred"],
+    ["check-stability", "bench/data/thm6_level24.skew"],
+    ["demo", "thm6"],
+    ["demo", "thmB"],
+    ["min-stabilize", "thm6"],
+    ["min-stabilize", "thmB"],
+    ["min-stabilize", "thm6", "--format", "structured"],
+    ["stabilize", "xy2"],
+    ["stabilize", "goodred"],
+    ["stabilize", "thm6", "--max-rounds", "2"],
+    ["image", "thm6", "zeta(0,3/5)", "40"],
+    ["hull", "thm6"],
+    ["smooth-hull", "thm6"],
+    ["smooth-hull", "thm6", "-n", "12", "--points", "zeta(x^(1/3),5/4),zeta(1+x^(3/4),2)"],
+    ["check-smooth", "thm6"],
+    ["domains", "thm6"],
+    ["dual-graph", "thm6"],
+]
+
+
+def golden_record(argv):
+    code, out, err = run_cli(*argv)
+    return {"argv": argv, "code": code, "stdout": out, "stderr": err}
+
+
+def test_golden_runs_are_byte_identical(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [w["argv"] for w in want] == GOLDEN_RUNS
+    for w in want:
+        assert golden_record(w["argv"]) == w, " ".join(w["argv"])
+
+
 def test_python_dash_m_runs_the_cli_from_a_source_checkout():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -321,3 +368,9 @@ def test_python_dash_m_runs_the_cli_from_a_source_checkout():
         timeout=120,
     )
     assert (res.returncode, res.stdout, res.stderr) == (0, "smooth: yes\n", "")
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    records = [golden_record(argv) for argv in GOLDEN_RUNS]
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")

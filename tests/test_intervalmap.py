@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mapdefs import ONE, X, ZERO, bundled_links, thm6_map, square_map, xy2_map
+from skewstab import intervalmap, skew
 from skewstab.berkovich import TypeIIPoint
 from skewstab.errors import InsufficientPrecision, NotRayInvariant
 from skewstab.intervalmap import (
@@ -143,6 +144,28 @@ class TestExactMapAgainstPushforward:
         sq = induce_interval_map(links["goodred[0]"], parse_series("3*x^(1/2)"), (0, 6))
         assert sq.breakpoints == (F(1, 2),)
         assert sq.pieces == ((F(2), F(0)), (F(1), F(1, 2)))
+
+    def test_one_centre_transport_per_winning_candidate(self, monkeypatch):
+        # thmB fibre 0 at centre 1 on [0, 6]: 9 stretches between line
+        # crossings make 1 breakpoint, and candidate 0 wins all of them; one
+        # pushforward per stretch made 9 centre transports
+        winners, transports = [], []
+
+        def counting_winner(cands, t):
+            j, v = skew.winning_candidate(cands, t)
+            winners.append(j)
+            return j, v
+
+        def counting_transport(base, w, T):
+            transports.append(w)
+            return transport(base, w, T)
+
+        transport = skew._transport_center
+        monkeypatch.setattr(intervalmap, "winning_candidate", counting_winner)
+        monkeypatch.setattr(skew, "_transport_center", counting_transport)
+        pl, _ = _induce_link(dict(bundled_links())["thmB[0]"], ONE, F(0), F(6))
+        assert len(winners) == 9 and len(pl.breakpoints) == 1
+        assert len(transports) <= len(set(winners)) == 1
 
 
 class TestPLMap:

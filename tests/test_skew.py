@@ -490,11 +490,10 @@ def test_pushforward_matches_oracle_over_a_ramified_non_monomial_germ():
 
 
 def test_ratio_known_only_to_the_image_radius_is_expanded_further():
-    # (1 + y^2)/y over base x at centres a with val(a) < -2: the ratio
-    # P_0/Q_0 = (1 + a^2)/a decides the Gauss valuation already when known
-    # only to O(x^radius).  The finer redo of a winner known that coarsely
-    # reaches O(x^(radius + 2 + val(a))), short of the radius, so the
-    # expansion must go on until the ratio is known past the radius.
+    # (1 + y^2)/y over base x at centres a with val(a) < -2: the winning
+    # ratio P_0/Q_0 = (1 + a^2)/a must be known past the radius r.  Its
+    # inverse 1/Q_0 is read to O(x^(r - val P_0 + 1)); a precision offset
+    # from val Q_0 instead, as in r + 2 + val(a), falls short of r here.
     s = SkewLocal(BaseGerm(X), [ONE, ZERO, ONE], [ZERO, ONE])
     for centre, t in [
         (S((F(-7, 2), F(-2)), (F(-5, 2), F(2))), F(3, 2)),
@@ -534,16 +533,94 @@ def _unchecked_link(base, num, den):
 
 def test_constant_fibre_map_is_degenerate_as_before():
     # (x^2 + x*y) / (x + y) = x: at the centre 0 the denominator's
-    # coefficients are monomials, whose ratio is exact; off it, x + a is
-    # not, and the expanded ratio leaves the constant undecided
+    # coefficients are monomials, whose ratio is exact.  Off it, x + a is
+    # not, and the oracle's expanded ratio leaves the constant undecided,
+    # while the exact lines of D_k = Q_k*P - P_k*Q are all zero.
     s = _unchecked_link(BaseGerm(X), [S((F(2), F(1))), X], [X, ONE])
-    for p, expected in [
+    for p, oracle in [
         (Z(0, 1), DegenerateImage),
         (Z(S((F(1, 2), F(1))), 1), InsufficientPrecision),
         (Z(S((F(0), F(2)), (F(1, 2), F(1))), F(3, 2)), InsufficientPrecision),
     ]:
-        assert _outcome(_oracle_pushforward, s, p, {}) is expected
-        assert _outcome(pushforward, s, p) is expected
+        assert _outcome(_oracle_pushforward, s, p, {}) is oracle
+        assert _outcome(pushforward, s, p) is DegenerateImage
+
+
+def _mixed_coefficient(rng):
+    """An exact zero, a truncated zero, or one or two small terms, at
+    times truncated."""
+    r = rng.random()
+    if r < 0.3:
+        return ZERO
+    if r < 0.45:
+        return PuiseuxPoly.zero(F(rng.randint(1, 8), rng.choice([1, 2])))
+    e = F(rng.randint(0, 2))
+    terms = [(e, F(rng.choice([-2, -1, 1, 2, 3])))]
+    if rng.random() < 0.4:
+        terms.append((e + rng.randint(1, 2), F(rng.choice([-1, 1, 2]))))
+    c = PuiseuxPoly(terms)
+    return c.truncate(terms[-1][0] + rng.randint(1, 3)) if rng.random() < 0.3 else c
+
+
+def _mixed_link(rng):
+    while True:
+        deg = rng.randint(1, 3)
+        num = [_mixed_coefficient(rng) for _ in range(deg + 1)]
+        den = [_mixed_coefficient(rng) for _ in range(rng.randint(1, deg + 1))]
+        if rng.random() < 0.5:
+            num[-1] = ONE
+        base = BaseGerm(X if rng.random() < 0.7 else S((F(2), F(1))))
+        try:
+            return SkewLocal(base, num, den)
+        except ValueError:  # zero or constant in y
+            continue
+
+
+def _mixed_point(rng):
+    terms = [(F(0), F(rng.choice([-1, 1, 2])))] if rng.random() < 0.75 else []
+    if rng.random() < 0.5:
+        terms.append((F(rng.randint(1, 3), rng.choice([1, 2])), F(rng.choice([-1, 1, 3]))))
+    top = terms[-1][0] if terms else F(0)
+    return Z(PuiseuxPoly(terms), top + F(rng.randint(-2, 6), rng.choice([1, 2, 3])))
+
+
+def test_pushforward_matches_the_oracle_on_mixed_zero_coefficients():
+    # fibre maps whose coefficients mix exact zeros, truncated zeros and
+    # truncated terms; shifting to the centre spreads a truncated zero of
+    # the numerator into the P_k.  Wherever the oracle returns a point,
+    # pushforward returns the same point, and where it raises, pushforward
+    # raises the same exception type.
+    rng = random.Random(601)
+    points = truncated_pk = 0
+    for _ in range(250):
+        s = _mixed_link(rng)
+        for _ in range(4):
+            p = _mixed_point(rng)
+            got = _outcome(pushforward, s, p)
+            assert got == _outcome(_oracle_pushforward, s, p, {}), f"{s} at {p}"
+            if isinstance(got, TypeIIPoint):
+                points += 1
+                P = shift_poly(list(s.num), p.center)
+                Q = shift_poly(list(s.den), p.center)
+                cands = skew.candidate_lines(P, Q)
+                truncated_pk += any(not pk and not pk.is_exact_zero for pk, *_ in cands)
+    assert (points, truncated_pk) == (603, 51)
+
+
+def test_a_candidate_with_no_visible_line_leaves_the_radius_open():
+    # At zeta(0, -1/2), P_0 = O(x^(5/2)), so the candidate w_0 = P_0/Q_0 is
+    # known only to O(x^(1/2)) and every coefficient of D_0 is a truncated
+    # zero: D_0 shows no line that bounds its valuation from above, and
+    # pushforward raises.  The oracle puts w_0 = 0 and answers
+    # zeta(0, 3/2), which holds for every completion of P_0 here; keeping
+    # the bounds of the products P_0*Q_i is sound but leaves it open.
+    num = [PuiseuxPoly.zero(F(5, 2)), S((F(1), F(2))).truncate(3), S((F(2), F(-2))).truncate(6)]
+    den = [S((F(2), F(-2)), (F(3), F(-1))), S((F(0), F(1)), (F(2), F(-1))).truncate(3),
+           S((F(0), F(-2)), (F(2), F(1)))]
+    s = SkewLocal(BaseGerm(X), num, den)
+    p = Z(0, F(-1, 2))
+    assert _oracle_pushforward(s, p, {}) == Z(0, F(3, 2))
+    assert _outcome(pushforward, s, p) is InsufficientPrecision
 
 
 def test_base_germ_keeps_one_growing_reversion(monkeypatch):
