@@ -66,9 +66,11 @@ from .skew import (
 )
 from .vertexset import (
     GammaDomain,
-    VertexSet,
+    as_vertex_set,
+    deepest_below,
     domain_contains,
     locate,
+    meets,
     smooth_n_convex_hull,
     tree_lattice_points,
 )
@@ -259,10 +261,9 @@ class PersistentFDiskRegistry:
                 failures.append(f"{tag}: direction is special at the boundary")
             elif direction_multiplicity(d.boundary, d.direction) != g_point(d.boundary):
                 failures.append(f"{tag}: direction multiplicity below g")
-            for g in gammas[d.fibre]:
-                if d.contains(g):
-                    failures.append(f"{tag}: vertex {g} lies inside")
-                    break
+            if meets(gammas[d.fibre], d.direction):
+                g = next(g for g in gammas[d.fibre] if d.contains(g))
+                failures.append(f"{tag}: vertex {g} lies inside")
             img = _disk_image(chain.links[d.fibre], d.boundary, d.direction)
             nxt = chain.next_fibre(d.fibre)
             if img is None:
@@ -350,8 +351,9 @@ def _disk_contained(b1, v1, b2, v2) -> bool:
     return v1 != direction_at(b1, b2)
 
 
-def _disk_disjoint(b, v, gammas) -> bool:
-    return not any(point_in_direction(v, g) for g in gammas)
+def _disk_disjoint(v, gammas, extra=()) -> bool:
+    """Whether D(v.at, v) holds no vertex of gammas and no point of extra."""
+    return not meets(gammas, v) and not any(point_in_direction(v, g) for g in extra)
 
 
 def _in_disks(disks, j: int, p: TypeIIPoint) -> bool:
@@ -380,9 +382,9 @@ class _Analyzer:
             for j in range(self.chain.size):
                 if j not in gammas:
                     raise ValueError(f"no vertex set given for fibre {j}")
-                out[j] = VertexSet(gammas[j])
+                out[j] = as_vertex_set(gammas[j])
             return out
-        vs = VertexSet(gammas)
+        vs = as_vertex_set(gammas)
         return {j: vs for j in range(self.chain.size)}
 
     def result(self):
@@ -415,7 +417,7 @@ class _Analyzer:
         return changed
 
     def set_gammas(self, gammas: dict):
-        self.gammas = {j: VertexSet(v) for j, v in gammas.items()}
+        self.gammas = {j: as_vertex_set(v) for j, v in gammas.items()}
         self._flush_classifications()
 
     def reduced_maps(self):
@@ -561,8 +563,8 @@ class _Analyzer:
             for i, (ji, bi, vi) in enumerate(disks):
                 if ji == jj and _disk_contained(bb, vv, bi, vi):
                     ok = all(
-                        _disk_disjoint(bk, vk, self.gammas[jk])
-                        for jk, bk, vk in disks
+                        _disk_disjoint(vk, self.gammas[jk])
+                        for jk, _bk, vk in disks
                     )
                     if not ok:
                         return None
@@ -1092,14 +1094,8 @@ def _attracting_disks(an: _Analyzer, rnd: int, path, additions):
             key=lambda pt: pt.t if inward else -pt.t,
         )
         if inward:
-            depth = max(
-                [first.t]
-                + [
-                    g.t
-                    for g in an.gammas[jj]
-                    if leq(g, TypeIIPoint(q.center, min(first.t, g.t)))
-                ]
-            )
+            deepest = deepest_below(an.gammas[jj], TypeIIPoint(q.center, first.t))
+            depth = first.t if deepest is None else deepest
             bound = Fraction(math.floor(depth) + 1)
         else:
             bound = Fraction(
@@ -1123,8 +1119,7 @@ def _attracting_disks(an: _Analyzer, rnd: int, path, additions):
 def _verify_disk_cycle(an: _Analyzer, disks, additions) -> bool:
     n = len(disks)
     for idx, (jj, b, v) in enumerate(disks):
-        held = list(an.gammas[jj]) + list(additions.get(jj, ()))
-        if not _disk_disjoint(b, v, held):
+        if not _disk_disjoint(v, an.gammas[jj], additions.get(jj, ())):
             return False
         img = _disk_image(an.chain.links[jj], b, v)
         if img is None:

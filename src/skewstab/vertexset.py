@@ -22,8 +22,16 @@ tree of depth d whose nodes have at most k children:
   depth-first order, n - 1 joins of neighbours to close them, and one
   stack pass for the parents;
 * ``hull``, ``HullTree.parent_of``/``children_of`` and ``in``: lookups;
-* ``locate``: a descent from the top, O(d k), then a walk over the
-  component found, O(its size);
+* ``HullTree.seat``: a descent from the top, O(k) comparisons at each
+  node with several children, and one join and a bisection over cached
+  t values for each run, the path below a single-child node on which
+  every node but the last has one child; O(b k + r log n) for b such
+  nodes and r runs passed, where one node at a time took O(d k);
+* ``locate``: a ``seat``, then a walk over the component found, O(its
+  size);
+* ``meets`` (does an open disk off a point hold a vertex) and
+  ``deepest_below``: a ``seat`` and O(k) comparisons, or a lookup in a
+  per-node map built in one pass on first use;
 * ``missing_flanks`` of a vertex: O(k), from its children;
 * ``is_smooth``, ``enumerate_domains``, ``dual_graph``: one pass over the
   tree (``is_smooth`` adds a lattice scan per pair of adjacent vertices);
@@ -37,6 +45,7 @@ tree of depth d whose nodes have at most k children:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -111,7 +120,9 @@ class VertexSet:
         return f"VertexSet({self})"
 
 
-def _vertex_set(points) -> VertexSet:
+def as_vertex_set(points) -> VertexSet:
+    """The points as a VertexSet; a VertexSet is returned as it is,
+    with the tree it carries."""
     return points if isinstance(points, VertexSet) else VertexSet(points)
 
 
@@ -122,7 +133,8 @@ class HullTree:
     ``edges`` lists (outer, inner) pairs of tree-adjacent nodes, ordered
     by inner node; ``top`` is the unique maximal node.  ``vertices`` is
     the set the tree was built from: the nodes outside it are its
-    missing junctions.
+    missing junctions.  ``seat``'s runs and the deepest-vertex map
+    are built on first use.
     """
 
     nodes: tuple
@@ -131,6 +143,8 @@ class HullTree:
     vertices: frozenset = field(compare=False, repr=False)
     parent_of: dict = field(compare=False, repr=False)
     children_of: dict = field(compare=False, repr=False)
+    _runs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _deepest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def seat(self, p):
         """Where p sits on the tree, found by descending from the top.
@@ -143,7 +157,20 @@ class HullTree:
             return None, self.top
         u = self.top
         while u != p:
-            for w in self.children_of[u]:
+            kids = self.children_of[u]
+            if len(kids) == 1:
+                # the run below u lies on one ray, which p leaves at level
+                # s; p is below the run nodes up to s
+                ts, run = self._run(u)
+                s = join(p, run[-1]).t
+                i = bisect_right(ts, s)
+                if i == len(run):
+                    u = run[-1]
+                    continue
+                if i:
+                    u = run[i - 1]
+                return (u, None) if s == u.t else (u, run[i])
+            for w in kids:
                 if leq(p, w):
                     u = w
                     break
@@ -152,6 +179,26 @@ class HullTree:
             else:
                 return u, None
         return u, None
+
+    def _run(self, u):
+        """The path down from the one child of u while nodes have one
+        child, with the t of each node (built once per u)."""
+        got = self._runs.get(u)
+        if got is None:
+            run = self.children_of[u][:]
+            while len(self.children_of[run[-1]]) == 1:
+                run.append(self.children_of[run[-1]][0])
+            got = self._runs[u] = ([w.t for w in run], run)
+        return got
+
+    def deepest(self) -> dict:
+        """Each node's largest t of a vertex in its closed disk (built
+        once): a leaf is a vertex, and a node that is not has children."""
+        if not self._deepest:
+            for x in reversed(self.nodes):
+                below = (self._deepest[c] for c in self.children_of[x])
+                self._deepest[x] = max(below, default=x.t)
+        return self._deepest
 
     def reach(self, starts, passed=None) -> set:
         """Vertices met first when walking from the start nodes through
@@ -174,7 +221,7 @@ class HullTree:
 
 def hull(points) -> HullTree:
     """Smallest join-closed set containing the given points, as a tree."""
-    return _vertex_set(points).tree()
+    return as_vertex_set(points).tree()
 
 
 def _build_tree(vs: VertexSet) -> HullTree:
@@ -342,7 +389,7 @@ def missing_flanks(p: TypeIIPoint, gammas):
 
     Returns [(direction, nearest flank vertex)]; empty means flanked.
     """
-    vs = _vertex_set(gammas)
+    vs = as_vertex_set(gammas)
     if not vs:  # nothing below p, and p stands for the top
         return _missing(p, (), p)
     tree = vs.tree()
@@ -408,7 +455,7 @@ def is_smooth(gammas) -> SmoothnessReport:
     a point of level <= max of the endpoint levels, and that every
     special direction of every vertex meets the set.
     """
-    vs = _vertex_set(gammas)
+    vs = as_vertex_set(gammas)
     if not vs:
         raise ValueError("smoothness of an empty set")
     tree = vs.tree()
@@ -478,7 +525,7 @@ def smooth_n_convex_hull(points, n: int) -> VertexSet:
     set grows, and a missing flank is a new leaf below its vertex or a
     new top above it, so no join ever appears.
     """
-    vs = _vertex_set(points)
+    vs = as_vertex_set(points)
     _check_level(vs, n)
     tree = hull(vs)
     parent_of, children_of = _maps(tree)
@@ -538,7 +585,7 @@ def locate(gammas, p: TypeIIPoint) -> Optional[GammaDomain]:
     crossing another vertex: from where p sits on the tree, walk
     through non-vertex nodes.
     """
-    vs = _vertex_set(gammas)
+    vs = as_vertex_set(gammas)
     if p in vs._members:
         return None
     if not vs:
@@ -549,6 +596,34 @@ def locate(gammas, p: TypeIIPoint) -> Optional[GammaDomain]:
     if len(bdry) == 1:
         return GammaDomain("disk", (bdry[0],), direction_at(bdry[0], p))
     return _between(bdry)
+
+
+def meets(gammas, v: Direction) -> bool:
+    """Whether the open disk D(v.at, v) holds a vertex, the same as
+    any(point_in_direction(v, g) for g in gammas).  Every vertex is
+    below the top, and a node in the disk has a vertex below it, so the
+    top, the edge's lower node or the node's children decide."""
+    vs = as_vertex_set(gammas)
+    if not vs:
+        return False
+    tree = vs.tree()
+    if v.at_infinity:
+        return not leq(tree.top, v.at)
+    u, w = tree.seat(v.at)
+    return any(point_in_direction(v, x) for x in (tree.children_of[u] if w is None else [w]))
+
+
+def deepest_below(gammas, p: TypeIIPoint):
+    """The largest t of a vertex in the closed disk of p; None when the
+    disk holds no vertex.  The node where p sits, or the lower node of
+    its edge, is the highest node in that disk if any node is."""
+    vs = as_vertex_set(gammas)
+    if not vs:
+        return None
+    tree = vs.tree()
+    u, w = tree.seat(p)
+    x = u if w is None else w
+    return tree.deepest()[x] if leq(x, p) else None
 
 
 def _between(members) -> GammaDomain:
@@ -570,7 +645,7 @@ def enumerate_domains(gammas):
     standing for all directions at it that do not lead to another
     vertex.  locate refines a symbolic disk to a concrete direction.
     """
-    vs = _vertex_set(gammas)
+    vs = as_vertex_set(gammas)
     doms = [_between(members) for members in _components(vs)]
     return doms + [GammaDomain("disk", (p,), None) for p in vs]
 
@@ -626,7 +701,7 @@ def dual_graph(gammas):
     the graph is a tree; a component with three or more boundary
     vertices shows up as a clique.
     """
-    pts = _vertex_set(gammas)
+    pts = as_vertex_set(gammas)
     nodes = []
     for p in pts:
         nodes.append(
@@ -668,5 +743,5 @@ def dual_graph_dot(gammas) -> str:
 def is_tree(gammas) -> bool:
     """Whether the dual graph is a tree.  It is always connected, and a
     component with three or more boundary vertices makes a cycle."""
-    vs = _vertex_set(gammas)
+    vs = as_vertex_set(gammas)
     return bool(vs) and all(len(members) == 2 for members in _components(vs))

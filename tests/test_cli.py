@@ -334,6 +334,7 @@ GOLDEN_RUNS = [
     ["stabilize", "xy2"],
     ["stabilize", "goodred"],
     ["stabilize", "thm6", "--max-rounds", "2"],
+    ["stabilize", "thm6"],
     ["image", "thm6", "zeta(0,3/5)", "40"],
     ["hull", "thm6"],
     ["smooth-hull", "thm6"],

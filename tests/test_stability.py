@@ -36,7 +36,13 @@ from skewstab.stability import (
     wandering_julia_report,
 )
 from skewstab.skew import single_chain
-from skewstab.vertexset import GammaDomain, VertexSet, is_smooth, locate
+from skewstab.vertexset import (
+    GammaDomain,
+    VertexSet,
+    is_smooth,
+    locate,
+    smooth_n_convex_hull,
+)
 
 
 def zp(c, t):
@@ -340,6 +346,19 @@ class TestAnalyzerInternals:
             single_chain(square_map()), [gauss_point()], StabilizationConfig(), None
         )
         assert an._probe_ts(F(7, 8), F(1)) == []
+
+    def test_vertex_sets_are_kept_with_their_trees(self):
+        chain = single_chain(thm6_map())
+        given = VertexSet([gauss_point(), zp(0, 1)])
+        an = _Analyzer(chain, given, StabilizationConfig(), None)
+        assert an.gammas[0] is given
+        grown = smooth_n_convex_hull(given, 4)
+        tree = grown._tree
+        assert tree is not None
+        an.set_gammas({0: grown})
+        assert an.gammas[0] is grown and grown.tree() is tree
+        listed = _Analyzer(chain, {0: [gauss_point()]}, StabilizationConfig(), None)
+        assert listed.gammas[0] == VertexSet([gauss_point()])
 
     def test_missing_fibre_rejected(self):
         chain = Chain([square_map(), square_map()], period=2, tail=0)

@@ -8,6 +8,8 @@ from mapdefs import random_point
 from skewstab.berkovich import (
     TypeIIPoint,
     direction_at,
+    direction_infinity,
+    direction_to_class,
     g_point,
     gauss_point,
     hyperbolic_distance,
@@ -27,6 +29,7 @@ from skewstab.vertexset import (
     Violation,
     _build_tree,
     _join_closure,
+    deepest_below,
     domain_contains,
     dual_graph,
     dual_graph_dot,
@@ -37,6 +40,7 @@ from skewstab.vertexset import (
     is_smooth,
     is_tree,
     locate,
+    meets,
     missing_flanks,
     n_convex_hull,
     segment_lattice_points,
@@ -758,3 +762,82 @@ class TestOneTreeSmoothHull:
         assert smooth_n_convex_hull([GAUSS, zeta(ZERO, 2)], 1) == VertexSet(
             [GAUSS, zeta(ZERO, 1), zeta(ZERO, 2)]
         )
+
+
+# -- descents that jump runs of single-child nodes, against the ----------
+# -- one-node-at-a-time descent and the scans over every vertex -----------
+
+
+def _oracle_seat(tree, p):
+    """HullTree.seat as one comparison per child of every node passed."""
+    if not leq(p, tree.top):
+        return None, tree.top
+    u = tree.top
+    while u != p:
+        for w in tree.children_of[u]:
+            if leq(p, w):
+                u = w
+                break
+            if join(p, w).t > u.t:
+                return u, w
+        else:
+            return u, None
+    return u, None
+
+
+def _thm6_level24_hull():
+    return smooth_n_convex_hull([GAUSS, zeta(ZERO, 1)], 24)
+
+
+def _descent_sets():
+    yield _thm6_level24_hull()
+    for pts, n in _criterion6_sets(810, 40):
+        yield smooth_n_convex_hull(pts, n)
+
+
+def _run_probes(vs):
+    """_probes, plus points on the ray below every leaf and a third of
+    the way down every edge, with a branch off each."""
+    h = vs.tree()
+    out = _probes(vs)
+    for outer, inner in h.edges:
+        third = TypeIIPoint(inner.center, (2 * outer.t + inner.t) / 3)
+        out += [third, _branch(third, F(1, 5), coeff=-5)]
+    out += [TypeIIPoint(u.center, u.t + 1) for u in h.nodes if not h.children_of[u]]
+    return out
+
+
+def _probe_directions(p):
+    """The direction at infinity, the special directions and one generic
+    direction at p."""
+    generic = direction_to_class(p, p.center + PuiseuxPoly.monomial(7, p.t))
+    return [direction_infinity(p), generic] + [v for v, _m in special_directions(p)]
+
+
+class TestTreeDescent:
+    def test_seat_matches_the_step_by_step_descent(self):
+        probes = jumped = 0
+        for case, vs in enumerate(_descent_sets()):
+            tree = vs.tree()
+            for p in _run_probes(vs):
+                assert tree.seat(p) == _oracle_seat(tree, p), f"case {case}: {p}"
+                probes += 1
+            jumped += sum(len(run) > 1 for _ts, run in tree._runs.values())
+        assert probes > 5000 and jumped > 50
+
+    def test_meets_and_deepest_below_match_the_scans(self):
+        rng = random.Random(64)
+        sets = [_thm6_level24_hull()]
+        sets += [make(rng) for make in (_smooth_set, _raw_set) for _ in range(25)]
+        seen = set()
+        for case, vs in enumerate(sets):
+            for p in _run_probes(vs):
+                deepest = max((g.t for g in vs if leq(g, p)), default=None)
+                assert deepest_below(vs, p) == deepest, f"case {case}: {p}"
+                assert deepest_below([], p) is None
+                for v in _probe_directions(p):
+                    want = any(point_in_direction(v, g) for g in vs)
+                    assert meets(vs, v) == want, f"case {case}: {v}"
+                    assert not meets([], v)
+                    seen.add((v.at_infinity, want))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
