@@ -127,9 +127,11 @@ def _load(args) -> DefinitionFile:
 def _config(args, **rounds) -> StabilizationConfig:
     """Settings from --horizon and --probe-budget; the stabilising
     commands pass max_rounds too."""
-    return StabilizationConfig(
-        horizon=args.horizon, probe_budget=args.probe_budget, **rounds
-    )
+    settings = dict(horizon=args.horizon, probe_budget=args.probe_budget, **rounds)
+    for name, value in settings.items():
+        if value < 1:
+            raise _CliError(f"--{name.replace('_', '-')} must be >= 1")
+    return StabilizationConfig(**settings)
 
 
 def _points_input(args) -> list:
@@ -147,11 +149,12 @@ def _points_input(args) -> list:
 
 
 def _level(args, pts) -> int:
-    if args.level is not None:
-        if args.level < 1:
-            raise _CliError("--level must be >= 1")
-        return args.level
-    return max(1, max(g_point(p) for p in pts))
+    if args.level is None:
+        return max(1, max(g_point(p) for p in pts))
+    for p in pts:
+        if g_point(p) > args.level:
+            raise _CliError(f"--level {args.level} is below g = {g_point(p)} of {p}")
+    return args.level
 
 
 def _emit(args, text: str) -> None:

@@ -12,6 +12,13 @@ Soundness split: J evidence is only ever produced from exact orbits of
 exact points, while F evidence tracks whole disks through image bounds
 that over-approximate.  An over-approximated disk that stays clear of
 the vertex sets is genuinely trapped; it is never used to claim a hit.
+
+Every push goes through one gate, ``_Analyzer``: ``step`` memoises the
+chain step per (fibre, point), ``walk`` is the one orbit loop and owns
+its stops (a failed push, |t| > _T_BOUND), and ``disk_image`` memoises
+disk image bounds per (fibre, disk).  The memos live on one analyzer:
+one check or one stabilisation run, whose closing report shares the
+loop's pushes (pure in (link, point)) but classifies afresh.
 """
 
 from __future__ import annotations
@@ -373,8 +380,10 @@ class _Analyzer:
         self.single = not isinstance(gammas, dict)
         self.gammas = self._normalise(gammas)
         self._push_cache = {}
+        self._image_cache = {}
         self._cls_cache = {}
         self._reduced = None
+        self.walk_failed = False
 
     def _normalise(self, gammas) -> dict:
         if isinstance(gammas, dict):
@@ -404,6 +413,30 @@ class _Analyzer:
             hit = self.chain.step(j, p)
             self._push_cache[key] = hit
         return hit
+
+    def walk(self, j: int, p: TypeIIPoint, steps: int):
+        """Yield (fibre, point) after each of up to ``steps`` pushes.
+
+        A failed push ends the walk and sets ``walk_failed``; a point
+        whose |t| passes _T_BOUND is yielded, then ends it.
+        """
+        self.walk_failed = False
+        for _ in range(steps):
+            try:
+                j, p = self.step(j, p)
+            except SkewstabError:
+                self.walk_failed = True
+                return
+            yield j, p
+            if abs(p.t) > _T_BOUND:
+                return
+
+    def disk_image(self, j: int, b: TypeIIPoint, v: Direction):
+        """``_disk_image`` of D(b, v) under fibre j's link, memoised."""
+        key = (j, b, v)
+        if key not in self._image_cache:
+            self._image_cache[key] = _disk_image(self.chain.links[j], b, v)
+        return self._image_cache[key]
 
     def extend(self, additions: dict) -> bool:
         changed = False
@@ -476,18 +509,11 @@ class _Analyzer:
     def _probe_orbit(self, j: int, p: TypeIIPoint):
         """(steps, path) when the exact orbit reaches the vertex family."""
         path = [(j, p)]
-        jj, pp = j, p
-        for k in range(1, _PROBE_HORIZON + 1):
-            try:
-                jj, pp = self.step(jj, pp)
-            except SkewstabError:
-                return None
+        for jj, pp in self.walk(j, p, _PROBE_HORIZON):
             path.append((jj, pp))
             if pp in self.gammas[jj]:
-                return k, tuple(path)
+                return len(path) - 1, tuple(path)
             if self.registry is not None and self.registry.find(jj, pp) is not None:
-                return None
-            if abs(pp.t) > _T_BOUND:
                 return None
         return None
 
@@ -527,7 +553,7 @@ class _Analyzer:
                 if cand is None or not domain_contains(dom, self.gammas[j], cand):
                     continue
                 try:
-                    if pushforward(link, cand) == target:
+                    if self.step(j, cand) == (nxt, target):
                         return JDomain(
                             witness=cand,
                             fibre=j,
@@ -545,7 +571,7 @@ class _Analyzer:
             return None
         d = self.registry.covering(j, b, v)
         if d is None:
-            img = _disk_image(self.chain.links[j], b, v)
+            img = self.disk_image(j, b, v)
             if img is None:
                 return None
             d = self.registry.covering(self.chain.next_fibre(j), *img)
@@ -555,7 +581,7 @@ class _Analyzer:
         disks = [(j, b, v)]
         jj, bb, vv = j, b, v
         for _ in range(min(self.cfg.horizon, 16)):
-            img = _disk_image(self.chain.links[jj], bb, vv)
+            img = self.disk_image(jj, bb, vv)
             if img is None:
                 return None
             jj = self.chain.next_fibre(jj)
@@ -810,17 +836,6 @@ def _report(an: _Analyzer) -> StabilityReport:
     )
 
 
-def destabilising_points(gammas, chain, cfg=None, registry=None):
-    """Vertices whose image leaves the family and lands in a J region.
-
-    Returns (witnesses, unresolved, classifications); unresolved entries
-    are images in Unknown regions, which block a stable verdict without
-    forcing a destabilising one.
-    """
-    chain, cfg = _chain_and_config(chain, cfg)
-    return _scan(_Analyzer(chain, gammas, cfg, registry))
-
-
 def is_analytically_stable(gammas, chain, cfg=None, registry=None) -> StabilityReport:
     """Three-valued stability verdict with replayable evidence.
 
@@ -891,7 +906,8 @@ def stabilize_smooth(gammas, chain, cfg=None):
     and add the finite orbit segment leading into it.  The loop stops
     when a round adds nothing.  Returns (vertex family, report,
     registry, trace) where the report comes from the independent
-    stability checker, never from the loop's own bookkeeping.
+    stability checker, never from the loop's own bookkeeping: it shares
+    the loop's pushes and disk images, not its classifications.
     """
     chain, cfg = _chain_and_config(chain, cfg)
     registry = PersistentFDiskRegistry()
@@ -941,7 +957,8 @@ def stabilize_smooth(gammas, chain, cfg=None):
         )
         if an.extend(additions):
             continue
-        report = is_analytically_stable(an.result(), chain, cfg, registry)
+        an._cls_cache.clear()  # the loop never classifies; keep the check fresh
+        report = _report(an)
         if unresolved:
             report = replace(
                 report,
@@ -974,12 +991,7 @@ def _resolve_vertex(an: _Analyzer, rnd: int, j: int, p: TypeIIPoint, additions):
     """
     path = []
     seen = {(j, p)}
-    jj, pp = j, p
-    for _ in range(an.cfg.horizon):
-        try:
-            jj, pp = an.step(jj, pp)
-        except SkewstabError:
-            return None
+    for jj, pp in an.walk(j, p, an.cfg.horizon):
         if an.registry.find(jj, pp) is not None:
             rule = "registry-disk"
         elif pp in an.gammas[jj] or pp in additions.get(jj, set()):
@@ -995,8 +1007,8 @@ def _resolve_vertex(an: _Analyzer, rnd: int, j: int, p: TypeIIPoint, additions):
             return rule
         seen.add((jj, pp))
         path.append((jj, pp))
-        if abs(pp.t) > _T_BOUND:
-            break
+    if an.walk_failed:
+        return None
     rule = _attracting_disks(an, rnd, path, additions)
     if rule is not None:
         return rule
@@ -1036,33 +1048,22 @@ def _escape_index(path):
 def _commit_trap(an: _Analyzer, rnd: int, path, additions, disks, rule: str):
     """Register a verified trap once the orbit provably enters it.
 
-    The walk is extended past the recorded path if needed; without an
-    entry point the construction is abandoned and nothing is committed.
+    The walk is extended past the recorded (non-empty) path if needed;
+    without an entry point the construction is abandoned and nothing is
+    committed.
     """
     pre = []
-    entered = False
     for jj, q in path:
         if _in_disks(disks, jj, q):
-            entered = True
             break
         pre.append((jj, q))
-    if not entered:
-        jj, qq = path[-1] if path else (None, None)
-        if jj is None:
-            return None
-        for _ in range(an.cfg.horizon):
-            try:
-                jj, qq = an.step(jj, qq)
-            except SkewstabError:
-                return None
-            if _in_disks(disks, jj, qq):
-                entered = True
+    else:
+        for jj, q in an.walk(*path[-1], an.cfg.horizon):
+            if _in_disks(disks, jj, q):
                 break
-            pre.append((jj, qq))
-            if abs(qq.t) > _T_BOUND:
-                return None
-    if not entered:
-        return None
+            pre.append((jj, q))
+        else:
+            return None
     if not _level_ok(an, pre) or not _level_ok(an, [(jj, b) for jj, b, _ in disks]):
         return None
     for jj, b, v in disks:
@@ -1121,7 +1122,7 @@ def _verify_disk_cycle(an: _Analyzer, disks, additions) -> bool:
     for idx, (jj, b, v) in enumerate(disks):
         if not _disk_disjoint(v, an.gammas[jj], additions.get(jj, ())):
             return False
-        img = _disk_image(an.chain.links[jj], b, v)
+        img = an.disk_image(jj, b, v)
         if img is None:
             return False
         nj = an.chain.next_fibre(jj)
@@ -1230,11 +1231,7 @@ def wandering_julia_report(chain, point: TypeIIPoint, cfg=None, fibre: int = 0):
     NotApplicable when no interval model exists on the point's ray.
     """
     chain, cfg = _chain_and_config(chain, cfg)
-    j, p = fibre, point
-    for _ in range(chain.size):
-        if j >= chain.tail:
-            break
-        j, p = chain.step(j, p)
+    j, p = chain.orbit(fibre, point, max(0, chain.tail - fibre))[-1]
     links = chain.links[j:] + chain.links[chain.tail : j]
     first_return = Chain(links, period=chain.period, tail=0)
     hi = max(Fraction(2), 2 * abs(p.t) + 2)
@@ -1244,9 +1241,7 @@ def wandering_julia_report(chain, point: TypeIIPoint, cfg=None, fibre: int = 0):
         raise NotApplicable(f"no interval model on the ray through {point}: {e}")
     # the model is only iterable when the first return preserves the ray
     probe = TypeIIPoint(p.center, max(abs(p.t), Fraction(1)))
-    jp, qp = 0, probe
-    for _ in first_return.links:
-        jp, qp = first_return.step(jp, qp)
+    _, qp = first_return.orbit(0, probe, len(links))[-1]
     if qp.center != p.center.drop_from(qp.t):
         raise NotApplicable(
             f"the first return maps the ray through {point} onto a different ray"

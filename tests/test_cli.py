@@ -296,6 +296,27 @@ class TestFlags:
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("check-stability", "thm6", "--horizon", "0"), "--horizon must be >= 1"),
+            (("min-stabilize", "thm6", "--max-rounds", "0"), "--max-rounds must be >= 1"),
+            (("stabilize", "xy2", "--probe-budget", "-1"), "--probe-budget must be >= 1"),
+            (("demo", "thm6", "--horizon", "0"), "--horizon must be >= 1"),
+            (
+                ("hull", "--points", "zeta(0,1/3)", "-n", "2"),
+                "--level 2 is below g = 3 of zeta(0, 1/3)",
+            ),
+            (
+                ("smooth-hull", "thm6", "--points", "zeta(0,1/3)", "-n", "2"),
+                "--level 2 is below g = 3 of zeta(0, 1/3)",
+            ),
+        ],
+    )
+    def test_an_out_of_range_setting_is_a_usage_error(self, argv, message):
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestOutputPlumbing:
     def test_out_flag_writes_file(self, tmp_path):

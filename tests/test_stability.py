@@ -1,11 +1,13 @@
 import gc
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
-from mapdefs import ONE, ZERO, thm6_map, square_map, xy2_map
+from mapdefs import ONE, X, ZERO, thm6_map, square_map, xy2_map
+from skewstab import skew, stability
 from skewstab.berkovich import (
     TypeIIPoint,
     direction_to_class,
@@ -28,8 +30,8 @@ from skewstab.stability import (
     StabilizationConfig,
     _Analyzer,
     _residue_cycle,
+    _resolve_vertex,
     classify_domain,
-    destabilising_points,
     is_analytically_stable,
     minimal_stabilisation,
     stabilize_smooth,
@@ -47,6 +49,22 @@ from skewstab.vertexset import (
 
 def zp(c, t):
     return TypeIIPoint(as_series(c), F(t))
+
+
+def fixture(name):
+    text = resources.files("skewstab.fixtures").joinpath(f"{name}.skew").read_text()
+    return parse_definition(text)
+
+
+def truncated_map():
+    # the link of test_skew's truncated-coefficient case: pushforward
+    # raises InsufficientPrecision at zeta(0, -1/2) and at zeta(-2*x, 2)
+    def S(*terms):
+        return PuiseuxPoly([(F(e), F(c)) for e, c in terms])
+
+    num = [PuiseuxPoly.zero(F(5, 2)), S((1, 2)).truncate(3), S((2, -2)).truncate(6)]
+    den = [S((2, -2), (3, -1)), S((0, 1), (2, -1)).truncate(3), S((0, -2), (2, 1))]
+    return SkewLocal(BaseGerm(X), num, den)
 
 
 def drift_square_map():
@@ -69,9 +87,9 @@ class TestConfig:
 class TestDestabilising:
     def test_fold_map_names_the_deep_vertex(self):
         gam = [gauss_point(), zp(0, 1)]
-        witnesses, unresolved, classes = destabilising_points(gam, thm6_map())
-        assert len(witnesses) == 1 and not unresolved
-        w = witnesses[0]
+        report = is_analytically_stable(gam, thm6_map())
+        assert len(report.witnesses) == 1 and not report.unresolved
+        w = report.witnesses[0]
         assert w.point == zp(0, 1)
         assert w.image == zp(0, F(1, 2))
         assert w.domain.kind == "annulus"
@@ -79,8 +97,7 @@ class TestDestabilising:
 
     def test_witness_replays_by_pushforward(self):
         gam = [gauss_point(), zp(0, 1)]
-        witnesses, _, _ = destabilising_points(gam, thm6_map())
-        ev = witnesses[0].evidence
+        ev = is_analytically_stable(gam, thm6_map()).witnesses[0].evidence
         assert ev.witness == zp(0, F(2, 3))
         assert ev.steps == 1
         assert ev.path[-1] == (0, zp(0, 1))
@@ -377,3 +394,93 @@ class TestAnalyzerInternals:
         del d, link
         gc.collect()
         assert all(r() is None for r in refs)
+
+
+class TestOrbitGate:
+    def test_walk_yields_the_escaping_point_then_stops(self, monkeypatch):
+        monkeypatch.setattr(stability, "_T_BOUND", F(10))
+        an = _Analyzer(
+            single_chain(square_map()), [gauss_point()], StabilizationConfig(), None
+        )
+        walk = list(an.walk(0, zp(0, 1), 64))
+        assert walk == [(0, zp(0, t)) for t in (2, 4, 8, 16)]
+        assert not an.walk_failed
+        assert [q.t for _, q in an.walk(0, zp(0, 1), 3)] == [2, 4, 8]
+
+    def test_a_failed_push_ends_the_walk_and_leaves_the_vertex_unresolved(
+        self, monkeypatch
+    ):
+        an = _Analyzer(
+            single_chain(truncated_map()),
+            [gauss_point()],
+            StabilizationConfig(),
+            PersistentFDiskRegistry(),
+        )
+        start = zp(1, 1)
+        assert list(an.walk(0, start, 64)) == [
+            (0, TypeIIPoint(as_series(-2) * X, F(2)))
+        ]
+        assert an.walk_failed
+
+        def never(*args):
+            raise AssertionError("trap rules tried after a failed push")
+
+        monkeypatch.setattr(stability, "_attracting_disks", never)
+        monkeypatch.setattr(stability, "_residue_disks", never)
+        additions = {}
+        assert _resolve_vertex(an, 1, 0, start, additions) is None
+        assert additions == {} and len(an.registry) == 0
+
+    @pytest.mark.parametrize(
+        "name, cfg",
+        [
+            ("xy2", StabilizationConfig()),
+            ("goodred", StabilizationConfig()),
+            ("thm6", StabilizationConfig(max_rounds=2)),
+        ],
+    )
+    def test_no_point_is_pushed_twice_in_one_stabilisation_run(
+        self, monkeypatch, name, cfg
+    ):
+        pushes, images = Counter(), Counter()
+        in_audit = []
+        real_step, real_image = Chain.step, stability._disk_image
+        real_audit = PersistentFDiskRegistry.audit
+
+        def step(chain, j, p):
+            pushes[(j, p)] += 1
+            return real_step(chain, j, p)
+
+        def disk_image(link, b, v):
+            # the registry audit images its disks outside any analyzer
+            if not in_audit:
+                images[(id(link), b, v)] += 1
+            return real_image(link, b, v)
+
+        def audit(registry, gammas, chain):
+            in_audit.append(True)
+            try:
+                return real_audit(registry, gammas, chain)
+            finally:
+                in_audit.pop()
+
+        monkeypatch.setattr(Chain, "step", step)
+        monkeypatch.setattr(stability, "_disk_image", disk_image)
+        monkeypatch.setattr(PersistentFDiskRegistry, "audit", audit)
+        d = fixture(name)
+        try:
+            stabilize_smooth(d.gammas, d.chain, cfg)
+        except RoundCapExceeded:
+            pass
+        assert pushes and max(pushes.values()) == 1
+        assert images and max(images.values()) == 1
+
+    @pytest.mark.parametrize("name", ["xy2", "goodred", "thm6"])
+    def test_the_closing_report_equals_a_fresh_check(self, name):
+        d = fixture(name)
+        res, report, registry, _ = stabilize_smooth(d.gammas, d.chain)
+        fresh = is_analytically_stable(res, d.chain, StabilizationConfig(), registry)
+        assert report.verdict == fresh.verdict
+        assert report.witnesses == fresh.witnesses
+        assert report.unresolved == fresh.unresolved
+        assert report.classifications == fresh.classifications
