@@ -18,7 +18,9 @@ Definition arguments accept a path or the name of a bundled fixture
 Exit codes: 0 success (StableCertified for the stability family),
 1 failed check (non-smooth input, demo mismatch), 2 usage or parse
 error, 3 DestabilisingFound, 4 Inconclusive or round cap exceeded,
-5 internal error (an unexpected exception, reported on one line).
+5 internal error (an unexpected exception, reported on one line),
+6 the engine could not decide (any other SkewstabError, such as
+insufficient precision or a centre with no rational transport).
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ EXIT_USAGE = 2
 EXIT_DESTABILISING = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_INTERNAL = 5
+EXIT_UNDECIDED = 6
 
 _VERDICT_CODE = {
     STABLE: EXIT_OK,
@@ -663,7 +666,7 @@ def main(argv=None) -> int:
         return exc.code
     except SkewstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED_CHECK
+        return EXIT_UNDECIDED
     except Exception as exc:  # any other failure is a bug: one line, no traceback
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

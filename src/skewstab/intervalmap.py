@@ -3,14 +3,18 @@
 The direct image of zeta(a, t) under a skew map, for t sweeping a ray,
 has radius exponent T(t) for a continuous piecewise-affine T with
 rational slopes and breakpoints.  T is read exactly off the fibre map's
-coefficients shifted to the centre, through the same candidate lines as
-``skew.pushforward`` (``skew.candidate_lines``): it is a difference of a
+coefficients shifted to the centre, from the same push table as
+``skew.pushforward`` (``SkewLocal.push_table``): it is a difference of a
 max of mins and a min of lines in t (``_induce_link``), so its
-breakpoints are among the crossings of those lines.  Between two
-crossings one candidate centre wins.  Each winning candidate's centre is
-transported once, at the deepest stretch end it wins, and gives its
-image ray; the rays must agree, or the map is not ray-invariant.  Orbit
-analysis of T is exact rational arithmetic throughout.
+breakpoints are among the crossings of those lines.  The table keeps
+each line as an integer pair on one lattice 1/L, so a crossing is one
+Fraction of two integer differences, and the lines at a cut are
+compared as integers before one Fraction is built per value.  Between
+two crossings one candidate centre wins.  Each winning candidate's
+centre is transported once, at the deepest stretch end it wins, and
+gives its image ray; the rays must agree, or the map is not
+ray-invariant.  Orbit analysis of T is exact rational arithmetic
+throughout.
 """
 
 from __future__ import annotations
@@ -21,16 +25,7 @@ from typing import Optional
 
 from .errors import NotRayInvariant
 from .puiseux import PuiseuxPoly, Rat, rat
-from .roots import shift_poly
-from .skew import (
-    Chain,
-    SkewLocal,
-    candidate_lines,
-    gauss_lines,
-    image_point,
-    lines_min,
-    winning_candidate,
-)
+from .skew import Chain, SkewLocal, image_point
 
 
 @dataclass(frozen=True)
@@ -124,35 +119,39 @@ def induce_interval_map(source, center: PuiseuxPoly, t_range) -> PLMap:
 def _induce_link(smap: SkewLocal, center, lo, hi):
     """The map of one link on [lo, hi], and the centre of its image ray.
 
-    With P and Q the fibre map's coefficients shifted to the centre, the
-    radius is T(t) = q*(max_k vG(P - w_k*Q) - vG(Q)) over the candidate
-    ratios w_k = P_k/Q_k, whose lines ``candidate_lines`` gives.  Every
-    term is a line in t, so T is affine between their crossings, and on
-    each stretch between crossings one candidate wins; it is read at the
-    stretch's midpoint.  A truncated zero's bound minus the least line is
-    affine on a stretch too, so checking gauss_val's rule for the winner
-    at both ends checks it on the whole stretch.  A candidate's centre is
-    one series, so one transport at the deepest stretch end it wins reads
-    its image ray; the rays of all winners must agree.
+    The radius is T(t) = q*(max_k vG(P - w_k*Q) - vG(Q)) over the
+    candidate ratios w_k = P_k/Q_k, read off the link's push table at the
+    centre (``SkewLocal.push_table``), whose lines are integer pairs on
+    one lattice 1/L.  Every term is a line in t, so T is affine between
+    their crossings, and on each stretch between crossings one candidate
+    wins; it is read at the stretch's midpoint.  A truncated zero's bound
+    minus the least line is affine on a stretch too, so checking
+    gauss_val's rule for the winner at both ends checks it on the whole
+    stretch.  A candidate's centre is one series, so one transport at the
+    deepest stretch end it wins reads its image ray; the rays of all
+    winners must agree.
     """
-    P = shift_poly(list(smap.num), center)
-    Q = shift_poly(list(smap.den), center)
-    den = gauss_lines(Q)
-    cands = candidate_lines(P, Q)
-    every = list({*den[0], *(line for _, _, lines, _ in cands for line in lines)})
+    table = smap.push_table(center)
+    every = list({*table.den[0], *(line for _, _, lines, _ in table.cands for line in lines)})
+    # u + i*t = v + k*t on the lattice, so the crossing is (v - u)/(i - k)
     crossings = {
-        (v - u) / (i - k) for a, (i, u) in enumerate(every) for k, v in every[a + 1 :] if i != k
+        Fraction(v - u, i - k) for a, (u, i) in enumerate(every) for v, k in every[a + 1 :] if i != k
     }
     cuts = sorted({lo, hi} | {x for x in crossings if lo < x < hi})
+
+    def gauss(lines, bounds, t):
+        return Fraction(table.least(lines, bounds, t.numerator, t.denominator),
+                        table.L * t.denominator)
+
     q = smap.base.scale_factor
-    vq = [lines_min(*den, t) for t in cuts]
+    vq = [gauss(*table.den, t) for t in cuts]
     breakpoints, pieces, deepest = [], [], {}
     for a in range(len(cuts) - 1):
         t0, t1 = cuts[a], cuts[a + 1]
-        j, _ = winning_candidate(cands, (t0 + t1) / 2)
-        lines, bounds = cands[j][2:]
-        r0 = lines_min(lines, bounds, t0) - vq[a]
-        r1 = lines_min(lines, bounds, t1) - vq[a + 1]
+        j, _ = table.winner((t0 + t1) / 2)
+        lines, bounds = table.cands[j][2:]
+        r0 = gauss(lines, bounds, t0) - vq[a]
+        r1 = gauss(lines, bounds, t1) - vq[a + 1]
         s = q * (r1 - r0) / (t1 - t0)
         piece = (s, q * r0 - s * t0)
         if not pieces or piece != pieces[-1]:
@@ -161,7 +160,7 @@ def _induce_link(smap: SkewLocal, center, lo, hi):
             pieces.append(piece)
         r = max(r0, r1)
         deepest[j] = max(r, deepest.get(j, r))
-    images = [image_point(smap.base, *cands[j][:2], r) for j, r in deepest.items()]
+    images = [image_point(smap.base, *table.cands[j][:2], r) for j, r in deepest.items()]
     ray = max(images, key=lambda img: img.t)
     for img in images:
         if img.center != ray.center.drop_from(img.t):

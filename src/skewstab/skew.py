@@ -18,8 +18,13 @@ germ.
 One reader of the radius serves ``pushforward`` and the interval map:
 ``candidate_lines`` reads each candidate's vG(P - w_k*Q) off
 D_k = Q_k*P - P_k*Q, since P - w_k*Q = D_k/Q_k, so the maximum is
-decided with no series inverted.  Only the winning ratio is inverted,
-once:
+decided with no series inverted.  None of this depends on t, so a link
+keeps it per centre, in a ``PushTable`` built on the first push there
+(``SkewLocal.push_table``): Q's lines and every candidate's, each line
+``val + t*i`` stored as the integer pair ``(val*L, i*L)`` over one
+lattice 1/L, L the lcm of every line's denominator.  At t = a/b a line
+scores ``val*L*b + i*L*a``, so a push compares Python ints and builds
+one Fraction, its radius.  Only the winning ratio is inverted, once:
 
 * It is read to ``O(x^(r + 1))``, r the radius before the 1/n, because
   an image point keeps only the centre terms below its radius; it is
@@ -32,6 +37,7 @@ once:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -129,7 +135,9 @@ def _visible_degree(coeffs) -> int:
 class SkewLocal:
     """One local model: base germ plus fibre map num/den in y."""
 
-    __slots__ = ("base", "num", "den", "label", "_poles", "_crit", "_zeros", "__weakref__")
+    __slots__ = (
+        "base", "num", "den", "label", "_poles", "_crit", "_zeros", "_tables", "__weakref__",
+    )
 
     def __init__(self, base: BaseGerm, num, den, label: str = ""):
         num = _trim([as_series(c) for c in num])
@@ -147,6 +155,7 @@ class SkewLocal:
         object.__setattr__(self, "_poles", None)
         object.__setattr__(self, "_crit", None)
         object.__setattr__(self, "_zeros", None)
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewLocal is immutable")
@@ -168,6 +177,17 @@ class SkewLocal:
             at_inf = _visible_degree(self.num) > _visible_degree(self.den)
             object.__setattr__(self, "_poles", (roots, descs, at_inf))
         return self._poles
+
+    def push_table(self, center) -> "PushTable":
+        """The push table of the fibre map shifted to ``center``, built on
+        the first request and kept; a build that raises keeps nothing."""
+        table = self._tables.get(center)
+        if table is None:
+            P = shift_poly(list(self.num), center)
+            Q = shift_poly(list(self.den), center)
+            table = PushTable(gauss_lines(Q), candidate_lines(P, Q))
+            self._tables[center] = table
+        return table
 
     def __str__(self):
         lbl = f"[{self.label}] " if self.label else ""
@@ -205,7 +225,7 @@ def _proportional(num, den) -> bool:
 
 def gauss_lines(coeffs):
     """``(i, val c_i)`` for the nonzero coefficients and ``(i, precision)``
-    for the truncated zero ones: what ``lines_min`` reads at a level t."""
+    for the truncated zero ones: what ``gauss_val`` reads at a level t."""
     lines, bounds = [], []
     for i, c in enumerate(coeffs):
         if c:
@@ -215,8 +235,14 @@ def gauss_lines(coeffs):
     return lines, bounds
 
 
-def lines_min(lines, bounds, t):
-    """min over the lines at t; INF for none; raises when a bound undercuts it."""
+def gauss_val(coeffs, t):
+    """min_i (val(c_i) + t*i) with honest handling of truncated zeros.
+
+    Returns INF when the polynomial is exactly zero; raises when a
+    truncated coefficient could undercut the visible minimum.
+    """
+    t = rat(t)
+    lines, bounds = gauss_lines(coeffs)
     if not lines:
         if bounds:
             raise InsufficientPrecision("Gauss valuation of an all-truncated polynomial")
@@ -230,15 +256,6 @@ def lines_min(lines, bounds, t):
     return best
 
 
-def gauss_val(coeffs, t):
-    """min_i (val(c_i) + t*i) with honest handling of truncated zeros.
-
-    Returns INF when the polynomial is exactly zero; raises when a
-    truncated coefficient could undercut the visible minimum.
-    """
-    return lines_min(*gauss_lines(coeffs), rat(t))
-
-
 # -- pushforward ----------------------------------------------------------------
 
 
@@ -247,10 +264,11 @@ def candidate_lines(P, Q):
 
     P and Q are the fibre map's coefficients shifted to a centre.  For
     each k with Q_k != 0 this gives ``(P_k, Q_k, lines, bounds)``, those of
-    D_k = Q_k*P - P_k*Q lowered by val Q_k: ``lines_min`` of them is
-    vG(P - w_k*Q) for w_k = P_k/Q_k.  A product is skipped only when a
-    factor is an exact zero, so a truncated zero P_k keeps the bounds of
-    its products P_k*Q_i; that of D_kk says how far w_k is known.
+    D_k = Q_k*P - P_k*Q lowered by val Q_k: read as ``gauss_val`` reads
+    them, they give vG(P - w_k*Q) for w_k = P_k/Q_k.  A product is
+    skipped only when a factor is an exact zero, so a truncated zero P_k
+    keeps the bounds of its products P_k*Q_i; that of D_kk says how far
+    w_k is known.
     D_ki = -D_ik, so a pair of candidates costs one difference.
     """
     n = max(len(P), len(Q))
@@ -284,25 +302,80 @@ def candidate_lines(P, Q):
     return cands
 
 
-def winning_candidate(cands, t):
-    """``(j, v)``: v = max_k vG(P - w_k*Q) at level t, and j the index in
-    ``cands`` of the first candidate that reaches v with no truncation
-    bound below it.  A candidate's least visible line bounds its
-    valuation from above, so that one decides the maximum; raises
-    InsufficientPrecision when none does, DegenerateImage when some
-    P - w_k*Q is exactly zero."""
-    tops = []
-    for _, _, lines, bounds in cands:
-        if not lines and not bounds:
-            raise DegenerateImage("fibre map is constant on the disk")
-        tops.append(min((u + t * i for i, u in lines), default=INF))
-    v = max(tops)
-    for j, (_, _, _, bounds) in enumerate(cands):
-        if tops[j] == v and all(b + t * i >= v for i, b in bounds):
-            return j, v
-    raise InsufficientPrecision(
-        f"truncated coefficients leave the image radius undecided at t = {t}"
-    )
+class PushTable:
+    """What a push at one centre reads, on one lattice 1/L.
+
+    ``den`` is Q's ``(lines, bounds)`` and ``cands`` each candidate's
+    ``(P_k, Q_k, lines, bounds)``, as ``gauss_lines`` and
+    ``candidate_lines`` give them, except that each line or bound
+    ``(i, u)`` is stored as the integer pair ``(u*L, i*L)``, L the lcm of
+    the denominators of every u.  At t = a/b the value u + t*i is
+    ``(u*L*b + i*L*a)/(L*b)``.  Every line at one t shares that
+    denominator, so a push compares the numerators, the lines' scores.
+    """
+
+    __slots__ = ("L", "den", "cands")
+
+    def __init__(self, den, cands):
+        parts = [*den, *(part for c in cands for part in c[2:])]
+        L = math.lcm(*(u.denominator for part in parts for _, u in part))
+
+        def scaled(part):
+            return tuple((u.numerator * (L // u.denominator), i * L) for i, u in part)
+
+        self.L = L
+        self.den = (scaled(den[0]), scaled(den[1]))
+        self.cands = tuple((pk, qk, scaled(lines), scaled(bounds)) for pk, qk, lines, bounds in cands)
+
+    def least(self, lines, bounds, a, b):
+        """The least score of ``lines`` at t = a/b, None for no line: what
+        ``gauss_val`` reads, and it raises as that does when a bound's
+        score undercuts it."""
+        if not lines:
+            if bounds:
+                raise InsufficientPrecision("Gauss valuation of an all-truncated polynomial")
+            return None
+        best = min(u * b + i * a for u, i in lines)
+        for u, i in bounds:
+            if u * b + i * a < best:
+                d = self.L * b
+                raise InsufficientPrecision(
+                    f"truncated coefficient (bound {Fraction(u * b + i * a, d)}) "
+                    f"could undercut Gauss valuation {Fraction(best, d)}"
+                )
+        return best
+
+    def winner(self, t):
+        """``(j, v)``: v the score of max_k vG(P - w_k*Q) at level t, and j
+        the index in ``cands`` of the first candidate that reaches v with
+        no bound scoring below it.  A candidate's least visible line
+        bounds its valuation from above, so that one decides the maximum;
+        raises InsufficientPrecision when none does, DegenerateImage when
+        some P - w_k*Q is exactly zero."""
+        a, b = t.numerator, t.denominator
+        tops = []
+        for _, _, lines, bounds in self.cands:
+            if not lines and not bounds:
+                raise DegenerateImage("fibre map is constant on the disk")
+            tops.append(min([u * b + i * a for u, i in lines]) if lines else None)
+        if None not in tops:
+            v = max(tops)
+            for j, (_, _, _, bounds) in enumerate(self.cands):
+                if tops[j] == v and all(u * b + i * a >= v for u, i in bounds):
+                    return j, v
+        raise InsufficientPrecision(
+            f"truncated coefficients leave the image radius undecided at t = {t}"
+        )
+
+    def radius(self, t):
+        """``(j, r)``: the winning candidate at level t and the radius
+        r = max_k vG(P - w_k*Q) - vG(Q) before the 1/n; vG(Q) is checked
+        first."""
+        vq = self.least(*self.den, t.numerator, t.denominator)
+        if vq is None:
+            raise ValueError("denominator vanished identically after shift")
+        j, v = self.winner(t)
+        return j, Fraction(v - vq, self.L * t.denominator)
 
 
 def image_point(base: BaseGerm, pk, qk, r) -> TypeIIPoint:
@@ -330,15 +403,15 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
     InsufficientPrecision when coefficient truncation blocks a decision,
     NotRepresentable when the centre transport needs an irrational root.
     """
-    P = shift_poly(list(s.num), p.center)
-    Q = shift_poly(list(s.den), p.center)
-    vQ = gauss_val(Q, p.t)
-    if vQ is INF:
-        raise ValueError("denominator vanished identically after shift")
-    cands = candidate_lines(P, Q)
-    j, v = winning_candidate(cands, p.t)
-    pk, qk = cands[j][:2]
-    return image_point(s.base, pk, qk, v - vQ)
+    try:
+        table = s.push_table(p.center)
+    except InsufficientPrecision:
+        # a blocked candidate ratio; vG(Q) at p.t is still checked first
+        gauss_val(shift_poly(list(s.den), p.center), p.t)
+        raise
+    j, r = table.radius(p.t)
+    pk, qk = table.cands[j][:2]
+    return image_point(s.base, pk, qk, r)
 
 
 def _transport_center(base: BaseGerm, w: PuiseuxPoly, T: Fraction) -> PuiseuxPoly:

@@ -66,7 +66,6 @@ from .skew import (
     SkewLocal,
     folding_tree,
     has_good_reduction,
-    pushforward,
     pushforward_direction,
     reduction_mod_x,
     single_chain,
@@ -342,11 +341,11 @@ def _disk_image(link: SkewLocal, b: TypeIIPoint, v: Direction):
     if poles_in and zeros_in:
         return None
     try:
-        b2 = pushforward(link, b)
         v2 = pushforward_direction(link, b, v)
     except SkewstabError:
         return None
-    return b2, v2
+    # the direction is anchored at the image of b, which it pushed first
+    return v2.at, v2
 
 
 def _disk_contained(b1, v1, b2, v2) -> bool:

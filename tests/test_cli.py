@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from skewstab.cli import EXIT_INTERNAL, _build_parser, main
+from skewstab.cli import EXIT_INTERNAL, EXIT_UNDECIDED, _build_parser, main
 
 
 def run_cli(*argv):
@@ -202,7 +202,7 @@ class TestFailureSurface:
         f = tmp_path / "big.skew"
         f.write_text("period 1\n[fibre 0]\nphi1 = 2^1100*x^3\nphi2 = y^2\n")
         code, out, err = run_cli("image", str(f), "zeta(x, 2)", "3")
-        assert code == 1
+        assert code == EXIT_UNDECIDED == 6
         assert err.startswith("error: reversion needs a rational 3-th root of ")
         assert err.count("\n") == 1 and "Traceback" not in err
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mapdefs import ONE, X, ZERO, bundled_links, thm6_map, square_map, xy2_map
-from skewstab import intervalmap, skew
+from skewstab import skew
 from skewstab.berkovich import TypeIIPoint
 from skewstab.errors import InsufficientPrecision, NotRayInvariant
 from skewstab.intervalmap import (
@@ -151,8 +151,8 @@ class TestExactMapAgainstPushforward:
         # pushforward per stretch made 9 centre transports
         winners, transports = [], []
 
-        def counting_winner(cands, t):
-            j, v = skew.winning_candidate(cands, t)
+        def counting_winner(table, t):
+            j, v = winner(table, t)
             winners.append(j)
             return j, v
 
@@ -160,12 +160,30 @@ class TestExactMapAgainstPushforward:
             transports.append(w)
             return transport(base, w, T)
 
-        transport = skew._transport_center
-        monkeypatch.setattr(intervalmap, "winning_candidate", counting_winner)
+        winner, transport = skew.PushTable.winner, skew._transport_center
+        monkeypatch.setattr(skew.PushTable, "winner", counting_winner)
         monkeypatch.setattr(skew, "_transport_center", counting_transport)
         pl, _ = _induce_link(dict(bundled_links())["thmB[0]"], ONE, F(0), F(6))
         assert len(winners) == 9 and len(pl.breakpoints) == 1
         assert len(transports) <= len(set(winners)) == 1
+
+    def test_the_map_and_the_pushes_on_its_ray_share_one_table(self, monkeypatch):
+        # thmB fibre 0 at centre 1: the interval map builds the centre's
+        # push table, and pushes along the ray read it
+        builds = []
+        build = skew.PushTable.__init__
+
+        def counting_build(table, den, cands):
+            builds.append(len(cands))
+            build(table, den, cands)
+
+        monkeypatch.setattr(skew.PushTable, "__init__", counting_build)
+        link = dict(bundled_links())["thmB[0]"]
+        pl, _ = _induce_link(link, ONE, F(0), F(6))
+        assert len(builds) == 1 and list(link._tables) == [ONE]
+        for t in (F(1), F(5, 2), F(6)):
+            assert pushforward(link, TypeIIPoint(ONE, t)).t == pl(t)
+        assert len(builds) == 1
 
 
 class TestPLMap:

@@ -525,7 +525,7 @@ def _unchecked_link(base, num, den):
     s = object.__new__(SkewLocal)
     for slot, value in (
         ("base", base), ("num", tuple(num)), ("den", tuple(den)), ("label", ""),
-        ("_poles", None), ("_crit", None), ("_zeros", None),
+        ("_poles", None), ("_crit", None), ("_zeros", None), ("_tables", {}),
     ):
         object.__setattr__(s, slot, value)
     return s
@@ -589,22 +589,45 @@ def test_pushforward_matches_the_oracle_on_mixed_zero_coefficients():
     # truncated terms; shifting to the centre spreads a truncated zero of
     # the numerator into the P_k.  Wherever the oracle returns a point,
     # pushforward returns the same point, and where it raises, pushforward
-    # raises the same exception type.
+    # raises the same exception type.  The first push at a centre builds
+    # the link's push table there; a second push of the point, and one at
+    # a larger radius on the same centre, read it and meet the oracle
+    # too.  A table whose build is blocked by a truncated Q_k is not kept,
+    # and every push there raises the same InsufficientPrecision.
     rng = random.Random(601)
-    points = truncated_pk = 0
+    points = truncated_pk = blocked = q_failures = 0
     for _ in range(250):
         s = _mixed_link(rng)
         for _ in range(4):
             p = _mixed_point(rng)
             got = _outcome(pushforward, s, p)
             assert got == _outcome(_oracle_pushforward, s, p, {}), f"{s} at {p}"
+            deeper = Z(p.center, p.t + F(1, 2))
+            if p.center in s._tables:
+                assert _outcome(pushforward, s, p) == got, f"{s} at {p}"
+                got_deeper = _outcome(pushforward, s, deeper)
+                assert got_deeper == _outcome(_oracle_pushforward, s, deeper, {}), f"{s} at {deeper}"
+            else:
+                blocked += 1
+                failures = []
+                for q in (p, p, deeper, deeper):
+                    with pytest.raises(InsufficientPrecision) as exc:
+                        pushforward(s, q)
+                    failures.append(str(exc.value))
+                assert failures[0] == failures[1] and failures[2] == failures[3]
+                assert p.center not in s._tables
+                # vG(Q) is checked before the blocked candidate
+                try:
+                    gauss_val(shift_poly(list(s.den), p.center), p.t)
+                    expected = "candidate ratio at y-degree"
+                except InsufficientPrecision as exc:
+                    expected, q_failures = str(exc), q_failures + 1
+                assert failures[0].startswith(expected)
             if isinstance(got, TypeIIPoint):
                 points += 1
-                P = shift_poly(list(s.num), p.center)
-                Q = shift_poly(list(s.den), p.center)
-                cands = skew.candidate_lines(P, Q)
+                cands = s.push_table(p.center).cands
                 truncated_pk += any(not pk and not pk.is_exact_zero for pk, *_ in cands)
-    assert (points, truncated_pk) == (603, 51)
+    assert (points, truncated_pk, blocked, q_failures) == (603, 51, 174, 39)
 
 
 def test_a_candidate_with_no_visible_line_leaves_the_radius_open():

@@ -484,3 +484,44 @@ class TestOrbitGate:
         assert report.witnesses == fresh.witnesses
         assert report.unresolved == fresh.unresolved
         assert report.classifications == fresh.classifications
+
+    def test_each_link_shifts_to_a_centre_once(self, monkeypatch):
+        # a link keeps one push table per centre, so shifting its fibre
+        # map to a centre happens on the first push there and never again
+        shifts = Counter()
+        real_shift = skew.shift_poly
+
+        def shift(coeffs, a):
+            shifts[(tuple(coeffs), a)] += 1
+            return real_shift(coeffs, a)
+
+        monkeypatch.setattr(skew, "shift_poly", shift)
+        d = fixture("thm6")
+        try:
+            stabilize_smooth(d.gammas, d.chain, StabilizationConfig(max_rounds=2))
+        except RoundCapExceeded:
+            pass
+        assert shifts and max(shifts.values()) == 1
+        tables = sum(len(link._tables) for link in d.chain.links)
+        assert sum(shifts.values()) == 2 * tables
+
+    def test_a_disk_image_pushes_its_boundary_once(self, monkeypatch):
+        # the image direction is anchored at the boundary's image, so the
+        # boundary needs no push of its own
+        b = zp(1, 1)
+        v = direction_to_class(b, as_series(1) + X)
+        pushed = []
+        real_push = skew.pushforward
+
+        def push(link, p):
+            pushed.append(p)
+            return real_push(link, p)
+
+        monkeypatch.setattr(skew, "pushforward", push)
+        # stability binds no push of its own; were it to, its pushes count too
+        monkeypatch.setattr(stability, "pushforward", push, raising=False)
+        image = stability._disk_image(thm6_map(), b, v)
+        assert pushed.count(b) == 1
+        at = zp(1, F(1, 2))
+        rep = as_series(1) + PuiseuxPoly.monomial(3, F(1, 2))
+        assert image == (at, direction_to_class(at, rep))
