@@ -2,14 +2,12 @@
 
 Subcommands, with the common flags each one reads:
 
-* image, hull, smooth-hull, check-smooth, domains: --precision,
-  --format, --out;
-* dual-graph, which always prints DOT: --precision, --out;
-* check-stability, which always prints the structured report:
-  --precision, --horizon, --probe-budget, --out;
-* min-stabilize: --precision, --horizon, --max-rounds, --probe-budget,
-  --format, --out;
-* stabilize: the same without --format;
+* image, hull, smooth-hull, check-smooth, domains, and dual-graph,
+  which prints DOT: --precision, --out;
+* check-stability, which prints the structured report: --precision,
+  --horizon, --probe-budget, --out;
+* min-stabilize, stabilize: --precision, --horizon, --max-rounds,
+  --probe-budget, --out;
 * demo: --horizon, --probe-budget, --out.
 
 Definition arguments accept a path or the name of a bundled fixture
@@ -181,10 +179,7 @@ def cmd_image(args):
     orbit = d.chain.orbit(args.fibre, p, args.steps - 1)
     lines = []
     for k, (j, q) in enumerate(orbit):
-        if args.format == "structured":
-            lines.append(f"image.step.{k}: fibre={j} point={q} m={m_point(q)} g={g_point(q)}")
-        else:
-            lines.append(f"step {k}: fibre {j}  {q}  [m={m_point(q)}, g={g_point(q)}]")
+        lines.append(f"step {k}: fibre {j}  {q}  [m={m_point(q)}, g={g_point(q)}]")
     return EXIT_OK, "\n".join(lines)
 
 
@@ -192,12 +187,8 @@ def cmd_hull(args):
     pts = _points_input(args)
     n = _level(args, pts)
     vs = n_convex_hull(pts, n)
-    if args.format == "structured":
-        lines = [f"hull.level: {n}", f"hull.size: {len(vs)}"]
-        lines += [f"hull.point.{i}: {p}" for i, p in enumerate(vs)]
-    else:
-        lines = [f"{n}-convex hull: {len(vs)} point(s)"]
-        lines += [f"  {p}" for p in vs]
+    lines = [f"{n}-convex hull: {len(vs)} point(s)"]
+    lines += [f"  {p}" for p in vs]
     return EXIT_OK, "\n".join(lines)
 
 
@@ -205,49 +196,27 @@ def cmd_smooth_hull(args):
     pts = _points_input(args)
     n = _level(args, pts)
     vs = smooth_n_convex_hull(pts, n)
-    if args.format == "structured":
-        lines = [f"smooth-hull.level: {n}", f"smooth-hull.size: {len(vs)}"]
-        lines += [f"smooth-hull.point.{i}: {p}" for i, p in enumerate(vs)]
-    else:
-        lines = [f"smooth {n}-convex hull: {len(vs)} point(s)"]
-        lines += [f"  {p}" for p in vs]
+    lines = [f"smooth {n}-convex hull: {len(vs)} point(s)"]
+    lines += [f"  {p}" for p in vs]
     return EXIT_OK, "\n".join(lines)
 
 
 def cmd_check_smooth(args):
     pts = _points_input(args)
     rep = is_smooth(VertexSet(pts))
-    if args.format == "structured":
-        lines = [f"check-smooth.smooth: {'true' if rep.smooth else 'false'}"]
-        lines += [
-            f"check-smooth.violation.{i}: {v.kind} at {v.witness}: {v.message}"
-            for i, v in enumerate(rep.violations)
-        ]
-    else:
-        lines = [f"smooth: {'yes' if rep.smooth else 'no'}"]
-        lines += [
-            f"  violation: {v.kind} at {v.witness}: {v.message}"
-            for v in rep.violations
-        ]
+    lines = [f"smooth: {'yes' if rep.smooth else 'no'}"]
+    lines += [f"  violation: {v}" for v in rep.violations]
     return (EXIT_OK if rep.smooth else EXIT_FAILED_CHECK), "\n".join(lines)
 
 
 def cmd_domains(args):
     pts = _points_input(args)
     doms = enumerate_domains(VertexSet(pts))
-    lines = []
+    lines = [f"{len(doms)} complement domain(s)"]
     for i, dom in enumerate(doms):
         bdry = ", ".join(str(b) for b in dom.boundary)
         extra = f" via {dom.direction}" if dom.direction is not None else ""
-        if args.format == "structured":
-            lines.append(f"domain.{i}: kind={dom.kind} boundary=[{bdry}]{extra}")
-        else:
-            lines.append(f"domain {i}: {dom.kind}, boundary [{bdry}]{extra}")
-    header = f"{len(doms)} complement domain(s)"
-    if args.format == "structured":
-        lines.insert(0, f"domains.count: {len(doms)}")
-    else:
-        lines.insert(0, header)
+        lines.append(f"domain {i}: {dom.kind}, boundary [{bdry}]{extra}")
     return EXIT_OK, "\n".join(lines)
 
 
@@ -285,20 +254,12 @@ def cmd_check_stability(args):
     return _VERDICT_CODE[report.verdict], "\n".join(lines)
 
 
-def _step_lines(steps, fmt) -> list:
-    lines = []
-    for s in steps:
-        if fmt == "structured":
-            lines.append(
-                f"min-stabilize.round.{s.round}: point={s.point} fibre={s.fibre} "
-                f"added={s.image} added_fibre={s.image_fibre}"
-            )
-        else:
-            lines.append(
-                f"round {s.round}: {s.point} @ fibre {s.fibre} -> "
-                f"added {s.image} @ fibre {s.image_fibre}  [{s.classification}]"
-            )
-    return lines
+def _step_lines(steps) -> list:
+    return [
+        f"round {s.round}: {s.point} @ fibre {s.fibre} -> "
+        f"added {s.image} @ fibre {s.image_fibre}  [{s.classification}]"
+        for s in steps
+    ]
 
 
 def cmd_min_stabilize(args):
@@ -307,10 +268,10 @@ def cmd_min_stabilize(args):
     try:
         res, report, trace = minimal_stabilisation(d.gammas, d.chain, cfg)
     except RoundCapExceeded as exc:
-        lines = _step_lines(exc.trace or (), args.format)
+        lines = _step_lines(exc.trace or ())
         lines.append(f"round cap exceeded: {exc}")
         return EXIT_INCONCLUSIVE, "\n".join(lines)
-    lines = _step_lines(trace, args.format)
+    lines = _step_lines(trace)
     for j in sorted(res):
         lines.append(f"fibre {j}: {len(res[j])} vertex(es)")
     lines.append(f"verdict: {report.verdict}")
@@ -398,7 +359,7 @@ def _demo_thm6(cfg: StabilizationConfig) -> list:
         "1, 1/2, 3/4, 7/8, 11/16" if ok else f"got {list(orb)}",
     ))
 
-    cert = denominator_growth_certificate(pl, Fraction(1), window=50)
+    cert = denominator_growth_certificate(pl, Fraction(1))
     ok = isinstance(cert, GrowthCertificate)
     checks.append((
         "denominator growth",
@@ -569,12 +530,11 @@ _FLAGS = {
         type=int, default=8, dest="probe_budget",
         help="denominator budget for probe rays (default 8)",
     ),
-    "--format": dict(choices=("text", "structured"), default="text", help="output format"),
     "--out": dict(default=None, help="write output to this path instead of stdout"),
 }
 
 # the common flags each kind of subcommand reads
-_LISTING = ("--precision", "--format", "--out")
+_LISTING = ("--precision", "--out")
 _STABILIZE = ("--precision", "--horizon", "--max-rounds", "--probe-budget", "--out")
 
 
@@ -613,10 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("smooth-hull", cmd_smooth_hull, "smooth n-convex hull of marked points", _LISTING),
         ("check-smooth", cmd_check_smooth, "audit a vertex set for smoothness", _LISTING),
         ("domains", cmd_domains, "enumerate complement domains of a vertex set", _LISTING),
-        (
-            "dual-graph", cmd_dual_graph, "dual graph of a vertex set as DOT",
-            ("--precision", "--out"),
-        ),
+        ("dual-graph", cmd_dual_graph, "dual graph of a vertex set as DOT", _LISTING),
     ):
         sp = _add_command(sub, name, handler, help_text, flags)
         _add_points_args(sp)
@@ -632,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         (
             "min-stabilize", cmd_min_stabilize, "blow up destabilising images until closed",
-            _STABILIZE + ("--format",),
+            _STABILIZE,
         ),
         (
             "stabilize", cmd_stabilize, "smooth stabilisation with persistent disk registry",

@@ -333,14 +333,19 @@ def _is_pow2(n: int) -> bool:
     return n & (n - 1) == 0
 
 
-def denominator_growth_certificate(pl: PLMap, t, window: int = 50):
+#: Orbit steps the denominator-growth certificate verifies one by one.
+_GROWTH_WINDOW = 50
+
+
+def denominator_growth_certificate(pl: PLMap, t):
     """Infinite-orbit certificate for the dyadic-odd invariant family.
 
     Applies only when every piece has slope (odd)/2 and a dyadic
     intercept, the domain is forward-invariant, and t is a reduced
-    odd/2^n fraction.  Verifies the window step by step (odd numerator,
-    strictly growing power-of-two denominator) and checks the window
-    outruns every intercept scale, after which the growth is automatic:
+    odd/2^n fraction.  Verifies a window of ``_GROWTH_WINDOW`` steps one
+    by one (odd numerator, strictly growing power-of-two denominator) and
+    checks the window outruns every intercept scale, after which the
+    growth is automatic:
     (odd/2)*(a/2^n) + p/2^j has reduced denominator exactly 2^(n+1)
     once n + 1 > j.  Returns GrowthCertificate or GrowthFailure.
     """
@@ -359,7 +364,7 @@ def denominator_growth_certificate(pl: PLMap, t, window: int = 50):
         return GrowthFailure(f"start {t} is not a reduced odd/2^n fraction")
     orbit = [t]
     cur = t
-    for k in range(window):
+    for k in range(_GROWTH_WINDOW):
         nxt = pl(cur)
         if nxt.numerator % 2 == 0 or not _is_pow2(nxt.denominator):
             return GrowthFailure("image left the dyadic-odd family", step=k + 1)
@@ -402,7 +407,7 @@ def detect_preperiodic(pl: PLMap, t, horizon: int = 64):
         seen[cur] = len(orbit)
         orbit.append(cur)
     for k in range(min(len(orbit), 16)):
-        cert = denominator_growth_certificate(pl, orbit[k], window=50)
+        cert = denominator_growth_certificate(pl, orbit[k])
         if isinstance(cert, GrowthCertificate):
             return InfiniteByDenominatorGrowth(
                 orbit[k],

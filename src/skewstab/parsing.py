@@ -36,6 +36,7 @@ from typing import Optional
 from .berkovich import TypeIIPoint, gauss_point
 from .errors import SkewstabError
 from .puiseux import PuiseuxPoly, as_series
+from .roots import poly_add, poly_mul, poly_str, poly_trim
 from .skew import BaseGerm, Chain, SkewLocal
 from .vertexset import VertexSet
 
@@ -119,42 +120,14 @@ def _tokenize(text: str, line: int = 1) -> list:
 
 # -- expression values --------------------------------------------------------
 
-def _ytrim(coeffs):
-    out = list(coeffs)
-    while out and not out[-1].terms:
-        out.pop()
-    return out
-
-
-def _yadd(a, b):
-    n = max(len(a), len(b))
-    out = [
-        (a[i] if i < len(a) else _ZERO) + (b[i] if i < len(b) else _ZERO)
-        for i in range(n)
-    ]
-    return _ytrim(out)
-
-
-def _ymul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca.terms:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _ytrim(out)
-
-
 class _Bivar:
     """Rational expression in y with Puiseux-series coefficients."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        self.num = _ytrim(num)
-        self.den = _ytrim(den)
+        self.num = poly_trim(num)
+        self.den = poly_trim(den)
 
     @classmethod
     def const(cls, c):
@@ -162,15 +135,15 @@ class _Bivar:
 
     def __add__(self, o):
         return _Bivar(
-            _yadd(_ymul(self.num, o.den), _ymul(o.num, self.den)),
-            _ymul(self.den, o.den),
+            poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
+            poly_mul(self.den, o.den),
         )
 
     def __sub__(self, o):
         return self + (-o)
 
     def __mul__(self, o):
-        return _Bivar(_ymul(self.num, o.num), _ymul(self.den, o.den))
+        return _Bivar(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
 
     def __neg__(self):
         return _Bivar([-c for c in self.num], self.den)
@@ -208,7 +181,7 @@ def _as_x_power(v: _Bivar) -> Optional[Fraction]:
 def _div(a: _Bivar, b: _Bivar, tok: _Tok) -> _Bivar:
     if not b.num:
         raise ParseError("division by zero", tok.line, tok.col)
-    return _Bivar(_ymul(a.num, b.den), _ymul(a.den, b.num))
+    return _Bivar(poly_mul(a.num, b.den), poly_mul(a.den, b.num))
 
 
 def _int_pow(v: _Bivar, e: int, tok: _Tok) -> _Bivar:
@@ -586,24 +559,11 @@ def check_precision(d: DefinitionFile, bound) -> None:
 
 # -- canonical formatting ---------------------------------------------------------
 
-def _format_ypoly(coeffs) -> str:
-    parts = []
-    for i, c in enumerate(coeffs):
-        if not c.terms:
-            continue
-        if i == 0:
-            parts.append(f"({c})")
-            continue
-        base = "y" if i == 1 else f"y^{i}"
-        parts.append(base if c == _ONE else f"({c})*{base}")
-    return " + ".join(parts) if parts else "0"
-
-
 def _format_rational(num, den) -> str:
-    num_s = _format_ypoly(num)
+    num_s = poly_str(num)
     if len(den) == 1 and _as_const(den[0]) == 1:
         return num_s
-    den_s = _format_ypoly(den)
+    den_s = poly_str(den)
     if " + " in num_s:
         num_s = f"({num_s})"
     if " + " in den_s or "*" in den_s:

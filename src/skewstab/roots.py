@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientPrecision
-from .puiseux import DEFAULT_PRECISION, INF, PuiseuxPoly, nth_root_fraction, rat
+from .puiseux import DEFAULT_PRECISION, INF, PuiseuxPoly, as_series, nth_root_fraction, rat
 
 _MAX_DEPTH = 400
 _FACTOR_LIMIT = 10**12
+
+_ZERO = PuiseuxPoly.zero()
+_ONE = PuiseuxPoly.const(1)
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,58 @@ class BranchDescriptor:
     reason: str
 
 
-def poly_eval(coeffs, value: PuiseuxPoly) -> PuiseuxPoly:
-    """Evaluate sum coeffs[i] * value^i (Horner)."""
-    acc = PuiseuxPoly.zero()
+def poly_eval(coeffs, value):
+    """Evaluate sum coeffs[i] * value^i (Horner); the coefficients and
+    value may be series or rationals."""
+    acc = 0
     for c in reversed(list(coeffs)):
         acc = acc * value + c
     return acc
+
+
+def poly_trim(coeffs) -> list:
+    """The coefficients (ascending) as a list without exactly-zero top
+    coefficients; a truncated zero stays, as it bounds the degree."""
+    out = list(coeffs)
+    while out and out[-1].is_exact_zero:
+        out.pop()
+    return out
+
+
+def poly_add(a, b) -> list:
+    """The trimmed sum of two polynomials in y."""
+    n = max(len(a), len(b))
+    return poly_trim(
+        (a[i] if i < len(a) else _ZERO) + (b[i] if i < len(b) else _ZERO) for i in range(n)
+    )
+
+
+def poly_mul(a, b) -> list:
+    """The trimmed product of two polynomials in y; products with an
+    exactly-zero factor are skipped."""
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca.is_exact_zero:
+            continue
+        for j, cb in enumerate(b):
+            if not cb.is_exact_zero:
+                out[i + j] = out[i + j] + ca * cb
+    return poly_trim(out)
+
+
+def poly_str(coeffs) -> str:
+    """``(c0) + (c1)*y + y^2 + ...``, skipping zero coefficients and
+    writing a coefficient of 1 as the bare power; "0" for none."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if i == 0:
+            parts.append(f"({c})")
+            continue
+        base = "y" if i == 1 else f"y^{i}"
+        parts.append(base if as_series(c) == _ONE else f"({c})*{base}")
+    return " + ".join(parts) if parts else "0"
 
 
 def shift_poly(coeffs, a: PuiseuxPoly):
@@ -68,14 +117,6 @@ def shift_poly(coeffs, a: PuiseuxPoly):
             if i > 0:
                 b = b * i // (j - i + 1)
     return out
-
-
-def frac_poly_eval(coeffs, v: Fraction) -> Fraction:
-    """Horner evaluation of a polynomial with rational coefficients (ascending)."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * v + c
-    return acc
 
 
 def frac_trim(coeffs) -> list:
@@ -116,17 +157,13 @@ def newton_puiseux(coeffs, target_precision=None):
     the Newton polygon.
     """
     target = DEFAULT_PRECISION if target_precision is None else rat(target_precision)
-    coeffs = [c for c in coeffs]
-    while len(coeffs) > 1 and coeffs[-1].is_exact_zero:
-        coeffs.pop()
-    if len(coeffs) == 1 or all(not c for c in coeffs):
-        if any(not c and c.precision is not INF for c in coeffs):
+    coeffs = poly_trim(coeffs)
+    if len(coeffs) <= 1 or all(not c for c in coeffs):
+        # trimmed, so a zero left here is a truncated one
+        if any(not c for c in coeffs):
             raise InsufficientPrecision("polynomial not visibly nonzero")
-        if len(coeffs) == 1:
-            return [], []
-        raise ValueError("zero polynomial has no well-defined roots")
-    roots, descs = _expand(coeffs, target, 0)
-    return roots, descs
+        return [], []
+    return _expand(coeffs, target, 0)
 
 
 def _expand(coeffs, target, depth):
@@ -295,13 +332,9 @@ def _one_rational_root(coeffs):
         if num is None:
             return None
         return (-b + num) / (2 * a)
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
+    g = math.gcd(*ints)
     ints = [c // g for c in ints]
     lead, const = ints[-1], ints[0]
     if abs(lead) > _FACTOR_LIMIT or abs(const) > _FACTOR_LIMIT:
@@ -309,7 +342,7 @@ def _one_rational_root(coeffs):
     for p in _divisors(abs(const)):
         for q in _divisors(abs(lead)):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                if frac_poly_eval(coeffs, cand) == 0:
+                if poly_eval(coeffs, cand) == 0:
                     return cand
     return None
 

@@ -58,11 +58,14 @@ from .puiseux import (
 )
 from .roots import (
     frac_divmod,
-    frac_poly_eval,
     frac_trim,
     newton_puiseux,
+    poly_add,
     poly_derivative,
     poly_eval,
+    poly_mul,
+    poly_str,
+    poly_trim,
     shift_poly,
 )
 
@@ -115,13 +118,6 @@ class BaseGerm:
         return str(self.series)
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1].is_exact_zero:
-        coeffs.pop()
-    return coeffs
-
-
 def _visible_degree(coeffs) -> int:
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
@@ -140,8 +136,8 @@ class SkewLocal:
     )
 
     def __init__(self, base: BaseGerm, num, den, label: str = ""):
-        num = _trim([as_series(c) for c in num])
-        den = _trim([as_series(c) for c in den])
+        num = poly_trim([as_series(c) for c in num])
+        den = poly_trim([as_series(c) for c in den])
         if all(not c for c in den):
             raise ValueError("fibre map denominator is zero")
         if all(not c for c in num):
@@ -178,6 +174,12 @@ class SkewLocal:
             object.__setattr__(self, "_poles", (roots, descs, at_inf))
         return self._poles
 
+    def zeros(self):
+        """Fibre zeros: roots of the numerator."""
+        if self._zeros is None:
+            object.__setattr__(self, "_zeros", newton_puiseux(list(self.num)))
+        return self._zeros
+
     def push_table(self, center) -> "PushTable":
         """The push table of the fibre map shifted to ``center``, built on
         the first request and kept; a build that raises keeps nothing."""
@@ -191,17 +193,7 @@ class SkewLocal:
 
     def __str__(self):
         lbl = f"[{self.label}] " if self.label else ""
-        return f"{lbl}phi1 = {self.base}, phi2 = ({_poly_str(self.num)}) / ({_poly_str(self.den)})"
-
-
-def _poly_str(coeffs) -> str:
-    parts = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        ys = "1" if i == 0 else ("y" if i == 1 else f"y^{i}")
-        parts.append(f"({c})*{ys}" if i else f"({c})")
-    return " + ".join(parts) if parts else "0"
+        return f"{lbl}phi1 = {self.base}, phi2 = ({poly_str(self.num)}) / ({poly_str(self.den)})"
 
 
 def _proportional(num, den) -> bool:
@@ -490,8 +482,8 @@ class ReducedMap:
             if dn < dd:
                 return Fraction(0)
             return self.num[-1] / self.den[-1]
-        top = frac_poly_eval(self.num, value)
-        bot = frac_poly_eval(self.den, value)
+        top = poly_eval(self.num, value)
+        bot = poly_eval(self.den, value)
         if bot == 0:
             if top == 0:
                 raise ArithmeticError("0/0 in reduced map; gcd not cleared")
@@ -499,17 +491,7 @@ class ReducedMap:
         return top / bot
 
     def __str__(self):
-        return f"({_frac_poly_str(self.num)}) / ({_frac_poly_str(self.den)})"
-
-
-def _frac_poly_str(coeffs) -> str:
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        ys = "1" if i == 0 else ("y" if i == 1 else f"y^{i}")
-        parts.append(f"{c}*{ys}" if i else f"{c}")
-    return " + ".join(parts) if parts else "0"
+        return f"({poly_str(self.num)}) / ({poly_str(self.den)})"
 
 
 def _frac_poly_gcd(a, b):
@@ -579,22 +561,14 @@ class CriticalLocus:
 
 
 def critical_points_rational(num, den) -> CriticalLocus:
-    num = _trim([as_series(c) for c in num])
-    den = _trim([as_series(c) for c in den])
+    num = poly_trim([as_series(c) for c in num])
+    den = poly_trim([as_series(c) for c in den])
     d = max(_visible_degree(num), _visible_degree(den))
     if d < 2:
         raise ValueError("critical points only meaningful for fibre degree >= 2")
-    dnum = poly_derivative(num) or [ZERO]
-    dden = poly_derivative(den) or [ZERO]
-    w_len = max(len(dnum) + len(den), len(num) + len(dden)) - 1
-    wronskian = [ZERO for _ in range(w_len)]
-    for i, a in enumerate(dnum):
-        for j, b in enumerate(den):
-            wronskian[i + j] = wronskian[i + j] + a * b
-    for i, a in enumerate(num):
-        for j, b in enumerate(dden):
-            wronskian[i + j] = wronskian[i + j] - a * b
-    wronskian = _trim(wronskian)
+    dnum = poly_derivative(num)
+    dden = poly_derivative(den)
+    wronskian = poly_add(poly_mul(dnum, den), poly_mul([-c for c in num], dden))
     roots, descs = newton_puiseux(wronskian)
     finite = sum(r.multiplicity for r in roots) + sum(d_.degree for d_ in descs)
     inf_mult = (2 * d - 2) - finite

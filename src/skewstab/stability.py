@@ -60,7 +60,6 @@ from .intervalmap import (
     induce_interval_map,
 )
 from .puiseux import INF, as_series
-from .roots import newton_puiseux
 from .skew import (
     Chain,
     SkewLocal,
@@ -208,7 +207,6 @@ class RegistryDisk:
     fibre: int
     boundary: TypeIIPoint
     direction: Direction
-    round_created: int
 
     def contains(self, p: TypeIIPoint) -> bool:
         return point_in_direction(self.direction, p)
@@ -303,13 +301,6 @@ def _packet_inside(v: Direction, desc) -> bool:
     return (w < b.t) if v.at_infinity else (w > b.t)
 
 
-def _num_zeros(link: SkewLocal):
-    """Fibre zeros: roots of the numerator, cached on the link."""
-    if link._zeros is None:
-        object.__setattr__(link, "_zeros", newton_puiseux(list(link.num), None))
-    return link._zeros
-
-
 def _disk_image(link: SkewLocal, b: TypeIIPoint, v: Direction):
     """The disk bounding the image of D(b, v), or None when unbounded.
 
@@ -320,7 +311,7 @@ def _disk_image(link: SkewLocal, b: TypeIIPoint, v: Direction):
     """
     pole_roots, pole_descs, pole_at_inf = link.poles()
     try:
-        zero_roots, zero_descs = _num_zeros(link)
+        zero_roots, zero_descs = link.zeros()
     except SkewstabError:
         return None
 
@@ -938,7 +929,7 @@ def stabilize_smooth(gammas, chain, cfg=None):
         unresolved = []
         resolutions = []
         for j, p in an.vertices():
-            rule = _resolve_vertex(an, rnd, j, p, additions)
+            rule = _resolve_vertex(an, j, p, additions)
             if rule is None:
                 unresolved.append((j, p))
             else:
@@ -981,7 +972,7 @@ def _unresolved_note(horizon: int, unresolved) -> str:
     return f"no resolution rule applied within horizon {horizon} for: {names}"
 
 
-def _resolve_vertex(an: _Analyzer, rnd: int, j: int, p: TypeIIPoint, additions):
+def _resolve_vertex(an: _Analyzer, j: int, p: TypeIIPoint, additions):
     """Apply the resolution rules to one vertex; returns the rule name.
 
     The walk runs to the full horizon before any trap construction, so
@@ -1008,10 +999,10 @@ def _resolve_vertex(an: _Analyzer, rnd: int, j: int, p: TypeIIPoint, additions):
         path.append((jj, pp))
     if an.walk_failed:
         return None
-    rule = _attracting_disks(an, rnd, path, additions)
+    rule = _attracting_disks(an, path, additions)
     if rule is not None:
         return rule
-    return _residue_disks(an, rnd, path, additions)
+    return _residue_disks(an, path, additions)
 
 
 def _add_points(additions, pairs):
@@ -1044,7 +1035,7 @@ def _escape_index(path):
     return None
 
 
-def _commit_trap(an: _Analyzer, rnd: int, path, additions, disks, rule: str):
+def _commit_trap(an: _Analyzer, path, additions, disks, rule: str):
     """Register a verified trap once the orbit provably enters it.
 
     The walk is extended past the recorded (non-empty) path if needed;
@@ -1066,13 +1057,13 @@ def _commit_trap(an: _Analyzer, rnd: int, path, additions, disks, rule: str):
     if not _level_ok(an, pre) or not _level_ok(an, [(jj, b) for jj, b, _ in disks]):
         return None
     for jj, b, v in disks:
-        an.registry.add(RegistryDisk(jj, b, v, rnd))
+        an.registry.add(RegistryDisk(jj, b, v))
         additions.setdefault(jj, set()).add(b)
     _add_points(additions, pre)
     return rule
 
 
-def _attracting_disks(an: _Analyzer, rnd: int, path, additions):
+def _attracting_disks(an: _Analyzer, path, additions):
     """Rule (iv): convert a nested orbit escape into registry disks.
 
     Boundaries sit on integer levels past every current vertex in the
@@ -1111,7 +1102,7 @@ def _attracting_disks(an: _Analyzer, rnd: int, path, additions):
             if (jj, b, v) not in disks:
                 disks.append((jj, b, v))
         if _verify_disk_cycle(an, disks, additions):
-            return _commit_trap(an, rnd, path, additions, disks, "attracting-disk")
+            return _commit_trap(an, path, additions, disks, "attracting-disk")
         slots = [(jj, q, bound + step) for jj, q, bound in slots]
     return None
 
@@ -1131,7 +1122,7 @@ def _verify_disk_cycle(an: _Analyzer, disks, additions) -> bool:
     return True
 
 
-def _residue_disks(an: _Analyzer, rnd: int, path, additions):
+def _residue_disks(an: _Analyzer, path, additions):
     """Rule (v): trap a residue-class orbit under good reduction.
 
     Only attempted when every link has good reduction and the orbit sits
@@ -1159,7 +1150,7 @@ def _residue_disks(an: _Analyzer, rnd: int, path, additions):
             b = TypeIIPoint(as_series(r), depth)
             disks.append((jj, b, direction_to_class(b, as_series(r))))
         if _verify_disk_cycle(an, disks, additions):
-            return _commit_trap(an, rnd, path, additions, disks, "residue-cycle")
+            return _commit_trap(an, path, additions, disks, "residue-cycle")
         depth += 1
     return None
 

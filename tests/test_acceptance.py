@@ -106,7 +106,7 @@ def test_criterion_03_orbit_prefix_and_growth_certificate():
         orbit = iterate(pl, 1, 4)
         assert list(orbit) == [F(1), F(1, 2), F(3, 4), F(7, 8), F(11, 16)]
         assert not orbit.escaped
-        cert = denominator_growth_certificate(pl, 1, window=50)
+        cert = denominator_growth_certificate(pl, 1)
         assert isinstance(cert, GrowthCertificate)
         assert cert.start == F(1) and len(cert.window) == 51
 

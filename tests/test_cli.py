@@ -35,14 +35,6 @@ class TestImage:
         assert code == 0
         assert out == THM6_ORBIT
 
-    def test_structured_format(self):
-        code, out, _ = run_cli("image", "thm6", "zeta(0,1)", "2", "--format", "structured")
-        assert code == 0
-        assert out.splitlines() == [
-            "image.step.0: fibre=0 point=zeta(0, 1) m=1 g=1",
-            "image.step.1: fibre=0 point=zeta(0, 1/2) m=1 g=2",
-        ]
-
     def test_bad_literal_exits_2(self):
         code, out, err = run_cli("image", "thm6", "zeta(0, q)", "2")
         assert code == 2
@@ -72,11 +64,6 @@ class TestImage:
     def test_missing_subcommand_exits_2(self):
         assert run_cli()[0] == 2
 
-    def test_dot_format_rejected(self):
-        code, _, err = run_cli("image", "thm6", "zeta(0,1)", "2", "--format", "dot")
-        assert code == 2
-        assert "--format: invalid choice: 'dot'" in err
-
 
 class TestVertexSetCommands:
     def test_smooth_hull_three_point_path(self):
@@ -88,13 +75,6 @@ class TestVertexSetCommands:
             "  zeta(0, 1/2)\n"
             "  zeta(0, 1)\n"
         )
-
-    def test_hull_structured(self):
-        code, out, _ = run_cli(
-            "hull", "--points", "zeta(0, 1/2)", "-n", "2", "--format", "structured"
-        )
-        assert code == 0
-        assert out.splitlines()[0] == "hull.level: 2"
 
     def test_check_smooth_violation_names_interior_vertex(self):
         code, out, _ = run_cli("check-smooth", "--points", "zeta(0,0), zeta(0,2)")
@@ -255,10 +235,10 @@ class TestDemo:
 
 
 class TestFlags:
-    COMMON = {"--precision", "--horizon", "--max-rounds", "--probe-budget", "--format", "--out"}
+    COMMON = {"--precision", "--horizon", "--max-rounds", "--probe-budget", "--out"}
 
     def test_each_subcommand_declares_the_common_flags_it_reads(self):
-        listing = {"--precision", "--format", "--out"}
+        listing = {"--precision", "--out"}
         stabilize = {"--precision", "--horizon", "--max-rounds", "--probe-budget", "--out"}
         want = {
             "image": listing,
@@ -266,9 +246,9 @@ class TestFlags:
             "smooth-hull": listing,
             "check-smooth": listing,
             "domains": listing,
-            "dual-graph": {"--precision", "--out"},
+            "dual-graph": listing,
             "check-stability": {"--precision", "--horizon", "--probe-budget", "--out"},
-            "min-stabilize": stabilize | {"--format"},
+            "min-stabilize": stabilize,
             "stabilize": stabilize,
             "demo": {"--horizon", "--probe-budget", "--out"},
         }
@@ -278,7 +258,7 @@ class TestFlags:
             for name, sp in sub.choices.items()
         }
         assert got == want
-        assert sum(len(flags) for flags in got.values()) == 35
+        assert sum(len(flags) for flags in got.values()) == 29
 
     @pytest.mark.parametrize(
         "argv",
@@ -289,12 +269,16 @@ class TestFlags:
             ("check-stability", "thm6", "--format", "structured"),
             ("stabilize", "xy2", "--format", "text"),
             ("demo", "thm6", "--precision", "8"),
+            ("image", "thm6", "zeta(0,1)", "2", "--format", "dot"),
+            ("hull", "thm6", "--format", "structured"),
+            ("min-stabilize", "thm6", "--format", "structured"),
         ],
     )
     def test_a_flag_the_command_does_not_read_exits_2(self, argv):
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
-        assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
+        first = next(i for i, a in enumerate(argv) if a.startswith("--"))
+        assert f"unrecognized arguments: {' '.join(argv[first:])}" in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -351,7 +335,6 @@ GOLDEN_RUNS = [
     ["demo", "thmB"],
     ["min-stabilize", "thm6"],
     ["min-stabilize", "thmB"],
-    ["min-stabilize", "thm6", "--format", "structured"],
     ["stabilize", "xy2"],
     ["stabilize", "goodred"],
     ["stabilize", "thm6", "--max-rounds", "2"],

@@ -254,7 +254,7 @@ class TestFixedPoints:
 
 class TestGrowthCertificate:
     def test_window_50_succeeds(self):
-        cert = denominator_growth_certificate(fold_map(), 1, window=50)
+        cert = denominator_growth_certificate(fold_map(), 1)
         assert isinstance(cert, GrowthCertificate)
         dens = [t.denominator for t in cert.window]
         assert dens[0] == 1
@@ -263,7 +263,7 @@ class TestGrowthCertificate:
 
     def test_replay_reproduces_window(self):
         pl = fold_map()
-        cert = denominator_growth_certificate(pl, 1, window=50)
+        cert = denominator_growth_certificate(pl, 1)
         t = cert.start
         for expected in cert.window[1:]:
             t = pl(t)

@@ -134,6 +134,25 @@ class TestClassify:
         assert cls.witness == zp(0, F(4, 3))
         assert pushforward(thm6_map(), cls.witness) == gauss_point()
 
+    def test_pole_ray_witness_is_solved_on_the_ray_and_replayed(self, monkeypatch):
+        # x^3/y maps zeta(0, 0) to zeta(0, 3); the probes of that disk find
+        # no return to the Gauss point, and the solve on the pole ray at
+        # y = 0 finds the one-step witness
+        d = parse_definition("period 1\n[fibre 0]\nphi1 = x\nphi2 = x^3 / y\n")
+        report = is_analytically_stable(d.gammas, d.chain)
+        assert report.verdict == DESTABILISING
+        (w,) = report.witnesses
+        assert (w.point, w.image) == (gauss_point(), zp(0, 3))
+        ev = w.evidence
+        assert isinstance(ev, JDomain)
+        assert (ev.witness, ev.steps) == (zp(0, 3), 1)
+        assert ev.path == ((0, zp(0, 3)), (0, gauss_point()))
+        assert pushforward(d.chain.links[0], ev.witness) == gauss_point()
+
+        monkeypatch.setattr(_Analyzer, "_pole_ray_witness", lambda self, j, dom: None)
+        d = parse_definition("period 1\n[fibre 0]\nphi1 = x\nphi2 = x^3 / y\n")
+        assert is_analytically_stable(d.gammas, d.chain).verdict == INCONCLUSIVE
+
     def test_probe_free_annulus_stays_unknown(self):
         gam = [gauss_point(), zp(0, F(7, 8)), zp(0, 1)]
         dom = locate(VertexSet(gam), zp(0, F(15, 16)))
@@ -235,7 +254,7 @@ class TestMinimalStabilisation:
 class TestRegistry:
     def test_audit_flags_every_axiom_breach(self):
         reg = PersistentFDiskRegistry()
-        bad = RegistryDisk(0, zp(0, 1), direction_to_class(zp(0, 1), as_series(0)), 1)
+        bad = RegistryDisk(0, zp(0, 1), direction_to_class(zp(0, 1), as_series(0)))
         reg.add(bad)
         fails = reg.audit(
             {0: VertexSet([gauss_point(), zp(0, 2)])}, single_chain(square_map())
@@ -245,7 +264,7 @@ class TestRegistry:
 
     def test_insertion_only_and_dedup(self):
         reg = PersistentFDiskRegistry()
-        d = RegistryDisk(0, zp(0, 1), direction_to_class(zp(0, 1), as_series(0)), 1)
+        d = RegistryDisk(0, zp(0, 1), direction_to_class(zp(0, 1), as_series(0)))
         reg.add(d)
         reg.add(d)
         assert len(reg) == 1
@@ -428,7 +447,7 @@ class TestOrbitGate:
         monkeypatch.setattr(stability, "_attracting_disks", never)
         monkeypatch.setattr(stability, "_residue_disks", never)
         additions = {}
-        assert _resolve_vertex(an, 1, 0, start, additions) is None
+        assert _resolve_vertex(an, 0, start, additions) is None
         assert additions == {} and len(an.registry) == 0
 
     @pytest.mark.parametrize(
