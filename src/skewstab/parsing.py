@@ -36,7 +36,7 @@ from typing import Optional
 from .berkovich import TypeIIPoint, gauss_point
 from .errors import SkewstabError
 from .puiseux import PuiseuxPoly, as_series
-from .roots import poly_add, poly_mul, poly_str, poly_trim
+from .roots import poly_add, poly_mul, poly_str, poly_trim, ratio_str
 from .skew import BaseGerm, Chain, SkewLocal
 from .vertexset import VertexSet
 
@@ -560,15 +560,9 @@ def check_precision(d: DefinitionFile, bound) -> None:
 # -- canonical formatting ---------------------------------------------------------
 
 def _format_rational(num, den) -> str:
-    num_s = poly_str(num)
     if len(den) == 1 and _as_const(den[0]) == 1:
-        return num_s
-    den_s = poly_str(den)
-    if " + " in num_s:
-        num_s = f"({num_s})"
-    if " + " in den_s or "*" in den_s:
-        den_s = f"({den_s})"
-    return f"{num_s} / {den_s}"
+        return poly_str(num)
+    return ratio_str(num, den)
 
 
 def format_definition(d: DefinitionFile) -> str:

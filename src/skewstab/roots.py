@@ -99,6 +99,19 @@ def poly_str(coeffs) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def ratio_str(num, den) -> str:
+    """``num / den`` with a side in parentheses only where the parser
+    needs them: a numerator of more than one term, a denominator of more
+    than one term or with a product.  A lone constant, already ``(c)``,
+    is not wrapped again."""
+    num_s, den_s = poly_str(num), poly_str(den)
+    if " + " in num_s:
+        num_s = f"({num_s})"
+    if " + " in den_s or "*" in den_s:
+        den_s = f"({den_s})"
+    return f"{num_s} / {den_s}"
+
+
 def shift_poly(coeffs, a: PuiseuxPoly):
     """Coefficients of the same polynomial in tau = y - a."""
     if a.is_exact_zero:

@@ -64,8 +64,8 @@ from .roots import (
     poly_derivative,
     poly_eval,
     poly_mul,
-    poly_str,
     poly_trim,
+    ratio_str,
     shift_poly,
 )
 
@@ -193,7 +193,7 @@ class SkewLocal:
 
     def __str__(self):
         lbl = f"[{self.label}] " if self.label else ""
-        return f"{lbl}phi1 = {self.base}, phi2 = ({poly_str(self.num)}) / ({poly_str(self.den)})"
+        return f"{lbl}phi1 = {self.base}, phi2 = {ratio_str(self.num, self.den)}"
 
 
 def _proportional(num, den) -> bool:
@@ -491,7 +491,7 @@ class ReducedMap:
         return top / bot
 
     def __str__(self):
-        return f"({poly_str(self.num)}) / ({poly_str(self.den)})"
+        return ratio_str(self.num, self.den)
 
 
 def _frac_poly_gcd(a, b):

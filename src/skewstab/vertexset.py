@@ -32,14 +32,25 @@ tree of depth d whose nodes have at most k children:
 * ``meets`` (does an open disk off a point hold a vertex) and
   ``deepest_below``: a ``seat`` and O(k) comparisons, or a lookup in a
   per-node map built in one pass on first use;
-* ``missing_flanks`` of a vertex: O(k), from its children;
+* ``missing_flanks`` of a vertex: O(k), from its children.  The special
+  directions are decided from the integers m and g = lcm(m, q), and each
+  child costs one comparison of centres; a ``Direction`` is built only
+  for a flank that is missing;
 * ``is_smooth``, ``enumerate_domains``, ``dual_graph``: one pass over the
   tree (``is_smooth`` adds a lattice scan per pair of adjacent vertices);
 * ``segment_lattice_points`` at level N: per piece between the inner
-  centre's exponents, only the denominators q <= N allowed there and the
-  numerators prime to q, so no candidate is built and then rejected;
+  centre's exponents, only the denominators q <= N allowed there with a
+  non-empty range of numerators, and the numerators prime to q.  The
+  pairs (k, q) are sorted by the integer k * L/q, L the lcm of the q
+  kept, and a ``Fraction`` and a point are built only for those;
 * ``smooth_n_convex_hull``: one tree build, then edits of parents and
   children; a lattice scan per edge and a flank test per vertex, once.
+
+The set order, in which a ``VertexSet`` keeps its points and the tree its
+nodes, is ``TypeIIPoint.sort_key``'s, with each radius read as an integer
+on the lattice 1/L, L the lcm of the radius denominators: sorting n
+points makes O(n log n) integer comparisons, and reads centre terms only
+between points of one radius.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ from typing import Optional
 from .berkovich import (
     Direction,
     TypeIIPoint,
+    _diff_val,
     classify_point,
     direction_at,
     g_point,
@@ -60,7 +72,6 @@ from .berkovich import (
     leq,
     m_point,
     point_in_direction,
-    special_directions,
 )
 from .errors import RoundCapExceeded
 
@@ -78,9 +89,7 @@ class VertexSet:
         uniq = {}
         for p in points:
             uniq[p] = None
-        object.__setattr__(
-            self, "points", tuple(sorted(uniq, key=TypeIIPoint.sort_key))
-        )
+        object.__setattr__(self, "points", tuple(_in_set_order(uniq)))
         object.__setattr__(self, "_members", frozenset(uniq))
         object.__setattr__(self, "_tree", None)
 
@@ -239,7 +248,7 @@ def _build_tree(vs: VertexSet) -> HullTree:
         parent_of[p] = stack[-1] if stack else None
         stack.append(p)
     # pts is sorted and a subset of the nodes, so equal sizes mean equal sets
-    lst = pts if len(order) == len(pts) else sorted(order, key=TypeIIPoint.sort_key)
+    lst = pts if len(order) == len(pts) else _in_set_order(order)
     return _tree_from_parents(parent_of, lst, vs._members)
 
 
@@ -256,6 +265,15 @@ def _tree_from_parents(parent_of, lst, vertices) -> HullTree:
             edges.append((outer, p))
             children_of[outer].append(p)
     return HullTree(tuple(lst), tuple(edges), top, vertices, parent_of, children_of)
+
+
+def _in_set_order(points) -> list:
+    """The points sorted as by ``TypeIIPoint.sort_key``, (t, centre
+    terms), with each t read as an integer on the lattice 1/L, L the lcm
+    of the radius denominators: the set order of the module."""
+    points = list(points)
+    L = math.lcm(*[p.t.denominator for p in points])
+    return sorted(points, key=lambda p: (p.t.numerator * (L // p.t.denominator), p.center.terms))
 
 
 def _tree_key(p: TypeIIPoint):
@@ -289,6 +307,8 @@ def segment_lattice_points(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
     lcm(m, q) <= bound, m the multiplicity of the centre truncated at
     p/q.  The centre's exponents cut the segment into pieces (lo, hi],
     the last open at inner.t, on each of which the truncation is fixed.
+    A piece's points are found and ordered as integer pairs (k, q), and
+    only those are made Fractions.
     """
     if not leq(inner, outer):
         raise ValueError("segment endpoints are not comparable")
@@ -296,15 +316,20 @@ def segment_lattice_points(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
     lo, found = outer.t, []
     for i, hi in enumerate(cuts + [inner.t]):
         center = inner.center.drop_from(hi)
-        m, at_end = center.ramification_index(), i == len(cuts)
-        piece = []
+        m, at_end = center.N, i == len(cuts)
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        pairs, L = [], 1
         for q in range(1, bound + 1):
-            if math.lcm(m, q) <= bound:
-                # lo < k/q <= hi, and k/q < hi on the last piece
-                k0 = lo.numerator * q // lo.denominator + 1
-                k1 = (hi.numerator * q - at_end) // hi.denominator
-                piece += [Fraction(k, q) for k in range(k0, k1 + 1) if math.gcd(k, q) == 1]
-        found += [TypeIIPoint(center, s) for s in sorted(piece)]
+            # lo < k/q <= hi, and k/q < hi on the last piece
+            k0, k1 = ln * q // ld + 1, (hn * q - at_end) // hd
+            if k0 <= k1 and math.lcm(m, q) <= bound:
+                got = [(k, q) for k in range(k0, k1 + 1) if math.gcd(k, q) == 1]
+                if got:
+                    L = math.lcm(L, q)
+                    pairs += got
+        # k/q in lowest terms is unique, so the key k * L/q never ties
+        pairs.sort(key=lambda kq: kq[0] * (L // kq[1]))
+        found += [TypeIIPoint(center, Fraction(k, q)) for k, q in pairs]
         lo = hi
     return found
 
@@ -402,17 +427,34 @@ def missing_flanks(p: TypeIIPoint, gammas):
 
 def _missing(p: TypeIIPoint, below, top: TypeIIPoint):
     """missing_flanks of p, given the tree nodes just below p and the
-    top.  A direction down from p holds a vertex exactly when a node of
-    ``below`` lies in it; the direction at infinity, when the top is not
-    below p."""
+    top.
+
+    As in ``special_directions``, p with g = lcm(m, q) for its centre's
+    multiplicity m and radius p/q has no special direction when g = 1,
+    and otherwise the direction at infinity and, when g > m, the
+    direction of its centre's class, whose canonical representative is
+    the centre itself.  A node of ``below``, which is neither p nor above
+    it, lies in that direction exactly when its centre meets p's centre
+    past p.t; the direction at infinity holds a vertex exactly when the
+    top is not below p.
+    """
+    m, q = p.center.N, p.t.denominator
+    g = math.lcm(m, q)
+    if g == 1:
+        return []
     out = []
-    for v, _mult in special_directions(p):
-        if v.at_infinity:
-            seen = not leq(top, p)
+    if g > m:
+        t, c = p.t, p.center
+        for w in below:
+            d = _diff_val(w.center, c)
+            if d is None or d > t:
+                break
         else:
-            seen = any(point_in_direction(v, w) for w in below)
-        if not seen:
+            v = Direction(at=p, at_infinity=False, rep=c)
             out.append((v, flank_in_direction(p, v)))
+    if leq(top, p):
+        v = Direction(at=p, at_infinity=True)
+        out.append((v, flank_in_direction(p, v)))
     return out
 
 
@@ -505,7 +547,8 @@ def is_smooth(gammas) -> SmoothnessReport:
                     f"special direction {where} of {p} sees no vertex",
                 )
             )
-    violations.sort(key=lambda v: (v.witness.sort_key(), v.kind))
+    order = {w: i for i, w in enumerate(_in_set_order({v.witness for v in violations}))}
+    violations.sort(key=lambda v: (order[v.witness], v.kind))
     return SmoothnessReport(not violations, tuple(violations))
 
 
@@ -592,7 +635,7 @@ def locate(gammas, p: TypeIIPoint) -> Optional[GammaDomain]:
         raise ValueError("cannot locate a point against an empty vertex set")
     tree = vs.tree()
     starts = [x for x in tree.seat(p) if x is not None]
-    bdry = sorted(tree.reach(starts), key=TypeIIPoint.sort_key)
+    bdry = _in_set_order(tree.reach(starts))
     if len(bdry) == 1:
         return GammaDomain("disk", (bdry[0],), direction_at(bdry[0], p))
     return _between(bdry)

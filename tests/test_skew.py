@@ -266,6 +266,15 @@ def test_reduced_map_orbits():
     assert red.apply(F(0)) == F(0)
 
 
+def test_link_and_reduced_map_strings_wrap_only_sums():
+    text = resources.files("skewstab.fixtures").joinpath("goodred.skew").read_text()
+    link = parse_definition(text).chain.links[0]
+    assert str(link) == "[goodred[0]] phi1 = x, phi2 = y^2 / (1)"
+    assert str(reduction_mod_x(link)) == "y^2 / (1)"
+    assert str(thm6_map()) == "[thm6] phi1 = x^2, phi2 = ((x^4) + y^6) / y^3"
+    assert str(ReducedMap((F(1), F(0), F(2)), (F(0), F(3)))) == "((1) + (2)*y^2) / ((3)*y)"
+
+
 def test_reduction_requires_simple_base():
     with pytest.raises(ValueError):
         reduction_mod_x(thm6_map())

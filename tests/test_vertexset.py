@@ -626,6 +626,68 @@ class TestTreeIndexAgainstPairwiseOracles:
                 )
                 assert missing_flanks(p, []) == _oracle_missing_flanks(p, [])
 
+    def test_missing_flanks_on_n_convex_hulls(self):
+        # n-convex hulls are mostly not smooth: their vertices miss flanks
+        missed = 0
+        for case, (pts, n) in enumerate(_criterion6_sets(64, 60)):
+            vs = n_convex_hull(pts, n)
+            for p in vs:
+                got = missing_flanks(p, vs)
+                assert got == _oracle_missing_flanks(p, list(vs)), f"case {case}: {p}"
+                missed += len(got)
+        assert missed > 50
+
+
+def _tied_points(rng):
+    """Criterion 6 points with radius denominators up to 24, each beside
+    points of the same radius and other centres."""
+    out = []
+    for _ in range(rng.randint(1, 6)):
+        p = random_point(rng, max_den=24)
+        out += [p, TypeIIPoint(p.center + rng.choice([-1, 2]), p.t)]
+        out.append(TypeIIPoint(p.center + PuiseuxPoly.monomial(3, p.t - F(1, 24)), p.t))
+    return out
+
+
+class TestSetOrder:
+    """The integer key of the set order sorts as TypeIIPoint.sort_key."""
+
+    def test_vertex_sets_sort_by_sort_key(self):
+        rng = random.Random(65)
+        negative = 0
+        for case in range(150):
+            pts = _tied_points(rng)
+            negative += any(p.t < 0 for p in pts)
+            vs = VertexSet(pts)
+            assert vs.points == tuple(sorted(set(pts), key=TypeIIPoint.sort_key)), f"case {case}"
+            extra = _tied_points(rng)
+            both = vs.union(extra)
+            assert both.points == tuple(sorted(set(pts + extra), key=TypeIIPoint.sort_key)), (
+                f"case {case}"
+            )
+            nodes = hull(both).nodes
+            assert nodes == tuple(sorted(nodes, key=TypeIIPoint.sort_key)), f"case {case}"
+        assert negative > 50
+
+    def test_hulls_sort_by_sort_key(self):
+        for case, (pts, n) in enumerate(_criterion6_sets(66, 40)):
+            vs = smooth_n_convex_hull(pts, n)
+            assert vs.points == tuple(sorted(vs.points, key=TypeIIPoint.sort_key)), f"case {case}"
+
+    def test_boundaries_and_violations_sort_by_sort_key(self):
+        rng = random.Random(67)
+        components = 0
+        for case in range(40):
+            vs = _raw_set(rng)
+            got = is_smooth(vs).violations
+            assert list(got) == sorted(got, key=lambda v: (v.witness.sort_key(), v.kind)), f"case {case}"
+            for p in _probes(vs):
+                dom = locate(vs, p)
+                if dom is not None and dom.kind == "component":
+                    components += 1
+                    assert list(dom.boundary) == sorted(dom.boundary, key=TypeIIPoint.sort_key)
+        assert components > 10
+
 
 # -- the one-tree smooth hull and the piecewise lattice scan against the ---
 # -- round loop and per-candidate scan they replaced ------------------------
@@ -708,8 +770,10 @@ class TestOneTreeSmoothHull:
 
     def test_scan_matches_on_every_hull_edge(self):
         for case, (pts, _n) in enumerate(_criterion6_sets(808, 200)):
+            # the first few cases also at bounds whose lcm keys run long
+            bounds = [*range(1, 13), 24, 60] if case < 6 else range(1, 13)
             for outer, inner in hull(pts).edges:
-                for bound in range(1, 13):
+                for bound in bounds:
                     assert segment_lattice_points(outer, inner, bound) == (
                         _oracle_segment_lattice_points(outer, inner, bound)
                     ), f"case {case}: {outer} to {inner} at {bound}"
