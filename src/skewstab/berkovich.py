@@ -270,20 +270,3 @@ def direction_multiplicity(p: TypeIIPoint, v: Direction) -> int:
         return m_point(p)
     return g_point(p)
 
-
-def nearest_lattice_vertices(p: TypeIIPoint, n: int):
-    """The closest level-n lattice points above and below p on its ray.
-
-    Requires m_point(p) | n.  Returns (outward, inward): outward has the
-    smaller radius exponent (larger disk).  Both coincide with p when p
-    is itself a lattice point.
-    """
-    if n % m_point(p) != 0:
-        raise ValueError(
-            f"m = {m_point(p)} does not divide n = {n}; no flanking vertices on the ray"
-        )
-    t_out = Fraction(math.floor(p.t * n), n)
-    t_in = Fraction(math.ceil(p.t * n), n)
-    outward = TypeIIPoint(p.center, t_out)
-    inward = TypeIIPoint(p.center, t_in)
-    return outward, inward

@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 from .berkovich import TypeIIPoint, g_point, gauss_point, m_point
-from .errors import NotApplicable, RoundCapExceeded, SkewstabError
+from .errors import RoundCapExceeded, SkewstabError
 from .intervalmap import (
     FixedPoint,
     GrowthCertificate,
@@ -96,9 +96,7 @@ _VERDICT_CODE = {
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error: one line on stderr and exit 2."""
 
 
 # -- input plumbing -----------------------------------------------------------
@@ -231,7 +229,7 @@ def _wandering_lines(d: DefinitionFile, report, cfg) -> list:
     w = report.witnesses[0]
     try:
         cert = wandering_julia_report(d.chain, w.image, cfg, fibre=w.image_fibre)
-    except (NotApplicable, SkewstabError):
+    except SkewstabError:
         return []
     if cert is None:
         return []
@@ -620,7 +618,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_USAGE
     except SkewstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

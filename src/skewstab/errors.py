@@ -30,10 +30,6 @@ class DegenerateImage(SkewstabError):
     """A pushforward collapsed: the fibre map is constant on the disk."""
 
 
-class ProbeDivergence(SkewstabError):
-    """Direction probes failed to settle within the refinement budget."""
-
-
 class NotRayInvariant(SkewstabError):
     """An interval model was requested along a ray the map does not preserve."""
 

@@ -132,12 +132,7 @@ def _induce_link(smap: SkewLocal, center, lo, hi):
     winners must agree.
     """
     table = smap.push_table(center)
-    every = list({*table.den[0], *(line for _, _, lines, _ in table.cands for line in lines)})
-    # u + i*t = v + k*t on the lattice, so the crossing is (v - u)/(i - k)
-    crossings = {
-        Fraction(v - u, i - k) for a, (u, i) in enumerate(every) for v, k in every[a + 1 :] if i != k
-    }
-    cuts = sorted({lo, hi} | {x for x in crossings if lo < x < hi})
+    cuts = sorted({lo, hi} | {x for x in table.crossings() if lo < x < hi})
 
     def gauss(lines, bounds, t):
         return Fraction(table.least(lines, bounds, t.numerator, t.denominator),

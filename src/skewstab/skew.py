@@ -33,6 +33,14 @@ one Fraction, its radius.  Only the winning ratio is inverted, once:
   ``O(x^(T + 1 + (1 - val(w))/n))``, what composing the winning ratio w
   with it to ``O(x^(T + 1))`` consumes.  The germ keeps one reversion
   and grows it geometrically (``BaseGerm.inverse_to``).
+
+The image of a tangent direction is read off the same tables, exactly
+(``pushforward_direction``): between two crossings of a table's lines
+(``PushTable.crossings``) the radius is affine and one candidate wins,
+so one push on the ray into the direction, short of its first crossing,
+gives the direction at the image.  An open disk with no pole, or no
+zero, inside maps onto the disk off the image of its boundary in that
+direction (Baker-Rumely; Benedetto).
 """
 
 from __future__ import annotations
@@ -43,12 +51,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .berkovich import Direction, TypeIIPoint, direction_at
-from .errors import (
-    DegenerateImage,
-    InsufficientPrecision,
-    ProbeDivergence,
-    ValidationFailure,
-)
+from .errors import DegenerateImage, InsufficientPrecision, ValidationFailure
 from .puiseux import (
     INF,
     PuiseuxPoly,
@@ -337,6 +340,18 @@ class PushTable:
                 )
         return best
 
+    def crossings(self):
+        """The levels t where two of Q's and the candidates' lines cross.
+
+        Each term of the radius is a least line, so between two adjacent
+        crossings one candidate wins and the radius is affine in t.  On
+        the lattice u + i*t = v + k*t, so a crossing is (v - u)/(i - k).
+        """
+        every = list({*self.den[0], *(line for _, _, lines, _ in self.cands for line in lines)})
+        return {
+            Fraction(v - u, i - k) for a, (u, i) in enumerate(every) for v, k in every[a + 1 :] if i != k
+        }
+
     def winner(self, t):
         """``(j, v)``: v the score of max_k vG(P - w_k*Q) at level t, and j
         the index in ``cands`` of the first candidate that reaches v with
@@ -421,39 +436,35 @@ def _transport_center(base: BaseGerm, w: PuiseuxPoly, T: Fraction) -> PuiseuxPol
     return composed
 
 
-#: Probe refinements pushforward_direction makes before giving up.
-_DIRECTION_PROBES = 8
-
-
 def pushforward_direction(s: SkewLocal, p: TypeIIPoint, v: Direction) -> Direction:
-    """Image of a tangent direction, by probing points along it.
+    """Exact image of a tangent direction: the direction at the image of
+    p that holds the images of the points in direction v near p.
 
-    Probes step into the direction at shrinking distance until two
-    consecutive probe images select the same direction at the image
-    point; ProbeDivergence after ``_DIRECTION_PROBES`` refinements.
+    The ray into v runs through ``v.rep`` inwards and through
+    ``p.center`` outwards.  Between two crossings of the push table's
+    lines at that centre (``PushTable.crossings``) one candidate wins,
+    its centre is one series and the radius is affine, so the ray up to
+    the nearest crossing past p.t images onto one ray from the image of
+    p.  One point half-way to that crossing, or at distance 1/2 when
+    there is none, reads the direction; the centre a table is read at
+    does not change an image, so no other cut is needed.  Raises
+    DegenerateImage when that point images onto the image of p.
     """
     if v.at != p:
         raise ValueError("direction is not anchored at the given point")
     image = pushforward(s, p)
-    delta = Fraction(1)
-    prev = None
-    for _ in range(_DIRECTION_PROBES):
-        if v.at_infinity:
-            probe = TypeIIPoint(p.center, p.t - delta)
-        else:
-            probe = TypeIIPoint(v.rep, p.t + delta)
-        probe_image = pushforward(s, probe)
-        if probe_image != image:
-            d = direction_at(image, probe_image)
-            if prev is not None and d == prev:
-                return d
-            prev = d
-        else:
-            prev = None
-        delta = delta / 2
-    raise ProbeDivergence(
-        f"direction image at {p} did not settle within {_DIRECTION_PROBES} refinements"
-    )
+    if v.at_infinity:
+        past = [x for x in s.push_table(p.center).crossings() if x < p.t]
+        end = max(past, default=p.t - 1)
+        probe = TypeIIPoint(p.center, (p.t + end) / 2)
+    else:
+        past = [x for x in s.push_table(v.rep).crossings() if x > p.t]
+        end = min(past, default=p.t + 1)
+        probe = TypeIIPoint(v.rep, (p.t + end) / 2)
+    probe_image = pushforward(s, probe)
+    if probe_image == image:
+        raise DegenerateImage(f"the fibre map is constant along {v}")
+    return direction_at(image, probe_image)
 
 
 # -- reduction ------------------------------------------------------------------
@@ -700,8 +711,3 @@ class Chain:
 
 def single_chain(s: SkewLocal) -> Chain:
     return Chain([s], period=1, tail=0)
-
-
-def dynamical_degree(s: SkewLocal, deg_phi1: int) -> int:
-    """First dynamical degree of the global model this germ came from."""
-    return max(deg_phi1, s.rdeg)

@@ -9,14 +9,20 @@ trapped away from it forever, everything else is Unknown within the
 configured budgets.  Unknown never upgrades to a stable verdict.
 
 Soundness split: J evidence is only ever produced from exact orbits of
-exact points, while F evidence tracks whole disks through image bounds
-that over-approximate.  An over-approximated disk that stays clear of
-the vertex sets is genuinely trapped; it is never used to claim a hit.
+exact points, while F evidence tracks whole disks.  A disk is one value,
+``RegistryDisk(fibre, direction)``: the open disk D(v.at, v) off the
+boundary v.at in the tangent direction v, so its boundary cannot
+disagree with its direction.  An open disk with no pole, or no zero,
+inside maps onto the disk off the image of its boundary in the tangent
+image of its direction (``skew.pushforward_direction``, exact), so
+``_disk_image`` returns that direction, or None when the disk holds
+both and its image need not be a disk.  A disk that stays clear of the
+vertex sets is genuinely trapped; it is never used to claim a hit.
 
 Every push goes through one gate, ``_Analyzer``: ``step`` memoises the
 chain step per (fibre, point), ``walk`` is the one orbit loop and owns
 its stops (a failed push, |t| > _T_BOUND), and ``disk_image`` memoises
-disk image bounds per (fibre, disk).  The memos live on one analyzer:
+disk images per (fibre, direction).  The memos live on one analyzer:
 one check or one stabilisation run, whose closing report shares the
 loop's pushes (pure in (link, point)) but classifies afresh.
 """
@@ -133,11 +139,13 @@ class AttractingCycleCertificate:
     trapped here can return to it.  Covers indifferent cycles too.
     """
 
-    disks: tuple  # ((fibre, boundary, direction), ...)
+    disks: tuple  # (RegistryDisk, ...)
     entry: int  # steps from the classified region to the cycle
 
     def __str__(self):
-        inner = "; ".join(f"fibre {j}: disk(at {b}, {v})" for j, b, v in self.disks)
+        inner = "; ".join(
+            f"fibre {d.fibre}: disk(at {d.boundary}, {d.direction})" for d in self.disks
+        )
         return f"invariant disk cycle after {self.entry} step(s): {inner}"
 
 
@@ -204,9 +212,14 @@ class Unknown:
 
 @dataclass(frozen=True)
 class RegistryDisk:
+    """The open disk D(v.at, v) off its boundary v.at, over one fibre."""
+
     fibre: int
-    boundary: TypeIIPoint
     direction: Direction
+
+    @property
+    def boundary(self) -> TypeIIPoint:
+        return self.direction.at
 
     def contains(self, p: TypeIIPoint) -> bool:
         return point_in_direction(self.direction, p)
@@ -238,19 +251,13 @@ class PersistentFDiskRegistry:
     def __len__(self):
         return len(self._disks)
 
-    def in_fibre(self, j: int):
-        return [d for d in self._disks if d.fibre == j]
-
     def find(self, j: int, p: TypeIIPoint) -> Optional[RegistryDisk]:
-        for d in self.in_fibre(j):
-            if d.contains(p):
-                return d
-        return None
+        return _disk_holding(self._disks, j, p)
 
-    def covering(self, j: int, b: TypeIIPoint, v: Direction) -> Optional[RegistryDisk]:
-        """The first disk of fibre j that contains the open disk D(b, v)."""
-        for d in self.in_fibre(j):
-            if _disk_contained(b, v, d.boundary, d.direction):
+    def covering(self, j: int, v: Direction) -> Optional[RegistryDisk]:
+        """The first disk of fibre j that contains the open disk D(v.at, v)."""
+        for d in self._disks:
+            if d.fibre == j and _disk_contained(v, d.direction):
                 return d
         return None
 
@@ -268,11 +275,11 @@ class PersistentFDiskRegistry:
             if meets(gammas[d.fibre], d.direction):
                 g = next(g for g in gammas[d.fibre] if d.contains(g))
                 failures.append(f"{tag}: vertex {g} lies inside")
-            img = _disk_image(chain.links[d.fibre], d.boundary, d.direction)
+            img = _disk_image(chain.links[d.fibre], d.direction)
             nxt = chain.next_fibre(d.fibre)
             if img is None:
                 failures.append(f"{tag}: image disk not computable")
-            elif self.covering(nxt, *img) is None:
+            elif self.covering(nxt, img) is None:
                 failures.append(f"{tag}: image not inside any registry disk")
         if len(self._disks) < self._high_water:
             failures.append("registry shrank")
@@ -301,13 +308,14 @@ def _packet_inside(v: Direction, desc) -> bool:
     return (w < b.t) if v.at_infinity else (w > b.t)
 
 
-def _disk_image(link: SkewLocal, b: TypeIIPoint, v: Direction):
-    """The disk bounding the image of D(b, v), or None when unbounded.
+def _disk_image(link: SkewLocal, v: Direction) -> Optional[Direction]:
+    """The image of the open disk D(v.at, v), as the direction off the
+    image of v.at that holds it, or None when it need not be a disk.
 
-    With no pole inside, the image sits in the disk at the pushforward
-    boundary (maximum principle).  With poles but no zeros inside, the
-    map omits 0, so the image is again a disk, on the complementary side
-    of the same boundary.  With both, the image can be everything.
+    With no pole inside, the image is the disk off the image of v.at in
+    the tangent image of v (maximum principle).  With poles but no zeros
+    inside, the map omits 0, so the image is again that disk.  With
+    both, the image can be everything.
     """
     pole_roots, pole_descs, pole_at_inf = link.poles()
     try:
@@ -332,15 +340,14 @@ def _disk_image(link: SkewLocal, b: TypeIIPoint, v: Direction):
     if poles_in and zeros_in:
         return None
     try:
-        v2 = pushforward_direction(link, b, v)
+        return pushforward_direction(link, v.at, v)
     except SkewstabError:
         return None
-    # the direction is anchored at the image of b, which it pushed first
-    return v2.at, v2
 
 
-def _disk_contained(b1, v1, b2, v2) -> bool:
-    """D(b1, v1) inside D(b2, v2); both open disks off their boundary."""
+def _disk_contained(v1: Direction, v2: Direction) -> bool:
+    """D(v1.at, v1) inside D(v2.at, v2); both open disks off their boundary."""
+    b1, b2 = v1.at, v2.at
     if b1 == b2:
         return v1 == v2
     if not point_in_direction(v2, b1):
@@ -353,8 +360,12 @@ def _disk_disjoint(v, gammas, extra=()) -> bool:
     return not meets(gammas, v) and not any(point_in_direction(v, g) for g in extra)
 
 
-def _in_disks(disks, j: int, p: TypeIIPoint) -> bool:
-    return any(jd == j and point_in_direction(vd, p) for jd, bd, vd in disks)
+def _disk_holding(disks, j: int, p: TypeIIPoint) -> Optional[RegistryDisk]:
+    """The first of ``disks`` over fibre j that holds p, or None."""
+    for d in disks:
+        if d.fibre == j and d.contains(p):
+            return d
+    return None
 
 
 # -- analyzer: shared orbit machinery --------------------------------------
@@ -421,11 +432,11 @@ class _Analyzer:
             if abs(p.t) > _T_BOUND:
                 return
 
-    def disk_image(self, j: int, b: TypeIIPoint, v: Direction):
-        """``_disk_image`` of D(b, v) under fibre j's link, memoised."""
-        key = (j, b, v)
+    def disk_image(self, j: int, v: Direction) -> Optional[Direction]:
+        """``_disk_image`` of D(v.at, v) under fibre j's link, memoised."""
+        key = (j, v)
         if key not in self._image_cache:
-            self._image_cache[key] = _disk_image(self.chain.links[j], b, v)
+            self._image_cache[key] = _disk_image(self.chain.links[j], v)
         return self._image_cache[key]
 
     def extend(self, additions: dict) -> bool:
@@ -556,38 +567,36 @@ class _Analyzer:
 
     # -- F search -----------------------------------------------------------
 
-    def _registry_f(self, j: int, b, v):
+    def _registry_f(self, j: int, v: Direction):
         if self.registry is None:
             return None
-        d = self.registry.covering(j, b, v)
+        d = self.registry.covering(j, v)
         if d is None:
-            img = self.disk_image(j, b, v)
+            img = self.disk_image(j, v)
             if img is None:
                 return None
-            d = self.registry.covering(self.chain.next_fibre(j), *img)
+            d = self.registry.covering(self.chain.next_fibre(j), img)
         return None if d is None else FCertified(MapsIntoPersistentFDisk(d))
 
-    def _disk_cycle_f(self, j: int, b, v):
-        disks = [(j, b, v)]
-        jj, bb, vv = j, b, v
+    def _disk_cycle_f(self, j: int, v: Direction):
+        disks = [RegistryDisk(j, v)]
         for _ in range(min(self.cfg.horizon, 16)):
-            img = self.disk_image(jj, bb, vv)
+            img = self.disk_image(j, v)
             if img is None:
                 return None
-            jj = self.chain.next_fibre(jj)
-            bb, vv = img
-            for i, (ji, bi, vi) in enumerate(disks):
-                if ji == jj and _disk_contained(bb, vv, bi, vi):
+            j, v = self.chain.next_fibre(j), img
+            for i, d in enumerate(disks):
+                if d.fibre == j and _disk_contained(v, d.direction):
                     ok = all(
-                        _disk_disjoint(vk, self.gammas[jk])
-                        for jk, _bk, vk in disks
+                        _disk_disjoint(dk.direction, self.gammas[dk.fibre])
+                        for dk in disks
                     )
                     if not ok:
                         return None
                     return FCertified(
                         AttractingCycleCertificate(tuple(disks[i:]), entry=i)
                     )
-            disks.append((jj, bb, vv))
+            disks.append(RegistryDisk(j, v))
         return None
 
     def _good_reduction_f(self, j: int, dom: GammaDomain):
@@ -633,11 +642,10 @@ class _Analyzer:
         if w is not None:
             return w
         if dom.kind == "disk" and dom.direction is not None:
-            b, v = dom.boundary[0], dom.direction
-            f = self._registry_f(j, b, v)
+            f = self._registry_f(j, dom.direction)
             if f is not None:
                 return f
-            f = self._disk_cycle_f(j, b, v)
+            f = self._disk_cycle_f(j, dom.direction)
             if f is not None:
                 return f
         f = self._good_reduction_f(j, dom)
@@ -1044,21 +1052,22 @@ def _commit_trap(an: _Analyzer, path, additions, disks, rule: str):
     """
     pre = []
     for jj, q in path:
-        if _in_disks(disks, jj, q):
+        if _disk_holding(disks, jj, q) is not None:
             break
         pre.append((jj, q))
     else:
         for jj, q in an.walk(*path[-1], an.cfg.horizon):
-            if _in_disks(disks, jj, q):
+            if _disk_holding(disks, jj, q) is not None:
                 break
             pre.append((jj, q))
         else:
             return None
-    if not _level_ok(an, pre) or not _level_ok(an, [(jj, b) for jj, b, _ in disks]):
+    boundaries = [(d.fibre, d.boundary) for d in disks]
+    if not _level_ok(an, pre) or not _level_ok(an, boundaries):
         return None
-    for jj, b, v in disks:
-        an.registry.add(RegistryDisk(jj, b, v))
-        additions.setdefault(jj, set()).add(b)
+    for d in disks:
+        an.registry.add(d)
+        additions.setdefault(d.fibre, set()).add(d.boundary)
     _add_points(additions, pre)
     return rule
 
@@ -1099,8 +1108,9 @@ def _attracting_disks(an: _Analyzer, path, additions):
         for jj, q, bound in slots:
             b = TypeIIPoint(q.center, bound)
             v = direction_to_class(b, q.center) if inward else direction_infinity(b)
-            if (jj, b, v) not in disks:
-                disks.append((jj, b, v))
+            d = RegistryDisk(jj, v)
+            if d not in disks:
+                disks.append(d)
         if _verify_disk_cycle(an, disks, additions):
             return _commit_trap(an, path, additions, disks, "attracting-disk")
         slots = [(jj, q, bound + step) for jj, q, bound in slots]
@@ -1109,15 +1119,15 @@ def _attracting_disks(an: _Analyzer, path, additions):
 
 def _verify_disk_cycle(an: _Analyzer, disks, additions) -> bool:
     n = len(disks)
-    for idx, (jj, b, v) in enumerate(disks):
-        if not _disk_disjoint(v, an.gammas[jj], additions.get(jj, ())):
+    for idx, d in enumerate(disks):
+        j, v = d.fibre, d.direction
+        if not _disk_disjoint(v, an.gammas[j], additions.get(j, ())):
             return False
-        img = an.disk_image(jj, b, v)
+        img = an.disk_image(j, v)
         if img is None:
             return False
-        nj = an.chain.next_fibre(jj)
-        tj, tb, tv = disks[(idx + 1) % n]
-        if nj != tj or not _disk_contained(img[0], img[1], tb, tv):
+        nxt = disks[(idx + 1) % n]
+        if an.chain.next_fibre(j) != nxt.fibre or not _disk_contained(img, nxt.direction):
             return False
     return True
 
@@ -1148,7 +1158,7 @@ def _residue_disks(an: _Analyzer, path, additions):
         disks = []
         for jj, r in cyc:
             b = TypeIIPoint(as_series(r), depth)
-            disks.append((jj, b, direction_to_class(b, as_series(r))))
+            disks.append(RegistryDisk(jj, direction_to_class(b, as_series(r))))
         if _verify_disk_cycle(an, disks, additions):
             return _commit_trap(an, path, additions, disks, "residue-cycle")
         depth += 1

@@ -458,10 +458,6 @@ def _missing(p: TypeIIPoint, below, top: TypeIIPoint):
     return out
 
 
-def is_flanked(p: TypeIIPoint, gammas) -> bool:
-    return not missing_flanks(p, gammas)
-
-
 # -- smoothness ----------------------------------------------------------
 
 

@@ -17,7 +17,6 @@ from skewstab.berkovich import (
     join,
     leq,
     m_point,
-    nearest_lattice_vertices,
     point_in_direction,
     special_directions,
 )
@@ -200,33 +199,6 @@ def test_integral_point_has_no_special_directions():
     assert special_directions(Z(0, 3)) == []
 
 
-# -- lattice flanking ---------------------------------------------------------
-
-
-def test_nearest_lattice_vertices_basic():
-    out, inn = nearest_lattice_vertices(Z(0, F(1, 2)), 1)
-    assert out == GAUSS
-    assert inn == Z(0, 1)
-
-
-def test_nearest_lattice_vertices_with_fractional_centre():
-    p = Z(X_HALF, F(3, 4))
-    out, inn = nearest_lattice_vertices(p, 2)
-    assert out == Z(0, F(1, 2))  # centre re-truncates to 0
-    assert inn == Z(X_HALF, F(1))
-
-
-def test_lattice_vertex_fixed_point():
-    p = Z(X_HALF, F(3, 2))
-    out, inn = nearest_lattice_vertices(p, 2)
-    assert out == p and inn == p
-
-
-def test_lattice_requires_divisibility():
-    with pytest.raises(ValueError):
-        nearest_lattice_vertices(Z(X_HALF, F(3, 4)), 3)
-
-
 # -- seeded property checks -----------------------------------------------------
 
 
@@ -280,17 +252,3 @@ def test_g_point_is_minimal():
             assert g == min(brute)
         else:
             assert brute == []
-
-
-def test_flanking_distance_is_one_over_n():
-    rng = random.Random(109)
-    for _ in range(200):
-        p = _random_point(rng)
-        m = m_point(p)
-        for n in (m, 2 * m, 6 * m):
-            out, inn = nearest_lattice_vertices(p, n)
-            assert leq(p, out) and leq(inn, p)
-            if (p.t * n).denominator != 1:
-                assert hyperbolic_distance(out, inn) == F(1, n)
-            else:
-                assert out == p and inn == p

@@ -7,8 +7,9 @@ from importlib import resources
 
 import pytest
 
+from mapdefs import bundled_links
 from skewstab import skew
-from skewstab.berkovich import TypeIIPoint, direction_infinity, direction_to_class
+from skewstab.berkovich import TypeIIPoint, direction_at, direction_infinity, direction_to_class
 from skewstab.errors import DegenerateImage, InsufficientPrecision, SkewstabError
 from skewstab.parsing import parse_definition
 from skewstab.puiseux import DEFAULT_PRECISION, INF, PuiseuxPoly, X, reversion
@@ -21,7 +22,6 @@ from skewstab.skew import (
     SkewLocal,
     critical_points,
     critical_points_rational,
-    dynamical_degree,
     folding_tree,
     gauss_val,
     has_good_reduction,
@@ -134,6 +134,27 @@ def test_direction_at_infinity_preserved_by_xy2():
     p = Z(0, 1)
     img_v = pushforward_direction(s, p, direction_infinity(p))
     assert img_v.at_infinity
+
+
+def test_a_direction_images_where_the_points_just_inside_it_go():
+    # on a folding ray the radius turns at a crossing: thm6 lifts
+    # zeta(0, t) to 3t/2 below t = 2/3 and lowers it to 2 - 3t/2 past it,
+    # so zeta(0, 1/2) towards 0 images towards 0 at zeta(0, 3/4), though
+    # points a distance 1 or 1/2 inside image towards infinity
+    eps = F(1, 2**20)
+    wrong = []
+    for name, link in bundled_links():
+        for k in range(-36, 48):
+            b = Z(0, F(k, 12))
+            image = pushforward(link, b)
+            for v, near in (
+                (direction_to_class(b, ZERO), Z(0, b.t + eps)),
+                (direction_infinity(b), Z(0, b.t - eps)),
+            ):
+                want = direction_at(image, pushforward(link, near))
+                if pushforward_direction(link, b, v) != want:
+                    wrong.append(f"{name}: {v}")
+    assert not wrong
 
 
 # -- seminorm identity oracle ------------------------------------------------------
@@ -348,11 +369,6 @@ def test_chain_orbit_length_and_fibres():
     c = Chain([xy2_map()], period=1, tail=0)
     orb = c.orbit(0, Z(0, 0), 3)
     assert [t for _, t in [(f, p.t) for f, p in orb]] == [0, 1, 3, 7]
-
-
-def test_dynamical_degree():
-    assert dynamical_degree(thm6_map(), 2) == 6
-    assert dynamical_degree(square_map(), 1) == 2
 
 
 # -- multiplicity divisibility for simple links ---------------------------------------

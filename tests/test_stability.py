@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from collections import Counter
 from fractions import Fraction as F
@@ -6,13 +7,24 @@ from importlib import resources
 
 import pytest
 
-from mapdefs import ONE, X, ZERO, thm6_map, square_map, xy2_map
+from mapdefs import (
+    ONE,
+    X,
+    ZERO,
+    bundled_links,
+    random_point,
+    square_map,
+    thm6_map,
+    xy2_map,
+)
 from skewstab import skew, stability
 from skewstab.berkovich import (
     TypeIIPoint,
+    direction_infinity,
     direction_to_class,
     gauss_point,
     leq,
+    point_in_direction,
 )
 from skewstab.errors import NotApplicable, RoundCapExceeded
 from skewstab.parsing import parse_definition
@@ -254,7 +266,7 @@ class TestMinimalStabilisation:
 class TestRegistry:
     def test_audit_flags_every_axiom_breach(self):
         reg = PersistentFDiskRegistry()
-        bad = RegistryDisk(0, zp(0, 1), direction_to_class(zp(0, 1), as_series(0)))
+        bad = RegistryDisk(0, direction_to_class(zp(0, 1), as_series(0)))
         reg.add(bad)
         fails = reg.audit(
             {0: VertexSet([gauss_point(), zp(0, 2)])}, single_chain(square_map())
@@ -264,12 +276,55 @@ class TestRegistry:
 
     def test_insertion_only_and_dedup(self):
         reg = PersistentFDiskRegistry()
-        d = RegistryDisk(0, zp(0, 1), direction_to_class(zp(0, 1), as_series(0)))
+        d = RegistryDisk(0, direction_to_class(zp(0, 1), as_series(0)))
         reg.add(d)
         reg.add(d)
         assert len(reg) == 1
         assert reg.find(0, zp(0, 3)) is d
         assert reg.find(0, zp(1, 3)) is None
+
+
+def points_of_disk(v, rng):
+    """Points of D(v.at, v): two on v's ray at distances 2^-k from v.at,
+    k in -3..6, and two off it, whose centres leave the ray's at an
+    exponent past v.at inwards and short of it outwards."""
+    b = v.at
+    ray = b.center if v.at_infinity else v.rep
+    side = -1 if v.at_infinity else 1
+    out = []
+    for _ in range(2):
+        out.append(TypeIIPoint(ray, b.t + side * F(2) ** -rng.randint(-3, 6)))
+        e = b.t + side * F(2) ** -rng.randint(0, 3)
+        off = ray + PuiseuxPoly.monomial(rng.choice([-2, -1, 1, 2]), e)
+        out.append(TypeIIPoint(off, max(e, b.t) + F(2) ** -rng.randint(-3, 3)))
+    return out
+
+
+class TestDiskImage:
+    def test_every_point_of_an_imaged_disk_pushes_into_its_image(self):
+        # the premise of every F certificate: an open disk with no pole,
+        # or no zero, inside maps into the disk off the image of its
+        # boundary in the direction _disk_image returns
+        rng = random.Random(15)
+        for name, link in bundled_links():
+            imaged = 0
+            for _ in range(60):
+                b = random_point(rng)
+                if rng.random() < 0.5:
+                    v = direction_infinity(b)
+                else:
+                    c = rng.choice([0, 1, -1, 2])
+                    v = direction_to_class(b, b.center + PuiseuxPoly.monomial(c, b.t))
+                img = stability._disk_image(link, v)
+                if img is None:
+                    continue
+                for p in points_of_disk(v, rng):
+                    assert point_in_direction(v, p)
+                    assert point_in_direction(img, pushforward(link, p)), (name, str(v), str(p))
+                imaged += 1
+                if imaged == 20:
+                    break
+            assert imaged == 20, name
 
 
 class TestStabilizeSmooth:
@@ -470,11 +525,11 @@ class TestOrbitGate:
             pushes[(j, p)] += 1
             return real_step(chain, j, p)
 
-        def disk_image(link, b, v):
+        def disk_image(link, v):
             # the registry audit images its disks outside any analyzer
             if not in_audit:
-                images[(id(link), b, v)] += 1
-            return real_image(link, b, v)
+                images[(id(link), v)] += 1
+            return real_image(link, v)
 
         def audit(registry, gammas, chain):
             in_audit.append(True)
@@ -539,8 +594,8 @@ class TestOrbitGate:
         monkeypatch.setattr(skew, "pushforward", push)
         # stability binds no push of its own; were it to, its pushes count too
         monkeypatch.setattr(stability, "pushforward", push, raising=False)
-        image = stability._disk_image(thm6_map(), b, v)
+        image = stability._disk_image(thm6_map(), v)
         assert pushed.count(b) == 1
         at = zp(1, F(1, 2))
         rep = as_series(1) + PuiseuxPoly.monomial(3, F(1, 2))
-        assert image == (at, direction_to_class(at, rep))
+        assert image == direction_to_class(at, rep)
