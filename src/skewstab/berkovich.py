@@ -8,11 +8,14 @@ Only these disk points are represented: that is exactly what the
 algorithms downstream need.  Classical points enter only as series
 tested against directions (``classical_in_direction``).
 
-The centre is stored in canonical form: every exponent of the stored
-centre is strictly below ``t``, and the stored series is the exact finite
-sum obtained by discarding the rest.  Two points are equal as seminorms
-iff their canonical forms are structurally equal, so ``==`` is semantic
-equality.
+Stored form: ``(center, t, tn, td)``.  The centre is canonical: every
+exponent of it is strictly below ``t``, and it is the exact finite sum
+obtained by discarding the rest.  ``t`` is a ``Fraction`` and
+``tn/td`` the same radius as two ints in lowest terms.  Two points are
+equal as seminorms iff their stored forms are equal, so ``==`` is
+semantic equality.  The tree queries (``leq``, ``join``, directions)
+compare integers: radii by cross-multiplication, and centres term by
+term on the lcm of their exponent lattices (``_split``).
 
 Conventions: ``|x| < 1``, so larger ``t`` means smaller disk.  The
 hyperbolic metric is normalised so the Gauss point and ``zeta(0, 1)``
@@ -27,17 +30,18 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InsufficientPrecision
-from .puiseux import INF, PuiseuxPoly, as_series, rat
+from .puiseux import INF, PuiseuxPoly, _text, as_series, rat
 
 
 class TypeIIPoint:
-    """Disk point ``zeta(center, t)`` in canonical form.
+    """Disk point ``zeta(center, t)`` in canonical form; immutable by
+    convention (the hot constructor skips a ``__setattr__`` guard).
 
     The stored centre is exact: a truncated centre known to O(x^t) or
     beyond is cut at t, and one known less far is rejected.
     """
 
-    __slots__ = ("center", "t", "_hash")
+    __slots__ = ("center", "t", "tn", "td", "_hash")
 
     def __init__(self, center, t):
         center = as_series(center)
@@ -47,33 +51,36 @@ class TypeIIPoint:
                 f"centre only known to O(x^{center.precision}), "
                 f"cannot canonicalise at t = {t}"
             )
-        object.__setattr__(self, "center", center.drop_from(t))
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TypeIIPoint is immutable")
+        _point(center.drop_from(t), t, self)
 
     def __eq__(self, other):
         if not isinstance(other, TypeIIPoint):
             return NotImplemented
-        return self.t == other.t and self.center == other.center
+        return self.tn == other.tn and self.td == other.td and self.center == other.center
 
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash((self.center, self.t))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     def sort_key(self):
         return (self.t, self.center.terms)
 
     def __str__(self):
-        return f"zeta({self.center}, {self.t})"
+        return f"zeta({self.center}, {_text(self.t)})"
 
     def __repr__(self):
         return f"TypeIIPoint({self})"
+
+
+def _point(center: PuiseuxPoly, t: Fraction, into=None) -> TypeIIPoint:
+    """The point of a centre already canonical at t, set up in ``into``
+    if given."""
+    p = object.__new__(TypeIIPoint) if into is None else into
+    p.center, p.t, p.tn, p.td, p._hash = center, t, t.numerator, t.denominator, None
+    return p
 
 
 def gauss_point() -> TypeIIPoint:
@@ -112,8 +119,8 @@ def direction_to_class(at: TypeIIPoint, member) -> Direction:
         raise InsufficientPrecision(
             f"class member only known to O(x^{member.precision}) at level {at.t}"
         )
-    v = _diff_val(member, at.center)
-    if v is not None and v < at.t:
+    k, n = _split(member, at.center)
+    if k is not None and k * at.td < at.tn * n:
         raise ValueError("class member lies outside the disk of the point")
     return Direction(at=at, at_infinity=False, rep=class_rep(member, at.t))
 
@@ -125,50 +132,50 @@ def direction_infinity(at: TypeIIPoint) -> Direction:
 # -- partial order and metric -------------------------------------------------
 
 
-def _diff_val(a: PuiseuxPoly, b: PuiseuxPoly):
-    """Valuation of a - b without building it; None when the two term
-    lists are equal.
+def _scaled(c: PuiseuxPoly, n: int, d: int) -> list:
+    """The terms of c as integer pairs (exponent * n, coefficient * d),
+    for n a multiple of c.N and d of c.den."""
+    s, m = n // c.N, d // c.den
+    return [((c.lo + i) * s, k * m) for i, k in enumerate(c.nums) if k]
 
-    Both term lists are canonical (sorted, nonzero coefficients), so the
-    first disagreement is the leading term of the difference.  Point
+
+def _split(a: PuiseuxPoly, b: PuiseuxPoly):
+    """(k, n): the centres a and b first differ at x^(k/n), n the lcm of
+    their ramification indices; k is None when they are equal.
+
+    The terms are compared as integers on the lattice x^(1/n) over the
+    product of the two denominators, so no ``Fraction`` is built.  Point
     centres and class representatives are exact, and the one truncated
     argument, a class member in ``direction_to_class``, is known past the
     point's level, so that term is known in both.
     """
-    ta, tb = a.terms, b.terms
-    n = min(len(ta), len(tb))
-    i = 0
-    while i < n and ta[i] == tb[i]:
-        i += 1
-    if i < n:
-        return min(ta[i][0], tb[i][0])
-    if i < len(ta):
-        return ta[i][0]
-    if i < len(tb):
-        return tb[i][0]
-    return None
+    if a is b:  # points on one ray share their centre
+        return None, a.N
+    n, d = math.lcm(a.N, b.N), a.den * b.den
+    ta, tb = _scaled(a, n, d), _scaled(b, n, d)
+    for x, y in zip(ta, tb):
+        if x != y:
+            return min(x[0], y[0]), n
+    rest = ta[len(tb):] or tb[len(ta):]
+    return (rest[0][0] if rest else None), n
 
 
 def leq(p1: TypeIIPoint, p2: TypeIIPoint) -> bool:
     """Disk containment: the disk of p1 is contained in the disk of p2."""
-    if p1.t < p2.t:
+    if p1.tn * p2.td < p2.tn * p1.td:
         return False
-    v = _diff_val(p1.center, p2.center)
-    return v is None or v >= p2.t
+    k, n = _split(p1.center, p2.center)
+    return k is None or k * p2.td >= p2.tn * n
 
 
 def join(p1: TypeIIPoint, p2: TypeIIPoint) -> TypeIIPoint:
     """Least upper bound: the smallest disk containing both."""
-    s = min(p1.t, p2.t)
-    v = _diff_val(p1.center, p2.center)
-    if v is not None:
-        s = min(s, v)
     # the join of a nested pair is the outer point itself
-    if s == p1.t:
-        return p1
-    if s == p2.t:
-        return p2
-    return TypeIIPoint(p1.center, s)
+    outer = p1 if p1.tn * p2.td <= p2.tn * p1.td else p2
+    k, n = _split(p1.center, p2.center)
+    if k is None or k * outer.td >= outer.tn * n:
+        return outer
+    return _point(p1.center._cut(-(-k * p1.center.N // n), INF), Fraction(k, n))
 
 
 def hyperbolic_distance(p1: TypeIIPoint, p2: TypeIIPoint) -> Fraction:
@@ -192,10 +199,10 @@ def point_in_direction(v: Direction, p: TypeIIPoint) -> bool:
         return False
     if v.at_infinity:
         return not leq(p, anchor)
-    if p.t <= anchor.t:
+    if p.tn * anchor.td <= anchor.tn * p.td:
         return False
-    d = _diff_val(p.center, v.rep)
-    return d is None or d > anchor.t
+    k, n = _split(p.center, v.rep)
+    return k is None or k * anchor.td > anchor.tn * n
 
 
 def classical_in_direction(v: Direction, value: PuiseuxPoly) -> bool:
@@ -231,9 +238,7 @@ def m_point(p: TypeIIPoint) -> int:
 
 def g_point(p: TypeIIPoint) -> int:
     """Least n such that p is a vertex of the level-n lattice."""
-    m = m_point(p)
-    q = p.t.denominator
-    return m * q // math.gcd(m, q)
+    return math.lcm(m_point(p), p.td)
 
 
 def classify_point(p: TypeIIPoint) -> str:

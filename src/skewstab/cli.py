@@ -18,7 +18,8 @@ Exit codes: 0 success (StableCertified for the stability family),
 error, 3 DestabilisingFound, 4 Inconclusive or round cap exceeded,
 5 internal error (an unexpected exception, reported on one line),
 6 the engine could not decide (any other SkewstabError, such as
-insufficient precision or a centre with no rational transport).
+insufficient precision, a centre with no rational transport, or a
+number with too many digits to print).
 """
 
 from __future__ import annotations

@@ -42,6 +42,11 @@ class NotApplicable(SkewstabError):
     """The requested certificate machinery does not cover this input."""
 
 
+class TooManyDigits(SkewstabError):
+    """A number to be printed has more decimal digits than Python converts
+    (``sys.get_int_max_str_digits()``, 4300 by default)."""
+
+
 class RoundCapExceeded(SkewstabError):
     """An iterative closure hit its round cap.
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InsufficientPrecision, NotRepresentable
+from .errors import InsufficientPrecision, NotRepresentable, TooManyDigits
 
 Rat = Fraction
 
@@ -103,6 +103,14 @@ def rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def _text(q) -> str:
+    """str(q), or TooManyDigits past Python's int-to-str digit limit."""
+    try:
+        return str(q)
+    except ValueError:
+        raise TooManyDigits("a number to be printed has too many decimal digits") from None
 
 
 def _is_prec(p) -> bool:
@@ -461,7 +469,7 @@ class PuiseuxPoly:
         parts = []
         for e, c in self.terms:
             xp = "x" if e == 1 else f"x^{e}" if e.denominator == 1 and e > 0 else f"x^({e})"
-            piece = str(abs(c)) if e == 0 else xp if abs(c) == 1 else f"{abs(c)}*{xp}"
+            piece = _text(abs(c)) if e == 0 else xp if abs(c) == 1 else f"{_text(abs(c))}*{xp}"
             parts.append(f"{'-' if c < 0 else '+'} {piece}")
         body = " ".join(parts)
         body = "0" if not body else body[2:] if body[0] == "+" else "-" + body[2:]

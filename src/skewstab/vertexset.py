@@ -18,15 +18,15 @@ edge between two vertices, a disk hanging off the tree, or a connected
 group of non-vertex nodes with the edges around it.  For n vertices, a
 tree of depth d whose nodes have at most k children:
 
-* building the tree: O(n log n) comparisons to sort the vertices in
-  depth-first order, n - 1 joins of neighbours to close them, and one
-  stack pass for the parents;
+* building the tree: O(n log n) comparisons of integer keys to sort the
+  vertices in depth-first order, n - 1 joins of neighbours to close
+  them, and one stack pass for the parents;
 * ``hull``, ``HullTree.parent_of``/``children_of`` and ``in``: lookups;
 * ``HullTree.seat``: a descent from the top, O(k) comparisons at each
   node with several children, and one join and a bisection over cached
-  t values for each run, the path below a single-child node on which
-  every node but the last has one child; O(b k + r log n) for b such
-  nodes and r runs passed, where one node at a time took O(d k);
+  integer t values for each run, the path below a single-child node on
+  which every node but the last has one child; O(b k + r log n) for b
+  such nodes and r runs passed, where one node at a time took O(d k);
 * ``locate``: a ``seat``, then a walk over the component found, O(its
   size);
 * ``meets`` (does an open disk off a point hold a vertex) and
@@ -39,7 +39,7 @@ tree of depth d whose nodes have at most k children:
 * ``is_smooth``, ``enumerate_domains``, ``dual_graph``: one pass over the
   tree (``is_smooth`` adds a lattice scan per pair of adjacent vertices);
 * ``segment_lattice_points`` at level N: per piece between the inner
-  centre's exponents, only the denominators q <= N allowed there with a
+  centre's slots, only the denominators q <= N allowed there with a
   non-empty range of numerators, and the numerators prime to q.  The
   pairs (k, q) are sorted by the integer k * L/q, L the lcm of the q
   kept, and a ``Fraction`` and a point are built only for those;
@@ -47,10 +47,10 @@ tree of depth d whose nodes have at most k children:
   children; a lattice scan per edge and a flank test per vertex, once.
 
 The set order, in which a ``VertexSet`` keeps its points and the tree its
-nodes, is ``TypeIIPoint.sort_key``'s, with each radius read as an integer
-on the lattice 1/L, L the lcm of the radius denominators: sorting n
-points makes O(n log n) integer comparisons, and reads centre terms only
-between points of one radius.
+nodes, is ``TypeIIPoint.sort_key``'s, each radius and centre term read
+as integers on the lattice of the set.  With ``berkovich``'s integer
+kernel, building, seating, flanking and the lattice scan compare no
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,9 @@ from typing import Optional
 from .berkovich import (
     Direction,
     TypeIIPoint,
-    _diff_val,
+    _point,
+    _scaled,
+    _split,
     classify_point,
     direction_at,
     g_point,
@@ -74,6 +76,7 @@ from .berkovich import (
     point_in_direction,
 )
 from .errors import RoundCapExceeded
+from .puiseux import INF
 
 
 class VertexSet:
@@ -170,20 +173,21 @@ class HullTree:
             if len(kids) == 1:
                 # the run below u lies on one ray, which p leaves at level
                 # s; p is below the run nodes up to s
-                ts, run = self._run(u)
-                s = join(p, run[-1]).t
-                i = bisect_right(ts, s)
+                (n, ts), run = self._run(u)
+                s = join(p, run[-1])
+                i = bisect_right(ts, s.tn * n // s.td)
                 if i == len(run):
                     u = run[-1]
                     continue
                 if i:
                     u = run[i - 1]
-                return (u, None) if s == u.t else (u, run[i])
+                return (u, None) if s.tn * u.td == u.tn * s.td else (u, run[i])
             for w in kids:
                 if leq(p, w):
                     u = w
                     break
-                if join(p, w).t > u.t:
+                s = join(p, w)
+                if s.tn * u.td > u.tn * s.td:
                     return u, w
             else:
                 return u, None
@@ -191,13 +195,15 @@ class HullTree:
 
     def _run(self, u):
         """The path down from the one child of u while nodes have one
-        child, with the t of each node (built once per u)."""
+        child, with the t of each node as an integer on the lattice 1/n
+        of the run, as ((n, ts), run) (built once per u)."""
         got = self._runs.get(u)
         if got is None:
             run = self.children_of[u][:]
             while len(self.children_of[run[-1]]) == 1:
                 run.append(self.children_of[run[-1]][0])
-            got = self._runs[u] = ([w.t for w in run], run)
+            n = math.lcm(*[w.td for w in run])
+            got = self._runs[u] = ((n, [w.tn * (n // w.td) for w in run]), run)
         return got
 
     def deepest(self) -> dict:
@@ -267,37 +273,43 @@ def _tree_from_parents(parent_of, lst, vertices) -> HullTree:
     return HullTree(tuple(lst), tuple(edges), top, vertices, parent_of, children_of)
 
 
+def _lattice(points):
+    """(n, d): the radii and centre exponents of the points lie on the
+    lattice 1/n, and their centre coefficients on 1/d."""
+    n = math.lcm(*[p.td for p in points], *[p.center.N for p in points])
+    return n, math.lcm(*[p.center.den for p in points])
+
+
 def _in_set_order(points) -> list:
     """The points sorted as by ``TypeIIPoint.sort_key``, (t, centre
-    terms), with each t read as an integer on the lattice 1/L, L the lcm
-    of the radius denominators: the set order of the module."""
+    terms), read as integers on their lattice: the set order of the
+    module."""
     points = list(points)
-    L = math.lcm(*[p.t.denominator for p in points])
-    return sorted(points, key=lambda p: (p.t.numerator * (L // p.t.denominator), p.center.terms))
-
-
-def _tree_key(p: TypeIIPoint):
-    """Sort key of the depth-first order of the disk tree.
-
-    A disk comes before the disks inside it; disjoint disks compare by the
-    sign of the first difference of their centres' coefficients, which is
-    the same for all points of their two subtrees.  Keying c*x^e as
-    (1, -e, c) for c > 0 and (-1, e, c) for c < 0, and the end of the
-    centre as (-1, t), ranks each against an absent term (coefficient 0).
-    """
-    terms = p.center.terms
-    return tuple((1, -e, c) if c > 0 else (-1, e, c) for e, c in terms) + ((-1, p.t),)
+    n, d = _lattice(points)
+    return sorted(points, key=lambda p: (p.tn * (n // p.td), _scaled(p.center, n, d)))
 
 
 def _join_closure(pts):
     """The join-closure in depth-first order.
 
     In that order the join of any two points is the highest join of
-    neighbours between them, so n - 1 joins close the set.
+    neighbours between them, so n - 1 joins close the set.  A disk comes
+    before the disks inside it; disjoint disks compare by the sign of the
+    first difference of their centres' coefficients, which is the same
+    for all points of their two subtrees.  Keying c*x^e as (1, -e, c) for
+    c > 0 and (-1, e, c) for c < 0, and the end of the centre as (-1, t),
+    ranks each against an absent term (coefficient 0).  The keys are
+    integers on the lattice of the points, which holds their joins too.
     """
-    order = sorted(pts, key=_tree_key)
+    n, d = _lattice(pts)
+
+    def key(p):
+        body = [(1, -e, c) if c > 0 else (-1, e, c) for e, c in _scaled(p.center, n, d)]
+        return body + [(-1, p.tn * (n // p.td))]
+
+    order = sorted(pts, key=key)
     joins = {join(a, b) for a, b in zip(order, order[1:])}.difference(order)
-    return sorted(order + list(joins), key=_tree_key) if joins else order
+    return sorted(order + list(joins), key=key) if joins else order
 
 
 def segment_lattice_points(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
@@ -312,13 +324,13 @@ def segment_lattice_points(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
     """
     if not leq(inner, outer):
         raise ValueError("segment endpoints are not comparable")
-    cuts = [e for e, _c in inner.center.terms if e > outer.t]
-    lo, found = outer.t, []
-    for i, hi in enumerate(cuts + [inner.t]):
-        center = inner.center.drop_from(hi)
-        m, at_end = center.N, i == len(cuts)
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        pairs, L = [], 1
+    c = inner.center
+    cuts = [c.lo + i for i, k in enumerate(c.nums) if k and (c.lo + i) * outer.td > outer.tn * c.N]
+    ln, ld, found = outer.tn, outer.td, []
+    for i, (hn, hd) in enumerate([(k, c.N) for k in cuts] + [(inner.tn, inner.td)]):
+        at_end = i == len(cuts)
+        center = c if at_end else c._cut(hn, INF)
+        m, pairs, L = center.N, [], 1
         for q in range(1, bound + 1):
             # lo < k/q <= hi, and k/q < hi on the last piece
             k0, k1 = ln * q // ld + 1, (hn * q - at_end) // hd
@@ -329,8 +341,8 @@ def segment_lattice_points(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
                     pairs += got
         # k/q in lowest terms is unique, so the key k * L/q never ties
         pairs.sort(key=lambda kq: kq[0] * (L // kq[1]))
-        found += [TypeIIPoint(center, Fraction(k, q)) for k, q in pairs]
-        lo = hi
+        found += [_point(center, Fraction(k, q)) for k, q in pairs]
+        ln, ld = hn, hd
     return found
 
 
@@ -399,14 +411,12 @@ def flank_in_direction(p: TypeIIPoint, v: Direction) -> TypeIIPoint:
     """Nearest level-m(p) vertex strictly in direction v from p."""
     m = m_point(p)
     if v.at_infinity:
-        k = math.floor(p.t * m)
-        if Fraction(k, m) == p.t:
-            k -= 1
-        return TypeIIPoint(p.center, Fraction(k, m))
-    k = math.ceil(p.t * m)
-    if Fraction(k, m) == p.t:
-        k += 1
-    return TypeIIPoint(v.rep, Fraction(k, m))
+        # the last k/m below t; the centre's exponents lie on 1/m below t,
+        # so one at k/m is cut
+        k = (p.tn * m - 1) // p.td
+        return _point(p.center._cut(k, INF), Fraction(k, m))
+    # the first k/m past t; the class representative ends at or before t
+    return _point(v.rep, Fraction(p.tn * m // p.td + 1, m))
 
 
 def missing_flanks(p: TypeIIPoint, gammas):
@@ -438,16 +448,16 @@ def _missing(p: TypeIIPoint, below, top: TypeIIPoint):
     past p.t; the direction at infinity holds a vertex exactly when the
     top is not below p.
     """
-    m, q = p.center.N, p.t.denominator
-    g = math.lcm(m, q)
+    m = p.center.N
+    g = math.lcm(m, p.td)
     if g == 1:
         return []
     out = []
     if g > m:
-        t, c = p.t, p.center
+        c = p.center
         for w in below:
-            d = _diff_val(w.center, c)
-            if d is None or d > t:
+            k, n = _split(w.center, c)
+            if k is None or k * p.td > p.tn * n:
                 break
         else:
             v = Direction(at=p, at_infinity=False, rep=c)
@@ -524,7 +534,7 @@ def is_smooth(gammas) -> SmoothnessReport:
         cap = max(g_point(outer), g_point(inner))
         inside = segment_lattice_points(outer, inner, cap)
         if inside:
-            witness = min(inside, key=lambda p: (g_point(p), p.t))
+            witness = min(inside, key=g_point)  # the first, in order of t
             violations.append(
                 Violation(
                     "interior-vertex",

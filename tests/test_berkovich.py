@@ -1,5 +1,6 @@
 """Tree structure, canonical forms, multiplicities."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -252,3 +253,133 @@ def test_g_point_is_minimal():
             assert g == min(brute)
         else:
             assert brute == []
+
+
+# -- the integer tree layer against Fraction oracles ---------------------------
+
+
+def _oracle_diff_val(a, b):
+    """Valuation of a - b from the Fraction terms; None when equal."""
+    ta, tb = a.terms, b.terms
+    n = min(len(ta), len(tb))
+    i = 0
+    while i < n and ta[i] == tb[i]:
+        i += 1
+    if i < n:
+        return min(ta[i][0], tb[i][0])
+    if i < len(ta):
+        return ta[i][0]
+    if i < len(tb):
+        return tb[i][0]
+    return None
+
+
+def _oracle_leq(p1, p2):
+    if p1.t < p2.t:
+        return False
+    v = _oracle_diff_val(p1.center, p2.center)
+    return v is None or v >= p2.t
+
+
+def _oracle_join(p1, p2):
+    s = min(p1.t, p2.t)
+    v = _oracle_diff_val(p1.center, p2.center)
+    if v is not None:
+        s = min(s, v)
+    if s == p1.t:
+        return p1
+    if s == p2.t:
+        return p2
+    return TypeIIPoint(p1.center, s)
+
+
+def _oracle_in_direction(v, p):
+    anchor = v.at
+    if p == anchor:
+        return False
+    if v.at_infinity:
+        return not _oracle_leq(p, anchor)
+    if p.t <= anchor.t:
+        return False
+    d = _oracle_diff_val(p.center, v.rep)
+    return d is None or d > anchor.t
+
+
+def _oracle_tree_key(p):
+    """Depth-first order of the disk tree, keyed on Fraction terms."""
+    terms = p.center.terms
+    return tuple((1, -e, c) if c > 0 else (-1, e, c) for e, c in terms) + ((-1, p.t),)
+
+
+def _oracle_flank(p, v):
+    m = m_point(p)
+    if v.at_infinity:
+        k = math.floor(p.t * m)
+        return TypeIIPoint(p.center, F(k - 1 if F(k, m) == p.t else k, m))
+    k = math.ceil(p.t * m)
+    return TypeIIPoint(v.rep, F(k + 1 if F(k, m) == p.t else k, m))
+
+
+def _mixed_centres(rng, count):
+    """Centres with exponent denominators 1-6 and coefficient
+    denominators 1-5, many sharing a prefix with an earlier one: cut,
+    extended, or with one coefficient changed."""
+    pool = [PuiseuxPoly.zero()]
+    while len(pool) < count:
+        base = list(rng.choice(pool).terms)
+        move = rng.randrange(3)
+        if move == 0 and base:
+            base = base[: rng.randrange(len(base))]
+        elif move == 1 and base:
+            i = rng.randrange(len(base))
+            base[i] = (base[i][0], base[i][1] + F(rng.choice([-1, 1]), rng.randint(1, 5)))
+        top = base[-1][0] if base else F(rng.randint(-3, 1), rng.randint(1, 3))
+        for _ in range(rng.randint(0, 2)):
+            top += F(rng.randint(1, 3), rng.choice([1, 2, 3, 4, 6]))
+            base.append((top, F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 5))))
+        pool.append(PuiseuxPoly(base))
+    return pool
+
+
+def _mixed_point(rng, centres):
+    c = rng.choice(centres)
+    e = c.terms[-1][0] if c.terms else F(rng.randint(-2, 2))
+    # at, below or past the centre's last exponent
+    return TypeIIPoint(c, e + F(rng.randint(-4, 6), rng.choice([1, 2, 3, 4, 6])))
+
+
+def test_tree_layer_matches_the_fraction_oracles():
+    from skewstab.vertexset import _join_closure, flank_in_direction
+
+    rng = random.Random(1601)
+    centres = _mixed_centres(rng, 60)
+    assert len({c.N for c in centres}) >= 4 and len({c.den for c in centres}) >= 4
+    deep = outside = 0
+    for _ in range(3000):
+        a, b = _mixed_point(rng, centres), _mixed_point(rng, centres)
+        assert leq(a, b) == _oracle_leq(a, b), (str(a), str(b))
+        assert join(a, b) == _oracle_join(a, b), (str(a), str(b))
+        v = _oracle_diff_val(a.center, b.center)
+        deep += v is not None and v > min(a.center.val_floor(), b.center.val_floor())
+        for d in (direction_infinity(a), direction_at(a, b) if b != a else None):
+            if d is not None:
+                assert point_in_direction(d, b) == _oracle_in_direction(d, b)
+        # a member of a class at a known to O(x^prec), prec just past a.t
+        member = PuiseuxPoly(b.center.terms, precision=a.t + F(1, rng.randint(1, 6)))
+        d = _oracle_diff_val(member, a.center)
+        if d is not None and d < a.t:
+            outside += 1
+            with pytest.raises(ValueError):
+                direction_to_class(a, member)
+        else:
+            rep = direction_to_class(a, member).rep
+            assert rep == member.keep_through(a.t) and rep.precision is INF
+        for d, _m in special_directions(a):
+            assert flank_in_direction(a, d) == _oracle_flank(a, d), str(a)
+    assert deep > 200 and 300 < outside < 2700
+    for _ in range(300):
+        pts = list({_mixed_point(rng, centres) for _ in range(rng.randint(1, 9))})
+        order = _join_closure(pts)
+        assert order == sorted(order, key=_oracle_tree_key)
+        assert len(order) == len(set(order))
+        assert set(order) == {_oracle_join(a, b) for a in pts for b in pts}

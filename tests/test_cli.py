@@ -196,6 +196,14 @@ class TestFailureSurface:
             assert err.startswith("parse error: line ") and err.count("\n") == 1
             assert "integer literal of 5000 digits is too long" in err
 
+    def test_a_number_past_the_digit_limit_is_not_printed(self, tmp_path):
+        # 2300 sevens parse, and their square has 4600 digits
+        f = tmp_path / "square.skew"
+        f.write_text("period 1\ntail 0\n[fibre 0]\nphi1 = x\nphi2 = y^2\ngamma = zeta(0, 0)\n")
+        code, out, err = run_cli("image", str(f), f"zeta({'7' * 2300}, 1)", "2")
+        assert code == EXIT_UNDECIDED == 6 and out == ""
+        assert err == "error: a number to be printed has too many decimal digits\n"
+
     def test_an_unexpected_exception_exits_5_on_one_line(self, monkeypatch):
         def boom(args):
             raise ValueError("unexpected\nsecond line")
