@@ -13,6 +13,12 @@ Subcommands, with the common flags each one reads:
 Definition arguments accept a path or the name of a bundled fixture
 (thm6, thmB, xy2, goodred).
 
+Each subcommand's arguments are declared once, in ``_COMMANDS``.  A call
+builds only its command's parser; the parser of every command
+(``_build_parser``) is built for top-level help and for usage errors
+that the command's own parser leaves to it, so help and error messages
+are the same bytes either way.
+
 Exit codes: 0 success (StableCertified for the stability family),
 1 failed check (non-smooth input, demo mismatch), 2 usage or parse
 error, 3 DestabilisingFound, 4 Inconclusive or round cap exceeded,
@@ -516,104 +522,111 @@ def cmd_demo(args):
 
 # -- argument parsing -------------------------------------------------------------
 
-_FLAGS = {
-    "--precision": dict(
-        type=int, default=None,
-        help="largest exponent allowed in input series (default: file's declaration, else 64)",
-    ),
-    "--horizon": dict(type=int, default=64, help="orbit horizon (default 64)"),
-    "--max-rounds": dict(
-        type=int, default=32, dest="max_rounds", help="round cap for stabilisation (default 32)"
-    ),
-    "--probe-budget": dict(
-        type=int, default=8, dest="probe_budget",
-        help="denominator budget for probe rays (default 8)",
-    ),
-    "--out": dict(default=None, help="write output to this path instead of stdout"),
-}
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+_PRECISION = _arg(
+    "--precision", type=int, default=None,
+    help="largest exponent allowed in input series (default: file's declaration, else 64)",
+)
+_HORIZON = _arg("--horizon", type=int, default=64, help="orbit horizon (default 64)")
+_MAX_ROUNDS = _arg(
+    "--max-rounds", type=int, default=32, dest="max_rounds",
+    help="round cap for stabilisation (default 32)",
+)
+_PROBE_BUDGET = _arg(
+    "--probe-budget", type=int, default=8, dest="probe_budget",
+    help="denominator budget for probe rays (default 8)",
+)
+_OUT = _arg("--out", default=None, help="write output to this path instead of stdout")
 
 # the common flags each kind of subcommand reads
-_LISTING = ("--precision", "--out")
-_STABILIZE = ("--precision", "--horizon", "--max-rounds", "--probe-budget", "--out")
+_LISTING = (_PRECISION, _OUT)
+_STABILIZE = (_PRECISION, _HORIZON, _MAX_ROUNDS, _PROBE_BUDGET, _OUT)
 
-
-def _add_command(sub, name, handler, help_text, flags):
-    sp = sub.add_parser(name, help=help_text)
-    for flag in flags:
-        sp.add_argument(flag, **_FLAGS[flag])
-    sp.set_defaults(handler=handler)
-    return sp
-
-
-def _add_points_args(sp) -> None:
-    sp.add_argument(
+_DEFINITION = _arg("definition", help="definition file or bundled fixture")
+_POINTS = (
+    _arg(
         "definition", nargs="?", default=None,
         help="definition file or bundled fixture supplying marked points",
-    )
-    sp.add_argument("--fibre", type=int, default=0, help="fibre whose points to use (default 0)")
-    sp.add_argument("--points", default=None, help="extra comma-separated point literals")
+    ),
+    _arg("--fibre", type=int, default=0, help="fibre whose points to use (default 0)"),
+    _arg("--points", default=None, help="extra comma-separated point literals"),
+)
+_LEVEL = _arg("-n", "--level", type=int, default=None, help="lattice level (default: max g)")
+
+# name: (help, arguments).  The handler of a command is cmd_<name>, looked
+# up when the command runs.
+_COMMANDS = {
+    "image": ("exact orbit of a Type II point", _LISTING + (
+        _DEFINITION,
+        _arg("point", help="point literal, e.g. 'zeta(0, 1)'"),
+        _arg("steps", type=int, help="number of orbit points to print"),
+        _arg("--fibre", type=int, default=0, help="starting fibre (default 0)"),
+    )),
+    "hull": ("n-convex hull of marked points", _LISTING + _POINTS + (_LEVEL,)),
+    "smooth-hull": ("smooth n-convex hull of marked points", _LISTING + _POINTS + (_LEVEL,)),
+    "check-smooth": ("audit a vertex set for smoothness", _LISTING + _POINTS),
+    "domains": ("enumerate complement domains of a vertex set", _LISTING + _POINTS),
+    "dual-graph": ("dual graph of a vertex set as DOT", _LISTING + _POINTS),
+    "check-stability": (
+        "three-valued stability verdict", (_PRECISION, _HORIZON, _PROBE_BUDGET, _OUT, _DEFINITION)
+    ),
+    "min-stabilize": ("blow up destabilising images until closed", _STABILIZE + (_DEFINITION,)),
+    "stabilize": (
+        "smooth stabilisation with persistent disk registry", _STABILIZE + (_DEFINITION,)
+    ),
+    "demo": (
+        "scripted walkthrough reproducing frozen results",
+        (_HORIZON, _PROBE_BUDGET, _OUT, _arg("name", help="demo name: thm6 or thmB")),
+    ),
+}
+
+
+def _add_arguments(parser, name):
+    for names, kwargs in _COMMANDS[name][1]:
+        parser.add_argument(*names, **kwargs)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="skewstab",
         description="analytic stability toolkit for skew products over a small base disk",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = _add_command(sub, "image", cmd_image, "exact orbit of a Type II point", _LISTING)
-    sp.add_argument("definition", help="definition file or bundled fixture")
-    sp.add_argument("point", help="point literal, e.g. 'zeta(0, 1)'")
-    sp.add_argument("steps", type=int, help="number of orbit points to print")
-    sp.add_argument("--fibre", type=int, default=0, help="starting fibre (default 0)")
-
-    for name, handler, help_text, flags in (
-        ("hull", cmd_hull, "n-convex hull of marked points", _LISTING),
-        ("smooth-hull", cmd_smooth_hull, "smooth n-convex hull of marked points", _LISTING),
-        ("check-smooth", cmd_check_smooth, "audit a vertex set for smoothness", _LISTING),
-        ("domains", cmd_domains, "enumerate complement domains of a vertex set", _LISTING),
-        ("dual-graph", cmd_dual_graph, "dual graph of a vertex set as DOT", _LISTING),
-    ):
-        sp = _add_command(sub, name, handler, help_text, flags)
-        _add_points_args(sp)
-        if name in ("hull", "smooth-hull"):
-            sp.add_argument(
-                "-n", "--level", type=int, default=None, help="lattice level (default: max g)"
-            )
-
-    for name, handler, help_text, flags in (
-        (
-            "check-stability", cmd_check_stability, "three-valued stability verdict",
-            ("--precision", "--horizon", "--probe-budget", "--out"),
-        ),
-        (
-            "min-stabilize", cmd_min_stabilize, "blow up destabilising images until closed",
-            _STABILIZE,
-        ),
-        (
-            "stabilize", cmd_stabilize, "smooth stabilisation with persistent disk registry",
-            _STABILIZE,
-        ),
-    ):
-        sp = _add_command(sub, name, handler, help_text, flags)
-        sp.add_argument("definition", help="definition file or bundled fixture")
-
-    sp = _add_command(
-        sub, "demo", cmd_demo, "scripted walkthrough reproducing frozen results",
-        ("--horizon", "--probe-budget", "--out"),
-    )
-    sp.add_argument("name", help="demo name: thm6 or thmB")
+    for name, (help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv):
+    """The arguments of argv, read by the named command's own parser.
+
+    That parser prints the same help and errors as the command's parser
+    within `_build_parser`; arguments it leaves over are read again by the
+    full parser, which reports them.
+    """
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"skewstab {name}"), name)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = name
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        code, text = args.handler(args)
+        code, text = globals()["cmd_" + args.command.replace("-", "_")](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -470,13 +470,19 @@ class _Analyzer:
     # -- J search -----------------------------------------------------------
 
     def _probe_ts(self, lo: Fraction, hi: Fraction):
-        out = set()
+        """The first 8 radii k/q strictly between lo and hi with
+        q <= the probe budget, by denominator and then value."""
+        out = []
         for q in range(1, self.cfg.probe_budget + 1):
-            k = math.floor(lo * q) + 1
-            while Fraction(k, q) < hi:
-                out.add(Fraction(k, q))
-                k += 1
-        return sorted(out, key=lambda t: (t.denominator, t))[:8]
+            # lo < k/q < hi on integers: k from floor(lo*q) + 1 below ceil(hi*q)
+            first = lo.numerator * q // lo.denominator + 1
+            stop = -(-hi.numerator * q // hi.denominator)
+            for k in range(first, stop):
+                if math.gcd(k, q) == 1:
+                    out.append(Fraction(k, q))
+                    if len(out) == 8:
+                        return out
+        return out
 
     def _domain_probes(self, j: int, dom: GammaDomain):
         if dom.kind == "annulus":
@@ -1098,9 +1104,9 @@ def _attracting_disks(an: _Analyzer, path, additions):
             depth = first.t if deepest is None else deepest
             bound = Fraction(math.floor(depth) + 1)
         else:
-            bound = Fraction(
-                math.floor(min([first.t] + [g.t for g in an.gammas[jj]])) - 1
-            )
+            # floor(min t) - 1, read on the integer radii
+            floors = [first.tn // first.td] + [g.tn // g.td for g in an.gammas[jj]]
+            bound = Fraction(min(floors) - 1)
         slots.append((jj, q, bound))
     step = Fraction(1) if inward else Fraction(-1)
     for _ in range(an.cfg.probe_budget):

@@ -285,6 +285,8 @@ def _in_set_order(points) -> list:
     terms), read as integers on their lattice: the set order of the
     module."""
     points = list(points)
+    if len(points) < 2:
+        return points
     n, d = _lattice(points)
     return sorted(points, key=lambda p: (p.tn * (n // p.td), _scaled(p.center, n, d)))
 

@@ -310,6 +310,47 @@ class TestFlags:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+COMMANDS = (
+    "image", "hull", "smooth-hull", "check-smooth", "domains", "dual-graph",
+    "check-stability", "min-stabilize", "stabilize", "demo",
+)
+
+
+class TestFrontEnd:
+    """`main` reads a command's arguments with that command's own parser;
+    every argv gives what the full parser gives."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[name, "-h"] for name in COMMANDS]
+        + [
+            ["-h"],
+            [],
+            ["nothere", "thm6"],
+            ["stabilize", "thm6", "--foo"],
+            ["--foo", "stabilize", "thm6"],
+            ["image", "thm6", "zeta(0, 1)", "x"],
+            ["image", "thm6"],
+            ["check-smooth", "thm6", "--prec", "8"],
+            ["image", "thm6", "zeta(0, 1)", "5"],
+            ["hull", "thm6"],
+            ["smooth-hull", "thm6"],
+            ["check-smooth", "thm6"],
+            ["domains", "thm6"],
+            ["dual-graph", "thm6"],
+            ["check-stability", "thm6"],
+            ["min-stabilize", "goodred"],
+            ["stabilize", "xy2"],
+            ["demo", "thm6"],
+        ],
+    )
+    def test_main_answers_as_the_full_parser(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run_cli(*argv)
+        monkeypatch.setattr("skewstab.cli._parse", lambda argv: _build_parser().parse_args(argv))
+        assert got == run_cli(*argv)
+
+
 class TestOutputPlumbing:
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "orbit.txt"

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from collections import Counter
@@ -437,6 +438,26 @@ class TestAnalyzerInternals:
             single_chain(square_map()), [gauss_point()], StabilizationConfig(), None
         )
         assert an._probe_ts(F(7, 8), F(1)) == []
+
+    def test_probe_radii_match_the_sorted_set_oracle(self):
+        def oracle(lo, hi, budget):
+            out = set()
+            for q in range(1, budget + 1):
+                k = math.floor(lo * q) + 1
+                while F(k, q) < hi:
+                    out.add(F(k, q))
+                    k += 1
+            return sorted(out, key=lambda t: (t.denominator, t))[:8]
+
+        rng = random.Random(17)
+        chain = single_chain(square_map())
+        cases = [(F(0), F(2), 8), (F(2), F(0), 8), (F(1), F(1), 3), (F(-3), F(-1), 4)]
+        for _ in range(400):
+            lo = F(rng.randint(-40, 40), rng.randint(1, 9))
+            cases.append((lo, lo + F(rng.randint(-4, 30), rng.randint(1, 9)), rng.randint(1, 12)))
+        for lo, hi, budget in cases:
+            an = _Analyzer(chain, [gauss_point()], StabilizationConfig(probe_budget=budget), None)
+            assert an._probe_ts(lo, hi) == oracle(lo, hi, budget), (lo, hi, budget)
 
     def test_vertex_sets_are_kept_with_their_trees(self):
         chain = single_chain(thm6_map())
