@@ -130,6 +130,12 @@ def _load(args) -> DefinitionFile:
     return d
 
 
+def _fibre(args, d: DefinitionFile) -> int:
+    if not 0 <= args.fibre < d.size:
+        raise _CliError(f"fibre {args.fibre} out of range (size {d.size})")
+    return args.fibre
+
+
 def _config(args, **rounds) -> StabilizationConfig:
     """Settings from --horizon and --probe-budget; the stabilising
     commands pass max_rounds too."""
@@ -144,9 +150,7 @@ def _points_input(args) -> list:
     pts = []
     if args.definition:
         d = _load(args)
-        if args.fibre not in d.gammas:
-            raise _CliError(f"fibre {args.fibre} out of range (size {d.size})")
-        pts.extend(d.gammas[args.fibre])
+        pts.extend(d.gammas[_fibre(args, d)])
     if args.points:
         pts.extend(parse_points(args.points))
     if not pts:
@@ -177,11 +181,10 @@ def _emit(args, text: str) -> None:
 def cmd_image(args):
     d = _load(args)
     p = parse_point(args.point)
-    if not 0 <= args.fibre < d.size:
-        raise _CliError(f"fibre {args.fibre} out of range (size {d.size})")
+    fibre = _fibre(args, d)
     if args.steps < 1:
         raise _CliError("steps must be >= 1")
-    orbit = d.chain.orbit(args.fibre, p, args.steps - 1)
+    orbit = d.chain.orbit(fibre, p, args.steps - 1)
     lines = []
     for k, (j, q) in enumerate(orbit):
         lines.append(f"step {k}: fibre {j}  {q}  [m={m_point(q)}, g={g_point(q)}]")

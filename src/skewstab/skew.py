@@ -40,7 +40,14 @@ The image of a tangent direction is read off the same tables, exactly
 so one push on the ray into the direction, short of its first crossing,
 gives the direction at the image.  An open disk with no pole, or no
 zero, inside maps onto the disk off the image of its boundary in that
-direction (Baker-Rumely; Benedetto).
+direction (Baker-Rumely; Benedetto), which ``disk_image`` returns.
+
+A link keeps what it computes, each a pure function of the link and its
+input: a push table per centre, an image per pushed point
+(``pushforward``), a disk image per direction (``disk_image``, None
+included), its poles, zeros, critical points and reduction mod x, and
+its base germ's inverse.  A push or a reduction that raises keeps
+nothing.  Every caller shares these memos, and they die with the link.
 """
 
 from __future__ import annotations
@@ -50,8 +57,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .berkovich import Direction, TypeIIPoint, direction_at
-from .errors import DegenerateImage, InsufficientPrecision, ValidationFailure
+from .berkovich import Direction, TypeIIPoint, classical_in_direction, direction_at
+from .errors import DegenerateImage, InsufficientPrecision, SkewstabError, ValidationFailure
 from .puiseux import (
     INF,
     PuiseuxPoly,
@@ -135,7 +142,8 @@ class SkewLocal:
     """One local model: base germ plus fibre map num/den in y."""
 
     __slots__ = (
-        "base", "num", "den", "label", "_poles", "_crit", "_zeros", "_tables", "__weakref__",
+        "base", "num", "den", "label", "_poles", "_crit", "_zeros", "_reduction",
+        "_tables", "_pushes", "_images", "__weakref__",
     )
 
     def __init__(self, base: BaseGerm, num, den, label: str = ""):
@@ -154,7 +162,10 @@ class SkewLocal:
         object.__setattr__(self, "_poles", None)
         object.__setattr__(self, "_crit", None)
         object.__setattr__(self, "_zeros", None)
+        object.__setattr__(self, "_reduction", None)
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_pushes", {})
+        object.__setattr__(self, "_images", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewLocal is immutable")
@@ -409,16 +420,20 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
     Raises DegenerateImage when the fibre map is constant on the disk,
     InsufficientPrecision when coefficient truncation blocks a decision,
     NotRepresentable when the centre transport needs an irrational root.
+    The link keeps each image; a push that raises keeps nothing.
     """
-    try:
-        table = s.push_table(p.center)
-    except InsufficientPrecision:
-        # a blocked candidate ratio; vG(Q) at p.t is still checked first
-        gauss_val(shift_poly(list(s.den), p.center), p.t)
-        raise
-    j, r = table.radius(p.t)
-    pk, qk = table.cands[j][:2]
-    return image_point(s.base, pk, qk, r)
+    image = s._pushes.get(p)
+    if image is None:
+        try:
+            table = s.push_table(p.center)
+        except InsufficientPrecision:
+            # a blocked candidate ratio; vG(Q) at p.t is still checked first
+            gauss_val(shift_poly(list(s.den), p.center), p.t)
+            raise
+        j, r = table.radius(p.t)
+        pk, qk = table.cands[j][:2]
+        image = s._pushes[p] = image_point(s.base, pk, qk, r)
+    return image
 
 
 def _transport_center(base: BaseGerm, w: PuiseuxPoly, T: Fraction) -> PuiseuxPoly:
@@ -465,6 +480,64 @@ def pushforward_direction(s: SkewLocal, p: TypeIIPoint, v: Direction) -> Directi
     if probe_image == image:
         raise DegenerateImage(f"the fibre map is constant along {v}")
     return direction_at(image, probe_image)
+
+
+def _packet_inside(v: Direction, desc) -> bool:
+    """Whether a non-rational root packet can lie in direction v.
+
+    The packet gives val(root - prefix) exactly, so membership is often
+    decidable from valuations alone; when the leading terms could cancel
+    we answer True, which is the conservative side for callers trying to
+    rule regions out.
+    """
+    b = v.at
+    base = b.center if v.at_infinity else v.rep
+    d = desc.prefix - base
+    lead = d.val() if d.terms else None
+    if lead == desc.valuation:
+        return True
+    w = desc.valuation if lead is None else min(lead, desc.valuation)
+    return (w < b.t) if v.at_infinity else (w > b.t)
+
+
+def _roots_inside(v: Direction, roots, descs, at_inf: bool) -> bool:
+    """Whether some root, packet or the root at infinity can lie in D(v.at, v)."""
+    if at_inf and v.at_infinity:
+        return True
+    try:
+        if any(classical_in_direction(v, r.series) for r in roots):
+            return True
+    except SkewstabError:
+        return True
+    return any(_packet_inside(v, d) for d in descs)
+
+
+def disk_image(s: SkewLocal, v: Direction) -> Optional[Direction]:
+    """The image of the open disk D(v.at, v), as the direction off the
+    image of v.at that holds it, or None when it need not be a disk.
+
+    With no pole inside, the image is the disk off the image of v.at in
+    the tangent image of v (maximum principle).  With poles but no zeros
+    inside, the map omits 0, so the image is again that disk.  With
+    both, the image can be everything.  The link keeps each answer,
+    None included.
+    """
+    if v in s._images:
+        return s._images[v]
+    pole_roots, pole_descs, _ = s.poles()
+    num_deg, den_deg = len(s.num) - 1, len(s.den) - 1
+    image = None
+    try:
+        zero_roots, zero_descs = s.zeros()
+        if not (
+            _roots_inside(v, pole_roots, pole_descs, num_deg > den_deg)
+            and _roots_inside(v, zero_roots, zero_descs, den_deg > num_deg)
+        ):
+            image = pushforward_direction(s, v.at, v)
+    except SkewstabError:
+        pass
+    s._images[v] = image
+    return image
 
 
 # -- reduction ------------------------------------------------------------------
@@ -521,26 +594,29 @@ def reduction_mod_x(s: SkewLocal) -> ReducedMap:
     """Reduce the fibre map modulo x after clearing the common Gauss norm.
 
     Only meaningful over a simple base germ (the base coordinate reduces
-    to itself); callers check ``s.base.is_simple``.
+    to itself); callers check ``s.base.is_simple``.  The link keeps the
+    result.
     """
-    if not s.base.is_simple:
-        raise ValueError("reduction requires a simple base germ")
-    c0 = None
-    for c in list(s.num) + list(s.den):
-        if c:
-            v = c.val()
-            c0 = v if c0 is None else min(c0, v)
-        elif c.precision is not INF:
-            raise InsufficientPrecision("truncated coefficient blocks reduction")
-    num_bar = frac_trim(c.coeff_at(c0) for c in s.num)
-    den_bar = frac_trim(c.coeff_at(c0) for c in s.den)
-    if not num_bar or not den_bar:
-        return ReducedMap(tuple(num_bar or [Fraction(0)]), tuple(den_bar or [Fraction(0)]))
-    g = _frac_poly_gcd(num_bar, den_bar)
-    if len(g) > 1:
-        num_bar = frac_divmod(num_bar, g)[0]
-        den_bar = frac_divmod(den_bar, g)[0]
-    return ReducedMap(tuple(num_bar), tuple(den_bar))
+    if s._reduction is None:
+        if not s.base.is_simple:
+            raise ValueError("reduction requires a simple base germ")
+        c0 = None
+        for c in list(s.num) + list(s.den):
+            if c:
+                v = c.val()
+                c0 = v if c0 is None else min(c0, v)
+            elif c.precision is not INF:
+                raise InsufficientPrecision("truncated coefficient blocks reduction")
+        num_bar = frac_trim(c.coeff_at(c0) for c in s.num)
+        den_bar = frac_trim(c.coeff_at(c0) for c in s.den)
+        if num_bar and den_bar:
+            g = _frac_poly_gcd(num_bar, den_bar)
+            if len(g) > 1:
+                num_bar = frac_divmod(num_bar, g)[0]
+                den_bar = frac_divmod(den_bar, g)[0]
+        red = ReducedMap(tuple(num_bar or [Fraction(0)]), tuple(den_bar or [Fraction(0)]))
+        object.__setattr__(s, "_reduction", red)
+    return s._reduction
 
 
 def has_good_reduction(s: SkewLocal) -> bool:

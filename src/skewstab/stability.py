@@ -15,16 +15,17 @@ boundary v.at in the tangent direction v, so its boundary cannot
 disagree with its direction.  An open disk with no pole, or no zero,
 inside maps onto the disk off the image of its boundary in the tangent
 image of its direction (``skew.pushforward_direction``, exact), so
-``_disk_image`` returns that direction, or None when the disk holds
+``skew.disk_image`` returns that direction, or None when the disk holds
 both and its image need not be a disk.  A disk that stays clear of the
 vertex sets is genuinely trapped; it is never used to claim a hit.
 
-Every push goes through one gate, ``_Analyzer``: ``step`` memoises the
-chain step per (fibre, point), ``walk`` is the one orbit loop and owns
-its stops (a failed push, |t| > _T_BOUND), and ``disk_image`` memoises
-disk images per (fibre, direction).  The memos live on one analyzer:
-one check or one stabilisation run, whose closing report shares the
-loop's pushes (pure in (link, point)) but classifies afresh.
+Pushes, disk images and reductions are memoised on their link (see
+``skew``), so walks, disk-cycle checks, registry audits, folding probes
+and a closing report all share them.  ``_Analyzer`` holds the vertex
+family, the registry and the memo of classifications, which depend on
+the family; ``walk`` is the one orbit loop and owns its stops (a failed
+push, |t| > _T_BOUND).  A stabilisation run's closing report shares the
+loop's pushes but classifies afresh.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Optional
 from .berkovich import (
     Direction,
     TypeIIPoint,
-    classical_in_direction,
     direction_at,
     direction_infinity,
     direction_multiplicity,
@@ -69,9 +69,9 @@ from .puiseux import INF, as_series
 from .skew import (
     Chain,
     SkewLocal,
+    disk_image,
     folding_tree,
     has_good_reduction,
-    pushforward_direction,
     reduction_mod_x,
     single_chain,
 )
@@ -275,7 +275,7 @@ class PersistentFDiskRegistry:
             if meets(gammas[d.fibre], d.direction):
                 g = next(g for g in gammas[d.fibre] if d.contains(g))
                 failures.append(f"{tag}: vertex {g} lies inside")
-            img = _disk_image(chain.links[d.fibre], d.direction)
+            img = disk_image(chain.links[d.fibre], d.direction)
             nxt = chain.next_fibre(d.fibre)
             if img is None:
                 failures.append(f"{tag}: image disk not computable")
@@ -287,62 +287,7 @@ class PersistentFDiskRegistry:
         return failures
 
 
-# -- exact disk image bounds ----------------------------------------------
-
-
-def _packet_inside(v: Direction, desc) -> bool:
-    """Whether a non-rational root packet can lie in direction v.
-
-    The packet gives val(root - prefix) exactly, so membership is often
-    decidable from valuations alone; when the leading terms could cancel
-    we answer True, which is the conservative side for callers trying to
-    rule regions out.
-    """
-    b = v.at
-    base = b.center if v.at_infinity else v.rep
-    d = desc.prefix - base
-    lead = d.val() if d.terms else None
-    if lead == desc.valuation:
-        return True
-    w = desc.valuation if lead is None else min(lead, desc.valuation)
-    return (w < b.t) if v.at_infinity else (w > b.t)
-
-
-def _disk_image(link: SkewLocal, v: Direction) -> Optional[Direction]:
-    """The image of the open disk D(v.at, v), as the direction off the
-    image of v.at that holds it, or None when it need not be a disk.
-
-    With no pole inside, the image is the disk off the image of v.at in
-    the tangent image of v (maximum principle).  With poles but no zeros
-    inside, the map omits 0, so the image is again that disk.  With
-    both, the image can be everything.
-    """
-    pole_roots, pole_descs, pole_at_inf = link.poles()
-    try:
-        zero_roots, zero_descs = link.zeros()
-    except SkewstabError:
-        return None
-
-    def any_inside(roots, descs, at_inf_flag):
-        if at_inf_flag and v.at_infinity:
-            return True
-        try:
-            if any(classical_in_direction(v, r.series) for r in roots):
-                return True
-        except SkewstabError:
-            return True
-        return any(_packet_inside(v, d) for d in descs)
-
-    num_deg = len(link.num) - 1
-    den_deg = len(link.den) - 1
-    poles_in = any_inside(pole_roots, pole_descs, num_deg > den_deg)
-    zeros_in = any_inside(zero_roots, zero_descs, den_deg > num_deg)
-    if poles_in and zeros_in:
-        return None
-    try:
-        return pushforward_direction(link, v.at, v)
-    except SkewstabError:
-        return None
+# -- disk containment ---------------------------------------------------
 
 
 def _disk_contained(v1: Direction, v2: Direction) -> bool:
@@ -372,7 +317,7 @@ def _disk_holding(disks, j: int, p: TypeIIPoint) -> Optional[RegistryDisk]:
 
 
 class _Analyzer:
-    """Chain stepping with memoisation plus the current vertex family."""
+    """The current vertex family, the registry and the classifications."""
 
     def __init__(self, chain, gammas, cfg, registry):
         self.chain = chain
@@ -380,10 +325,7 @@ class _Analyzer:
         self.registry = registry
         self.single = not isinstance(gammas, dict)
         self.gammas = self._normalise(gammas)
-        self._push_cache = {}
-        self._image_cache = {}
         self._cls_cache = {}
-        self._reduced = None
         self.walk_failed = False
 
     def _normalise(self, gammas) -> dict:
@@ -407,14 +349,6 @@ class _Analyzer:
             for p in self.gammas[j]:
                 yield j, p
 
-    def step(self, j: int, p: TypeIIPoint):
-        key = (j, p)
-        hit = self._push_cache.get(key)
-        if hit is None:
-            hit = self.chain.step(j, p)
-            self._push_cache[key] = hit
-        return hit
-
     def walk(self, j: int, p: TypeIIPoint, steps: int):
         """Yield (fibre, point) after each of up to ``steps`` pushes.
 
@@ -424,20 +358,13 @@ class _Analyzer:
         self.walk_failed = False
         for _ in range(steps):
             try:
-                j, p = self.step(j, p)
+                j, p = self.chain.step(j, p)
             except SkewstabError:
                 self.walk_failed = True
                 return
             yield j, p
             if abs(p.t) > _T_BOUND:
                 return
-
-    def disk_image(self, j: int, v: Direction) -> Optional[Direction]:
-        """``_disk_image`` of D(v.at, v) under fibre j's link, memoised."""
-        key = (j, v)
-        if key not in self._image_cache:
-            self._image_cache[key] = _disk_image(self.chain.links[j], v)
-        return self._image_cache[key]
 
     def extend(self, additions: dict) -> bool:
         changed = False
@@ -453,15 +380,6 @@ class _Analyzer:
     def set_gammas(self, gammas: dict):
         self.gammas = {j: as_vertex_set(v) for j, v in gammas.items()}
         self._flush_classifications()
-
-    def reduced_maps(self):
-        """Every link's map mod x, computed once; None unless every link
-        is simple with good reduction."""
-        if self._reduced is None:
-            links = self.chain.links
-            good = all(l.base.is_simple and has_good_reduction(l) for l in links)
-            self._reduced = [reduction_mod_x(l) for l in links] if good else []
-        return self._reduced or None
 
     def _flush_classifications(self):
         # J-certificates persist under enlargement; F and Unknown do not
@@ -560,7 +478,7 @@ class _Analyzer:
                 if cand is None or not domain_contains(dom, self.gammas[j], cand):
                     continue
                 try:
-                    if self.step(j, cand) == (nxt, target):
+                    if self.chain.step(j, cand) == (nxt, target):
                         return JDomain(
                             witness=cand,
                             fibre=j,
@@ -578,7 +496,7 @@ class _Analyzer:
             return None
         d = self.registry.covering(j, v)
         if d is None:
-            img = self.disk_image(j, v)
+            img = disk_image(self.chain.links[j], v)
             if img is None:
                 return None
             d = self.registry.covering(self.chain.next_fibre(j), img)
@@ -587,7 +505,7 @@ class _Analyzer:
     def _disk_cycle_f(self, j: int, v: Direction):
         disks = [RegistryDisk(j, v)]
         for _ in range(min(self.cfg.horizon, 16)):
-            img = self.disk_image(j, v)
+            img = disk_image(self.chain.links[j], v)
             if img is None:
                 return None
             j, v = self.chain.next_fibre(j), img
@@ -670,8 +588,8 @@ def _residue_cycle(an: _Analyzer, j: int, residue):
     a reduced map meets 0/0, a residue's height passes 10^9, or no cycle
     closes within the horizon.
     """
-    reduced = an.reduced_maps()
-    if reduced is None:
+    links = an.chain.links
+    if not all(l.base.is_simple and has_good_reduction(l) for l in links):
         return None
     seen = {}
     walk = []
@@ -682,7 +600,7 @@ def _residue_cycle(an: _Analyzer, j: int, residue):
         seen[(j, cur)] = k
         walk.append((j, cur))
         try:
-            cur = reduced[j].apply(cur)
+            cur = reduction_mod_x(links[j]).apply(cur)
         except ArithmeticError:
             return None
         j = an.chain.next_fibre(j)
@@ -803,7 +721,7 @@ def _scan(an: _Analyzer):
     seen_domains = set()
     for j, p in an.vertices():
         try:
-            j2, img = an.step(j, p)
+            j2, img = an.chain.step(j, p)
         except SkewstabError as e:
             unresolved.append(
                 UnresolvedImage(p, j, p, j, None, f"pushforward failed: {e}")
@@ -881,7 +799,7 @@ def minimal_stabilisation(gammas, chain, cfg=None):
     for rnd in range(1, cfg.max_rounds + 1):
         additions = {}
         for j, p in an.vertices():
-            j2, img = an.step(j, p)
+            j2, img = an.chain.step(j, p)
             if img in an.gammas[j2] or img in additions.get(j2, set()):
                 continue
             dom = locate(an.gammas[j2], img)
@@ -961,7 +879,6 @@ def stabilize_smooth(gammas, chain, cfg=None):
         )
         if an.extend(additions):
             continue
-        an._cls_cache.clear()  # the loop never classifies; keep the check fresh
         report = _report(an)
         if unresolved:
             report = replace(
@@ -1129,7 +1046,7 @@ def _verify_disk_cycle(an: _Analyzer, disks, additions) -> bool:
         j, v = d.fibre, d.direction
         if not _disk_disjoint(v, an.gammas[j], additions.get(j, ())):
             return False
-        img = an.disk_image(j, v)
+        img = disk_image(an.chain.links[j], v)
         if img is None:
             return False
         nxt = disks[(idx + 1) % n]

@@ -303,6 +303,9 @@ class TestFlags:
                 ("smooth-hull", "thm6", "--points", "zeta(0,1/3)", "-n", "2"),
                 "--level 2 is below g = 3 of zeta(0, 1/3)",
             ),
+            (("image", "thm6", "zeta(0, 1)", "3", "--fibre", "5"), "fibre 5 out of range (size 1)"),
+            (("hull", "thm6", "--fibre", "5"), "fibre 5 out of range (size 1)"),
+            (("image", "thm6", "zeta(0, 1)", "0"), "steps must be >= 1"),
         ],
     )
     def test_an_out_of_range_setting_is_a_usage_error(self, argv, message):

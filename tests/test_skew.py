@@ -550,7 +550,8 @@ def _unchecked_link(base, num, den):
     s = object.__new__(SkewLocal)
     for slot, value in (
         ("base", base), ("num", tuple(num)), ("den", tuple(den)), ("label", ""),
-        ("_poles", None), ("_crit", None), ("_zeros", None), ("_tables", {}),
+        ("_poles", None), ("_crit", None), ("_zeros", None), ("_reduction", None),
+        ("_tables", {}), ("_pushes", {}), ("_images", {}),
     ):
         object.__setattr__(s, slot, value)
     return s

@@ -30,7 +30,7 @@ from skewstab.berkovich import (
 from skewstab.errors import NotApplicable, RoundCapExceeded
 from skewstab.parsing import parse_definition
 from skewstab.puiseux import PuiseuxPoly, as_series
-from skewstab.skew import BaseGerm, Chain, SkewLocal, pushforward
+from skewstab.skew import BaseGerm, Chain, SkewLocal, has_good_reduction, pushforward
 from skewstab.stability import (
     AttractingCycleCertificate,
     DESTABILISING,
@@ -54,6 +54,7 @@ from skewstab.skew import single_chain
 from skewstab.vertexset import (
     GammaDomain,
     VertexSet,
+    domain_contains,
     is_smooth,
     locate,
     smooth_n_convex_hull,
@@ -172,6 +173,19 @@ class TestClassify:
         assert dom.kind == "annulus"
         cls = classify_domain(dom, gam, thm6_map())
         assert cls.kind == "unknown"
+
+    def test_a_component_is_probed_at_the_joins_of_its_boundary(self):
+        vs = VertexSet([zp(1, 1), zp(-1, 1), zp(2, 1)])
+        dom = locate(vs, gauss_point())
+        assert dom.kind == "component" and len(dom.boundary) == 3
+        an = _Analyzer(single_chain(square_map()), vs, StabilizationConfig(), None)
+        probes = an._domain_probes(0, dom)
+        assert gauss_point() in probes
+        assert all(domain_contains(dom, vs, p) for p in probes)
+        # y^2 keeps every probe's orbit off the three vertices
+        cls = classify_domain(dom, vs, square_map())
+        assert cls.kind == "unknown"
+        assert cls.note == "no disk-tracking F route for this shape"
 
     def test_invariant_gauss_disk_is_f_certified(self):
         gam = [gauss_point()]
@@ -305,7 +319,7 @@ class TestDiskImage:
     def test_every_point_of_an_imaged_disk_pushes_into_its_image(self):
         # the premise of every F certificate: an open disk with no pole,
         # or no zero, inside maps into the disk off the image of its
-        # boundary in the direction _disk_image returns
+        # boundary in the direction skew.disk_image returns
         rng = random.Random(15)
         for name, link in bundled_links():
             imaged = 0
@@ -316,7 +330,7 @@ class TestDiskImage:
                 else:
                     c = rng.choice([0, 1, -1, 2])
                     v = direction_to_class(b, b.center + PuiseuxPoly.monomial(c, b.t))
-                img = stability._disk_image(link, v)
+                img = skew.disk_image(link, v)
                 if img is None:
                     continue
                 for p in points_of_disk(v, rng):
@@ -365,6 +379,14 @@ class TestStabilizeSmooth:
         rest = len(unresolved) - 8
         assert note.endswith(f", ... and {rest} more ({len(unresolved)} in all)")
         assert len(note) < 1000
+
+    def test_preperiodic_rule_fires(self):
+        link = SkewLocal(BaseGerm(X), [X, ZERO, ONE], [ZERO, ONE])  # (x + y^2)/y
+        cfg = StabilizationConfig(max_rounds=4)
+        _, report, _, trace = stabilize_smooth([zp(0, 2)], link, cfg)
+        assert report.verdict == STABLE
+        rules = {r for t in trace for _, _, r in t["resolutions"]}
+        assert rules == {"preperiodic", "vertex"}
 
     def test_residue_cycle_rule_fires(self):
         cfg = StabilizationConfig(horizon=16, max_rounds=4, max_level=8)
@@ -478,13 +500,16 @@ class TestAnalyzerInternals:
             _Analyzer(chain, {0: [gauss_point()]}, StabilizationConfig(), None)
 
     def test_fibre_zeros_are_cached_on_the_link_and_die_with_it(self):
-        # xy2's stability check bounds disk images, which needs the fibre
-        # map's zeros; the cache must not outlive the parsed definition
+        # xy2's stability check pushes points and bounds disk images, which
+        # needs the fibre map's zeros; no memo may outlive the parsed
+        # definition
         text = resources.files("skewstab.fixtures").joinpath("xy2.skew").read_text()
         d = parse_definition(text)
         assert is_analytically_stable(d.gammas, d.chain).verdict == STABLE
         link = d.chain.links[0]
-        assert link._zeros is not None
+        assert not has_good_reduction(link)  # x*y^2 reduces to 0
+        assert link._zeros is not None and link._reduction is not None
+        assert link._pushes and link._images and link._tables
         refs = [weakref.ref(lk) for lk in d.chain.links]
         del d, link
         gc.collect()
@@ -526,6 +551,13 @@ class TestOrbitGate:
         assert _resolve_vertex(an, 0, start, additions) is None
         assert additions == {} and len(an.registry) == 0
 
+    def test_a_failed_vertex_push_leaves_the_check_inconclusive(self):
+        report = is_analytically_stable([zp(0, F(-1, 2))], truncated_map())
+        assert report.verdict == INCONCLUSIVE
+        (u,) = report.unresolved
+        assert u.note.startswith("pushforward failed")
+        assert (u.point, u.domain) == (zp(0, F(-1, 2)), None)
+
     @pytest.mark.parametrize(
         "name, cfg",
         [
@@ -537,32 +569,27 @@ class TestOrbitGate:
     def test_no_point_is_pushed_twice_in_one_stabilisation_run(
         self, monkeypatch, name, cfg
     ):
+        # walks, disk images, folding probes and registry audits all read
+        # the links' memos, so a whole run computes each push, and each
+        # disk's tangent image, once
         pushes, images = Counter(), Counter()
-        in_audit = []
-        real_step, real_image = Chain.step, stability._disk_image
-        real_audit = PersistentFDiskRegistry.audit
 
-        def step(chain, j, p):
-            pushes[(j, p)] += 1
-            return real_step(chain, j, p)
+        class PushMemo(dict):
+            def get(self, p, default=None):
+                if p not in self:
+                    pushes[(id(self), p)] += 1
+                return dict.get(self, p, default)
 
-        def disk_image(link, v):
-            # the registry audit images its disks outside any analyzer
-            if not in_audit:
-                images[(id(link), v)] += 1
-            return real_image(link, v)
+        real_direction = skew.pushforward_direction
 
-        def audit(registry, gammas, chain):
-            in_audit.append(True)
-            try:
-                return real_audit(registry, gammas, chain)
-            finally:
-                in_audit.pop()
+        def direction(link, p, v):
+            images[(id(link), v)] += 1
+            return real_direction(link, p, v)
 
-        monkeypatch.setattr(Chain, "step", step)
-        monkeypatch.setattr(stability, "_disk_image", disk_image)
-        monkeypatch.setattr(PersistentFDiskRegistry, "audit", audit)
+        monkeypatch.setattr(skew, "pushforward_direction", direction)
         d = fixture(name)
+        for link in d.chain.links:
+            object.__setattr__(link, "_pushes", PushMemo())
         try:
             stabilize_smooth(d.gammas, d.chain, cfg)
         except RoundCapExceeded:
@@ -613,9 +640,7 @@ class TestOrbitGate:
             return real_push(link, p)
 
         monkeypatch.setattr(skew, "pushforward", push)
-        # stability binds no push of its own; were it to, its pushes count too
-        monkeypatch.setattr(stability, "pushforward", push, raising=False)
-        image = stability._disk_image(thm6_map(), v)
+        image = skew.disk_image(thm6_map(), v)
         assert pushed.count(b) == 1
         at = zp(1, F(1, 2))
         rep = as_series(1) + PuiseuxPoly.monomial(3, F(1, 2))
