@@ -25,18 +25,29 @@ exponents that may appear in any series of the file.
 Formatting is canonical: ``format_definition`` emits a file whose parse
 equals the input, so parse -> format -> parse is the identity and format
 is idempotent on its own output.
+
+Evaluation.  One regular expression splits a line into ASCII tokens for
+a recursive descent.  A value without y stays a (numerator, denominator)
+pair of series, combined by one series operation a step, with no product
+by an exact 1; an operand with y is a rational function in y (lists of
+series, ``poly_mul`` and ``poly_add``), which lifts any pair it meets.
+Nothing is reduced: ``SkewLocal`` gets, entry for entry, the lists of
+evaluating every value as a rational function in y (``(1/2)*y^2`` keeps
+the denominator [2]), so the push tables and ``format_definition`` stay
+byte-identical.  A radius ``k`` or ``k/q`` is read from its tokens.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .berkovich import TypeIIPoint, gauss_point
 from .errors import SkewstabError
-from .puiseux import PuiseuxPoly, as_series
-from .roots import poly_add, poly_mul, poly_str, poly_trim, ratio_str
+from .puiseux import X as _X, PuiseuxPoly
+from .roots import _ONE, _ZERO, _times, poly_add, poly_mul, poly_str, poly_trim, ratio_str
 from .skew import BaseGerm, Chain, SkewLocal
 from .vertexset import VertexSet
 
@@ -51,9 +62,6 @@ __all__ = [
     "check_precision",
 ]
 
-_ONE = PuiseuxPoly.const(1)
-_ZERO = PuiseuxPoly.zero()
-
 
 class ParseError(SkewstabError):
     """Syntax or validation error carrying a 1-based source position."""
@@ -66,56 +74,40 @@ class ParseError(SkewstabError):
 
 # -- tokenizer ----------------------------------------------------------------
 
-_SYMBOLS = set("+-*/^(),=[]")
+# Blanks, then one token: an ASCII integer, an ASCII name, a symbol, the end
+# of the line (a comment or the text's end), or any other character.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_]\w*)|(?P<sym>[-+*/^(),=\[\]])"
+    r"|(?P<end>)(?:#|\Z)|(?P<bad>.))",
+    re.ASCII | re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
 class _Tok:
-    kind: str  # "int", "name", a symbol character, or "end"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "int", "name", a symbol character, or "end"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str, line: int = 1) -> list:
     toks = []
-    i, col = 0, 1
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            break
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        s, col = m[kind], m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {s!r}", line, col)
+        if kind == "int":
             try:  # past the interpreter's digit limit int() refuses the literal
-                int(text[i:j])
+                int(s)
             except ValueError:
-                raise ParseError(f"integer literal of {j - i} digits is too long", line, col)
-            toks.append(_Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Tok(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("end", "", line, col))
-    return toks
+                raise ParseError(f"integer literal of {len(s)} digits is too long", line, col)
+        toks.append(_Tok(s if kind == "sym" else kind, s, line, col))
+        if kind == "end":
+            return toks
 
 
 # -- expression values --------------------------------------------------------
@@ -129,18 +121,11 @@ class _Bivar:
         self.num = poly_trim(num)
         self.den = poly_trim(den)
 
-    @classmethod
-    def const(cls, c):
-        return cls([as_series(c)], [_ONE])
-
     def __add__(self, o):
         return _Bivar(
             poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
             poly_mul(self.den, o.den),
         )
-
-    def __sub__(self, o):
-        return self + (-o)
 
     def __mul__(self, o):
         return _Bivar(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
@@ -149,56 +134,80 @@ class _Bivar:
         return _Bivar([-c for c in self.num], self.den)
 
 
-def _as_const(p: PuiseuxPoly) -> Optional[Fraction]:
-    if not p.terms:
-        return Fraction(0)
-    if len(p.terms) == 1 and p.terms[0][0] == 0:
-        return p.terms[0][1]
-    return None
+def _lift(v) -> _Bivar:
+    """A value, a y-free pair included, as a rational expression in y."""
+    return _Bivar([v[0]], [v[1]]) if type(v) is tuple else v
 
 
-def _to_series(v: _Bivar) -> Optional[PuiseuxPoly]:
-    if len(v.den) != 1 or len(v.num) > 1:
-        return None
-    c = _as_const(v.den[0])
-    if c is None or c == 0:
-        return None
-    p = v.num[0] if v.num else _ZERO
-    return p if c == 1 else p * as_series(Fraction(1) / c)
+def _add(a, b):
+    if type(a) is tuple and type(b) is tuple:
+        return (_times(a[0], b[1]) + _times(b[0], a[1]), _times(a[1], b[1]))
+    return _lift(a) + _lift(b)
 
 
-def _as_x_power(v: _Bivar) -> Optional[Fraction]:
-    # value must be exactly x^a with coefficient 1
-    s = _to_series(v)
-    if s is None or not s.terms:
-        return None
-    a = s.val()
-    if s == PuiseuxPoly.monomial(1, a):
-        return a
-    return None
+def _neg(v):
+    return (-v[0], v[1]) if type(v) is tuple else -v
 
 
-def _div(a: _Bivar, b: _Bivar, tok: _Tok) -> _Bivar:
-    if not b.num:
+def _mul(a, b):
+    if type(a) is tuple and type(b) is tuple:
+        return (_times(a[0], b[0]), _times(a[1], b[1]))
+    return _lift(a) * _lift(b)
+
+
+def _div(a, b, tok: _Tok):
+    if not (b[0] if type(b) is tuple else b.num):
         raise ParseError("division by zero", tok.line, tok.col)
+    if type(a) is tuple and type(b) is tuple:
+        return (_times(a[0], b[1]), _times(a[1], b[0]))
+    a, b = _lift(a), _lift(b)
     return _Bivar(poly_mul(a.num, b.den), poly_mul(a.den, b.num))
 
 
-def _int_pow(v: _Bivar, e: int, tok: _Tok) -> _Bivar:
+def _as_const(p: PuiseuxPoly) -> Optional[Fraction]:
+    if not p.nums:
+        return Fraction(0)
+    if p.lo == 0 and len(p.nums) == 1:
+        return Fraction(p.nums[0], p.den)
+    return None
+
+
+def _to_series(v) -> Optional[PuiseuxPoly]:
+    if type(v) is not tuple:
+        if len(v.den) != 1 or len(v.num) > 1:
+            return None
+        v = (v.num[0] if v.num else _ZERO, v.den[0])
+    c = _as_const(v[1])  # never 0: a zero divisor is refused
+    if c is None:
+        return None
+    return v[0] if c == 1 else v[0].scale(1 / c)
+
+
+def _as_x_power(v) -> Optional[Fraction]:
+    # value must be exactly x^a with coefficient 1
+    s = _to_series(v)
+    if s is not None and s.nums and s == PuiseuxPoly.monomial(1, s.val()):
+        return s.val()
+    return None
+
+
+def _int_pow(v, e: int, tok: _Tok):
     if e < 0:
-        v = _div(_Bivar.const(1), v, tok)
+        v = _div((_ONE, _ONE), v, tok)
         e = -e
-    out = _Bivar.const(1)
-    base = v
+    if type(v) is tuple:
+        return (v[0] ** e, _ONE if v[1] is _ONE else v[1] ** e)
+    out = _lift((_ONE, _ONE))
     while e:
         if e & 1:
-            out = out * base
-        base = base * base
+            out = out * v
         e >>= 1
+        if e:
+            v = v * v
     return out
 
 
-def _pow(v: _Bivar, e: Fraction, tok: _Tok) -> _Bivar:
+def _pow(v, e: Fraction, tok: _Tok):
     if e.denominator == 1:
         return _int_pow(v, int(e), tok)
     a = _as_x_power(v)
@@ -206,7 +215,7 @@ def _pow(v: _Bivar, e: Fraction, tok: _Tok) -> _Bivar:
         raise ParseError(
             "fractional exponents apply only to powers of x", tok.line, tok.col
         )
-    return _Bivar([PuiseuxPoly.monomial(1, a * e)], [_ONE])
+    return (PuiseuxPoly.monomial(1, a * e), _ONE)
 
 
 # -- recursive descent ----------------------------------------------------------
@@ -232,30 +241,30 @@ class _ExprParser:
         return tok
 
     # expr -> term (('+'|'-') term)*
-    def expr(self) -> _Bivar:
+    def expr(self):
         v = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take()
             w = self.term()
-            v = v + w if op.kind == "+" else v - w
+            v = _add(v, w if op.kind == "+" else _neg(w))
         return v
 
     # term -> unary (('*'|'/') unary)*
-    def term(self) -> _Bivar:
+    def term(self):
         v = self.unary()
         while self.peek().kind in ("*", "/"):
             op = self.take()
             w = self.unary()
-            v = v * w if op.kind == "*" else _div(v, w, op)
+            v = _mul(v, w) if op.kind == "*" else _div(v, w, op)
         return v
 
-    def unary(self) -> _Bivar:
+    def unary(self):
         if self.peek().kind == "-":
             self.take()
-            return -self.unary()
+            return _neg(self.unary())
         return self.power()
 
-    def power(self) -> _Bivar:
+    def power(self):
         v = self.atom()
         if self.peek().kind == "^":
             tok = self.take()
@@ -296,13 +305,13 @@ class _ExprParser:
             val = Fraction(int(num.text), int(den.text))
         return -val if neg else val
 
-    def atom(self) -> _Bivar:
+    def atom(self):
         tok = self.take()
         if tok.kind == "int":
-            return _Bivar.const(Fraction(int(tok.text)))
+            return (PuiseuxPoly.const(int(tok.text)), _ONE)
         if tok.kind == "name":
             if tok.text == "x":
-                return _Bivar([PuiseuxPoly.monomial(1, 1)], [_ONE])
+                return (_X, _ONE)
             if tok.text == "y":
                 return _Bivar([_ZERO, _ONE], [_ONE])
             raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
@@ -330,6 +339,23 @@ class _ExprParser:
             raise ParseError("expected a rational number", tok.line, tok.col)
         return c
 
+    def literal_radius(self) -> Optional[Fraction]:
+        """The radius ``k`` or ``k/q`` read from its tokens when a ')'
+        follows it; None for any other radius."""
+        toks, i = self.toks, self.pos
+        if toks[i].kind != "int":
+            return None
+        if toks[i + 1].kind == ")":
+            self.pos = i + 1
+            return Fraction(int(toks[i].text))
+        if toks[i + 1].kind == "/" and toks[i + 2].kind == "int" and toks[i + 3].kind == ")":
+            q = int(toks[i + 2].text)
+            if not q:
+                raise ParseError("division by zero", toks[i + 1].line, toks[i + 1].col)
+            self.pos = i + 3
+            return Fraction(int(toks[i].text), q)
+        return None
+
     def point(self) -> TypeIIPoint:
         tok = self.expect("name")
         if tok.text != "zeta":
@@ -337,10 +363,12 @@ class _ExprParser:
         self.expect("(")
         centre = self.series_value()
         self.expect(",")
-        t = self.rational_value()
+        t = self.literal_radius()
+        if t is None:
+            t = self.rational_value()
         self.expect(")")
-        # normalize: terms at depth >= t are absorbed by the disk
-        return TypeIIPoint(centre.drop_from(t), t)
+        # terms at depth >= t are absorbed by the disk
+        return TypeIIPoint(centre, t)
 
     def point_list(self) -> list:
         pts = []
@@ -454,7 +482,7 @@ def parse_definition(text: str) -> DefinitionFile:
             if first.text == "phi1":
                 sec["phi1"] = p.series_value()
             elif first.text == "phi2":
-                sec["phi2"] = p.expr()
+                sec["phi2"] = _lift(p.expr())
             elif first.text == "gamma":
                 sec["gamma"] = p.point_list()
             else:
@@ -548,9 +576,10 @@ def check_precision(d: DefinitionFile, bound) -> None:
         polys = [link.base.series, *link.num, *link.den]
         polys.extend(p.center for p in d.gammas.get(i, ()))
         for poly in polys:
-            if poly.terms and poly.terms[-1][0] > bound:
+            top = poly.lo + len(poly.nums) - 1  # the last exponent is top/N
+            if poly.nums and top * bound.denominator > bound.numerator * poly.N:
                 raise ParseError(
-                    f"[fibre {i}] series exponent {poly.terms[-1][0]} exceeds "
+                    f"[fibre {i}] series exponent {Fraction(top, poly.N)} exceeds "
                     f"precision {bound}",
                     1,
                     1,

@@ -71,6 +71,11 @@ def poly_add(a, b) -> list:
     )
 
 
+def _times(a: PuiseuxPoly, b: PuiseuxPoly) -> PuiseuxPoly:
+    """a*b, with no product when a factor is ``_ONE`` itself."""
+    return b if a is _ONE else a if b is _ONE else a * b
+
+
 def poly_mul(a, b) -> list:
     """The trimmed product of two polynomials in y; products with an
     exactly-zero factor are skipped."""
@@ -80,7 +85,8 @@ def poly_mul(a, b) -> list:
             continue
         for j, cb in enumerate(b):
             if not cb.is_exact_zero:
-                out[i + j] = out[i + j] + ca * cb
+                p = _times(ca, cb)
+                out[i + j] = p if out[i + j] is _ZERO else out[i + j] + p
     return poly_trim(out)
 
 

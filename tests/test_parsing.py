@@ -1,12 +1,18 @@
 """Literal grammar, definition files, and canonical round trips."""
 
+import io
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from mapdefs import ONE, X, thm6_map, xy2_map
 from skewstab.berkovich import TypeIIPoint, gauss_point
+from skewstab.cli import main
 from skewstab.parsing import (
     ParseError,
     check_precision,
@@ -16,7 +22,9 @@ from skewstab.parsing import (
     parse_points,
     parse_series,
 )
-from skewstab.puiseux import PuiseuxPoly
+from skewstab.puiseux import PuiseuxPoly, as_series
+from skewstab.roots import poly_add, poly_trim
+from skewstab.skew import BaseGerm, SkewLocal
 from skewstab.vertexset import VertexSet
 
 
@@ -198,3 +206,409 @@ class TestCanonicalFormat:
         d = parse_definition(MINIMAL + "gamma =\n")
         canon = format_definition(d)
         assert parse_definition(canon).gammas == {0: VertexSet()}
+
+
+class TestAsciiTokens:
+    @pytest.mark.parametrize("text,col", [("x^²", 3), ("x + ٣", 5), ("x٣", 2), ("yé", 2)])
+    def test_a_non_ascii_digit_is_an_unexpected_character(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_series(text)
+        assert str(err.value) == f"line 1, col {col}: unexpected character {text[col - 1]!r}"
+
+    @pytest.mark.parametrize("phi2", ["y^²", "y + ٣"])
+    def test_the_cli_exits_2_on_one_line(self, tmp_path, phi2):
+        f = tmp_path / "m.skew"
+        f.write_text(f"period 1\n[fibre 0]\nphi1 = x\nphi2 = {phi2}\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check-smooth", str(f)])
+        assert code == 2 and out.getvalue() == ""
+        col = 8 + phi2.index(phi2[-1])
+        assert err.getvalue() == (
+            f"parse error: line 4, col {col}: unexpected character {phi2[-1]!r}\n"
+        )
+
+
+# -- the bivariate evaluator, kept as an oracle ----------------------------------
+#
+# The parser before y-free values stayed series pairs: a character-loop
+# tokenizer, and every value a rational function in y built by list
+# products.  The parser must build the same lists, series and points, and
+# raise the same errors at the same positions.
+
+_O_ONE, _O_ZERO = PuiseuxPoly.const(1), PuiseuxPoly.zero()
+
+
+@dataclass(frozen=True)
+class _OTok:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def _o_tokenize(text, line=1):
+    toks, i, col = [], 0, 1
+    while i < len(text):
+        ch = text[i]
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":
+            break
+        if ch.isdigit() or ch.isalpha() or ch == "_":
+            digits = ch.isdigit()
+            j = i
+            while j < len(text) and (
+                text[j].isdigit() if digits else (text[j].isalnum() or text[j] == "_")
+            ):
+                j += 1
+            if digits:
+                try:
+                    int(text[i:j])
+                except ValueError:
+                    raise ParseError(f"integer literal of {j - i} digits is too long", line, col)
+            toks.append(_OTok("int" if digits else "name", text[i:j], line, col))
+            col, i = col + j - i, j
+            continue
+        if ch in "+-*/^(),=[]":
+            toks.append(_OTok(ch, ch, line, col))
+            i, col = i + 1, col + 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(_OTok("end", "", line, col))
+    return toks
+
+
+def _o_poly_mul(a, b):
+    out = [_O_ZERO] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            if not ca.is_exact_zero and not cb.is_exact_zero:
+                out[i + j] = out[i + j] + ca * cb
+    return poly_trim(out)
+
+
+class _OBivar:
+    def __init__(self, num, den):
+        self.num, self.den = poly_trim(num), poly_trim(den)
+
+    @classmethod
+    def const(cls, c):
+        return cls([as_series(c)], [_O_ONE])
+
+    def __add__(self, o):
+        return _OBivar(
+            poly_add(_o_poly_mul(self.num, o.den), _o_poly_mul(o.num, self.den)),
+            _o_poly_mul(self.den, o.den),
+        )
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        return _OBivar(_o_poly_mul(self.num, o.num), _o_poly_mul(self.den, o.den))
+
+    def __neg__(self):
+        return _OBivar([-c for c in self.num], self.den)
+
+    def div(self, o, tok):
+        if not o.num:
+            raise ParseError("division by zero", tok.line, tok.col)
+        return _OBivar(_o_poly_mul(self.num, o.den), _o_poly_mul(self.den, o.num))
+
+
+def _o_const(p):
+    if not p.terms:
+        return F(0)
+    return p.terms[0][1] if len(p.terms) == 1 and p.terms[0][0] == 0 else None
+
+
+def _o_series(v):
+    if len(v.den) != 1 or len(v.num) > 1:
+        return None
+    c = _o_const(v.den[0])
+    if c is None or c == 0:
+        return None
+    p = v.num[0] if v.num else _O_ZERO
+    return p if c == 1 else p * as_series(F(1) / c)
+
+
+def _o_pow(v, e, tok):
+    if e.denominator == 1:
+        e = int(e)
+        if e < 0:
+            v, e = _OBivar.const(1).div(v, tok), -e
+        out = _OBivar.const(1)
+        for _ in range(e):
+            out = out * v
+        return out
+    s = _o_series(v)
+    if s is None or not s.terms or s != PuiseuxPoly.monomial(1, s.val()):
+        raise ParseError("fractional exponents apply only to powers of x", tok.line, tok.col)
+    return _OBivar([PuiseuxPoly.monomial(1, s.val() * e)], [_O_ONE])
+
+
+class _OParser:
+    def __init__(self, toks, pos=0):
+        self.toks, self.pos = toks, pos
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def take(self):
+        self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def expect(self, kind):
+        tok = self.take()
+        if tok.kind != kind:
+            what = tok.text or "end of input"
+            raise ParseError(f"expected {kind!r}, found {what!r}", tok.line, tok.col)
+        return tok
+
+    def expr(self):
+        v = self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.take()
+            w = self.term()
+            v = v + w if op.kind == "+" else v - w
+        return v
+
+    def term(self):
+        v = self.unary()
+        while self.peek().kind in ("*", "/"):
+            op = self.take()
+            w = self.unary()
+            v = v * w if op.kind == "*" else v.div(w, op)
+        return v
+
+    def unary(self):
+        if self.peek().kind == "-":
+            self.take()
+            return -self.unary()
+        v = self.atom()
+        if self.peek().kind == "^":
+            tok = self.take()
+            v = _o_pow(v, self.exponent(), tok)
+            if self.peek().kind == "^":
+                nxt = self.peek()
+                raise ParseError("chained '^' needs parentheses", nxt.line, nxt.col)
+        return v
+
+    def exponent(self):
+        tok = self.peek()
+        if tok.kind == "-":
+            self.take()
+            return -self.exponent()
+        if tok.kind == "int":
+            self.take()
+            return F(int(tok.text))
+        if tok.kind != "(":
+            raise ParseError("expected an exponent", tok.line, tok.col)
+        self.take()
+        neg = self.peek().kind == "-"
+        if neg:
+            self.take()
+        val = F(int(self.expect("int").text))
+        if self.peek().kind == "/":
+            self.take()
+            den = self.expect("int")
+            if int(den.text) == 0:
+                raise ParseError("zero denominator in exponent", den.line, den.col)
+            val /= int(den.text)
+        self.expect(")")
+        return -val if neg else val
+
+    def atom(self):
+        tok = self.take()
+        if tok.kind == "int":
+            return _OBivar.const(F(int(tok.text)))
+        if tok.kind == "name":
+            if tok.text in ("x", "y"):
+                x = tok.text == "x"
+                return _OBivar([X] if x else [_O_ZERO, _O_ONE], [_O_ONE])
+            raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
+        if tok.kind == "(":
+            v = self.expr()
+            self.expect(")")
+            return v
+        what = tok.text or "end of input"
+        raise ParseError(f"expected a value, found {what!r}", tok.line, tok.col)
+
+    def series_value(self):
+        tok = self.peek()
+        s = _o_series(self.expr())
+        if s is None:
+            raise ParseError("expected a series in x alone", tok.line, tok.col)
+        return s
+
+    def point(self):
+        tok = self.expect("name")
+        if tok.text != "zeta":
+            raise ParseError(f"expected 'zeta', found {tok.text!r}", tok.line, tok.col)
+        self.expect("(")
+        centre = self.series_value()
+        self.expect(",")
+        tok = self.peek()
+        t = _o_const(self.series_value())
+        if t is None:
+            raise ParseError("expected a rational number", tok.line, tok.col)
+        self.expect(")")
+        return TypeIIPoint(centre.drop_from(t), t)
+
+    def point_list(self):
+        pts = [] if self.peek().kind == "end" else [self.point()]
+        while pts and self.peek().kind == ",":
+            self.take()
+            pts.append(self.point())
+        return pts
+
+    def whole(self, reduce):
+        out = reduce(self)
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        return out
+
+
+def _o_phi2(text, line=4):
+    """The oracle's (num, den) of ``phi2 = text`` on a given line."""
+    v = _OParser(_o_tokenize(f"phi2 = {text}", line), 2).whole(_OParser.expr)
+    return v.num, v.den
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type, message and position it raises."""
+    try:
+        return ("ok", fn(*args))
+    except ParseError as exc:
+        return ("error", type(exc), str(exc), exc.line, exc.col)
+
+
+def _new_phi2(text):
+    d = parse_definition(f"period 1\n[fibre 0]\nphi1 = x\nphi2 = {text}\n")
+    return d.chain.links[0].num, d.chain.links[0].den
+
+
+def _oracle_phi2(text):
+    try:  # the link checks of parse_definition, on the oracle's lists
+        link = SkewLocal(BaseGerm(X), *_o_phi2(text))
+    except ValueError as exc:
+        raise ParseError(f"[fibre 0]: {exc}", 2, 1) from exc
+    return link.num, link.den
+
+
+def _random_expr(rng, depth, ys=True):
+    """A random rational expression in x (and y), at most `depth` deep."""
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice(["0", "1", "2", "3", "12", "x", "x"] + ["y"] * 4 * ys)
+    a = _random_expr(rng, depth - 1, ys)
+    kind = rng.randrange(7)
+    if kind < 4:
+        return f"{a} {'+-*/'[kind]} {_random_expr(rng, depth - 1, ys)}"
+    if kind == 4:
+        return f"-{a}"
+    if kind == 5:
+        return f"({a})"
+    base = a if a in ("x", "y") or a.isdigit() else f"({a})"
+    exps = ["2", "3", "0", "-1", "-2", "(-1)", "(1/2)", "(-1/3)", "(2/3)", "(4/2)", "(1/0)"]
+    return f"{base}^{rng.choice(exps)}"
+
+
+def _mutate(rng, text):
+    i = rng.randrange(len(text) + 1)
+    if rng.random() < 0.5 and i < len(text):
+        return text[:i] + text[i + 1:]
+    return text[:i] + rng.choice("()+-*/^,xyz0#1 ") + text[i:]
+
+
+def _random_points(rng):
+    radii = ["0", "1", "5", "2/3", "7/24", "0/5", "12/1", "-1", "-2/3", "1/2 + 1", "(1/2)",
+             "1/2/3", "2/4^2", "x^0"]
+    bad = ["3/0", "1/0^2", "1/0^-1", "x", "y", "3/0 + y"]
+    return ", ".join(
+        f"zeta({_random_expr(rng, 2, ys=rng.random() < 0.05)}, "
+        f"{rng.choice(bad if rng.random() < 0.15 else radii)})"
+        for _ in range(rng.randint(1, 3))
+    )
+
+
+class TestAgainstTheBivariateOracle:
+    def test_seeded_expressions_and_their_mutations(self):
+        rng = random.Random(1901)
+        seen = {"ok": 0, "error": 0}
+        for _ in range(700):
+            text = _random_expr(rng, 3)
+            for t in (text, _mutate(rng, text)):
+                want = _outcome(_oracle_phi2, t)
+                assert _outcome(_new_phi2, t) == want, t
+                seen[want[0]] += 1
+            series = _random_expr(rng, 3, ys=rng.random() < 0.2)
+            for t in (series, _mutate(rng, series)):
+                want = _outcome(lambda s: _OParser(_o_tokenize(s)).whole(_OParser.series_value), t)
+                assert _outcome(parse_series, t) == want, t
+                seen[want[0]] += 1
+        assert seen["ok"] > 800 and seen["error"] > 800
+
+    def test_seeded_point_lists(self):
+        rng = random.Random(1902)
+        ok = 0
+        for _ in range(500):
+            text = _random_points(rng)
+            for t in (text, _mutate(rng, text)):
+                want = _outcome(lambda s: _OParser(_o_tokenize(s)).whole(_OParser.point_list), t)
+                assert _outcome(parse_points, t) == want, t
+                ok += want[0] == "ok"
+        assert 200 < ok < 800
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "zeta(0, 3)", "zeta(1 - x, 7/24)", "zeta(x, 1/0)", "zeta(0, 1/0^-1)", "zeta(0, 1/0",
+            "zeta(0, 2/0^2)", "zeta(0, 1/2 x)", "zeta(y, 1/0)", "zeta(0, -3)", "zeta(0, 4/)",
+        ],
+    )
+    def test_chosen_points(self, text):
+        want = _outcome(lambda s: _OParser(_o_tokenize(s)).whole(_OParser.point_list), text)
+        assert _outcome(parse_points, text) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^(-1)", "x^-1 + 1", "(1/2)*y^2", "y/2", "2*y/(2*y)", "(x^4 + y^6) / y^3",
+            "y - y", "1/(y - y)", "(y - y + x)^(1/2)", "(y/y)^(1/2)", "-(-x)^2", "((x))^(3/2)",
+            "x^0*y", "(2*x)^(1/2)", "0^0 + y", "0^-1", "y^-2", "(x/x)^(1/2)*y", "3/6*y",
+            "(1/2 + 1/2)*y", "y/(x/2 - 1/2)", "(x/3)*(3/x)*y^2",
+        ],
+    )
+    def test_chosen_expressions(self, text):
+        assert _outcome(_new_phi2, text) == _outcome(_oracle_phi2, text)
+        want = _outcome(lambda s: _OParser(_o_tokenize(s)).whole(_OParser.series_value), text)
+        assert _outcome(parse_series, text) == want
+
+    @pytest.mark.parametrize("name", ["thm6", "thmB", "xy2", "goodred", "thm6_level24"])
+    def test_definitions(self, name):
+        if name == "thm6_level24":
+            text = (Path(__file__).parents[1] / "bench" / "data" / f"{name}.skew").read_text()
+        else:
+            text = fixture_text(name)
+        d = parse_definition(text)
+        fibre = None
+        for n, line in enumerate(text.splitlines(), start=1):
+            toks = _o_tokenize(line, n)
+            if toks[0].kind == "[":
+                fibre = int(toks[2].text)
+            elif len(toks) > 1 and toks[1].kind == "=":
+                p = _OParser(toks, 2)
+                link = d.chain.links[fibre]
+                if toks[0].text == "phi1":
+                    assert link.base.series == p.whole(_OParser.series_value)
+                elif toks[0].text == "phi2":
+                    want = p.whole(_OParser.expr)
+                    assert (link.num, link.den) == (tuple(want.num), tuple(want.den))
+                else:
+                    assert d.gammas[fibre] == VertexSet(p.whole(_OParser.point_list))
+                    assert parse_points(line.split("=", 1)[1]) == _OParser(
+                        _o_tokenize(line.split("=", 1)[1])
+                    ).whole(_OParser.point_list)
