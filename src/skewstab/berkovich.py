@@ -61,7 +61,7 @@ class TypeIIPoint:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.center, self.t))
+            h = hash((self.center, self.tn, self.td))
             self._hash = h
         return h
 

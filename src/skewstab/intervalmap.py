@@ -6,13 +6,13 @@ rational slopes and breakpoints.  T is read exactly off the fibre map's
 coefficients shifted to the centre, from the same push table as
 ``skew.pushforward`` (``SkewLocal.push_table``): it is a difference of a
 max of mins and a min of lines in t (``_induce_link``), so its
-breakpoints are among the crossings of those lines.  The table keeps
-each line as an integer pair on one lattice 1/L, so a crossing is one
-Fraction of two integer differences, and the lines at a cut are
-compared as integers before one Fraction is built per value.  Between
-two crossings one candidate centre wins.  Each winning candidate's
-centre is transported once, at the deepest stretch end it wins, and
-gives its image ray; the rays must agree, or the map is not
+breakpoints are among the crossings of those lines, which the table
+sorts once for the map and the pushes on the ray (``PushTable.cuts``).
+Its lines are integer pairs on one lattice 1/L, so the lines at a cut
+are compared as integers before one Fraction is built per value.
+Between two crossings one candidate centre wins.  Each winning
+candidate's centre is transported once, at the deepest stretch end it
+wins, and gives its image ray; the rays must agree, or the map is not
 ray-invariant.  Orbit analysis of T is exact rational arithmetic
 throughout.
 """
@@ -132,7 +132,7 @@ def _induce_link(smap: SkewLocal, center, lo, hi):
     winners must agree.
     """
     table = smap.push_table(center)
-    cuts = sorted({lo, hi} | {x for x in table.crossings() if lo < x < hi})
+    cuts = [lo, *(x for x in table.cuts() if lo < x < hi), hi]
 
     def gauss(lines, bounds, t):
         return Fraction(table.least(lines, bounds, t.numerator, t.denominator),

@@ -349,13 +349,13 @@ class PuiseuxPoly:
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        result, base = PuiseuxPoly.const(1), self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return PuiseuxPoly.const(1) if result is None else result
 
     def derivative(self) -> "PuiseuxPoly":
         N, lo = self.N, self.lo

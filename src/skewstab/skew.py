@@ -24,7 +24,11 @@ keeps it per centre, in a ``PushTable`` built on the first push there
 ``val + t*i`` stored as the integer pair ``(val*L, i*L)`` over one
 lattice 1/L, L the lcm of every line's denominator.  At t = a/b a line
 scores ``val*L*b + i*L*a``, so a push compares Python ints and builds
-one Fraction, its radius.  Only the winning ratio is inverted, once:
+one Fraction, its radius.  From its second push on, a table keeps the
+interval map of its ray, each stretch between two crossings with its
+winner and affine radius, so a push off a crossing is one bisection on
+ints.  Only the winning ratio is inverted, once, and a winning P_k of
+zero needs no transport:
 
 * It is read to ``O(x^(r + 1))``, r the radius before the 1/n, because
   an image point keeps only the centre terms below its radius; it is
@@ -36,7 +40,7 @@ one Fraction, its radius.  Only the winning ratio is inverted, once:
 
 The image of a tangent direction is read off the same tables, exactly
 (``pushforward_direction``): between two crossings of a table's lines
-(``PushTable.crossings``) the radius is affine and one candidate wins,
+(``PushTable.cuts``) the radius is affine and one candidate wins,
 so one push on the ray into the direction, short of its first crossing,
 gives the direction at the image.  An open disk with no pole, or no
 zero, inside maps onto the disk off the image of its boundary in that
@@ -53,11 +57,12 @@ nothing.  Every caller shares these memos, and they die with the link.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .berkovich import Direction, TypeIIPoint, classical_in_direction, direction_at
+from .berkovich import Direction, TypeIIPoint, _point, classical_in_direction, direction_at
 from .errors import DegenerateImage, InsufficientPrecision, SkewstabError, ValidationFailure
 from .puiseux import (
     INF,
@@ -318,9 +323,16 @@ class PushTable:
     the denominators of every u.  At t = a/b the value u + t*i is
     ``(u*L*b + i*L*a)/(L*b)``.  Every line at one t shares that
     denominator, so a push compares the numerators, the lines' scores.
+
+    The table also keeps its ray's interval map: the sorted crossings
+    (``cuts``) and, per stretch between two, the winner j and the radius
+    as ``(du, di)``, r = (du*b + di*a)/(L*b).  No two distinct lines cross
+    inside a stretch, so its first point read fixes both.  A first push,
+    a push on a crossing, and a table with a bound or a candidate with
+    no line are scored, so a table serving one push sorts nothing.
     """
 
-    __slots__ = ("L", "den", "cands")
+    __slots__ = ("L", "den", "cands", "_plain", "_served", "_cuts", "_grid", "_stretches")
 
     def __init__(self, den, cands):
         parts = [*den, *(part for c in cands for part in c[2:])]
@@ -332,6 +344,10 @@ class PushTable:
         self.L = L
         self.den = (scaled(den[0]), scaled(den[1]))
         self.cands = tuple((pk, qk, scaled(lines), scaled(bounds)) for pk, qk, lines, bounds in cands)
+        # Q has lines and no bound, as a truncated zero Q_k blocks the build
+        self._plain = all(lines and not bounds for _, _, lines, bounds in self.cands)
+        self._served = False
+        self._cuts = self._grid = self._stretches = None
 
     def least(self, lines, bounds, a, b):
         """The least score of ``lines`` at t = a/b, None for no line: what
@@ -351,17 +367,24 @@ class PushTable:
                 )
         return best
 
-    def crossings(self):
-        """The levels t where two of Q's and the candidates' lines cross.
+    def cuts(self):
+        """The levels t where two of Q's and the candidates' lines cross,
+        in increasing order, sorted on the first request and kept.
 
         Each term of the radius is a least line, so between two adjacent
         crossings one candidate wins and the radius is affine in t.  On
         the lattice u + i*t = v + k*t, so a crossing is (v - u)/(i - k).
         """
-        every = list({*self.den[0], *(line for _, _, lines, _ in self.cands for line in lines)})
-        return {
-            Fraction(v - u, i - k) for a, (u, i) in enumerate(every) for v, k in every[a + 1 :] if i != k
-        }
+        if self._cuts is None:
+            every = list({*self.den[0], *(line for _, _, lines, _ in self.cands for line in lines)})
+            pairs = [(v - u, i - k) for a, (u, i) in enumerate(every) for v, k in every[a + 1 :] if i != k]
+            # sorted on a common grid 1/M as ints, which hash and compare fast
+            M = math.lcm(*(d for _, d in pairs))
+            grid = sorted({n * (M // d) for n, d in pairs})
+            self._grid = M, grid
+            self._cuts = [Fraction(c, M) for c in grid]
+            self._stretches = [None] * (len(grid) + 1)
+        return self._cuts
 
     def winner(self, t):
         """``(j, v)``: v the score of max_k vG(P - w_k*Q) at level t, and j
@@ -388,12 +411,29 @@ class PushTable:
     def radius(self, t):
         """``(j, r)``: the winning candidate at level t and the radius
         r = max_k vG(P - w_k*Q) - vG(Q) before the 1/n; vG(Q) is checked
-        first."""
-        vq = self.least(*self.den, t.numerator, t.denominator)
+        first.  Off a crossing, a push after the table's first reads the
+        stretch it lies in."""
+        a, b = t.numerator, t.denominator
+        if self._plain and (self._served or self._cuts is not None):
+            self.cuts()
+            M, grid = self._grid
+            q, off = divmod(a * M, b)  # t*M = q + off/b
+            k = bisect_right(grid, q)
+            if off or not k or grid[k - 1] != q:  # t is no crossing
+                stretch = self._stretches[k]
+                if stretch is None:
+                    j, _ = self.winner(t)
+                    uq, iq = min(self.den[0], key=lambda line: line[0] * b + line[1] * a)
+                    uj, ij = min(self.cands[j][2], key=lambda line: line[0] * b + line[1] * a)
+                    stretch = self._stretches[k] = (j, uj - uq, ij - iq)
+                j, du, di = stretch
+                return j, Fraction(du * b + di * a, self.L * b)
+        self._served = True
+        vq = self.least(*self.den, a, b)
         if vq is None:
             raise ValueError("denominator vanished identically after shift")
         j, v = self.winner(t)
-        return j, Fraction(v - vq, self.L * t.denominator)
+        return j, Fraction(v - vq, self.L * b)
 
 
 def image_point(base: BaseGerm, pk, qk, r) -> TypeIIPoint:
@@ -402,11 +442,12 @@ def image_point(base: BaseGerm, pk, qk, r) -> TypeIIPoint:
 
     The centre keeps its terms below r only, so the ratio is read to
     O(x^(r + 1)), exactly when qk is an exact monomial; a truncated zero
-    pk that won has bounds no lower than r, so its ratio is 0 below r.
+    pk that won has bounds no lower than r, so its ratio is 0 below r,
+    and the image is zeta(0, r/n) with no transport.
     """
     if not pk:
-        w = ZERO
-    elif qk.precision is INF and len(qk.terms) == 1:
+        return _point(ZERO, r / base.n)
+    if qk.precision is INF and len(qk.terms) == 1:
         w = pk * qk.inv()
     else:
         w = pk * qk.inv(precision=max(r - pk.val(), -qk.val()) + 1)
@@ -437,9 +478,8 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
 
 
 def _transport_center(base: BaseGerm, w: PuiseuxPoly, T: Fraction) -> PuiseuxPoly:
-    """Express the new centre in the image coordinate via the inverse germ."""
-    if not w:
-        return ZERO
+    """Express the new centre w != 0 in the image coordinate via the
+    inverse germ."""
     n = base.n
     # w.compose(g, precision=T + 1) reads g to O(x^(T + 1 + (1 - val(w))/n));
     # g needs at least its leading term x^(1/n)
@@ -457,7 +497,7 @@ def pushforward_direction(s: SkewLocal, p: TypeIIPoint, v: Direction) -> Directi
 
     The ray into v runs through ``v.rep`` inwards and through
     ``p.center`` outwards.  Between two crossings of the push table's
-    lines at that centre (``PushTable.crossings``) one candidate wins,
+    lines at that centre (``PushTable.cuts``) one candidate wins,
     its centre is one series and the radius is affine, so the ray up to
     the nearest crossing past p.t images onto one ray from the image of
     p.  One point half-way to that crossing, or at distance 1/2 when
@@ -469,12 +509,14 @@ def pushforward_direction(s: SkewLocal, p: TypeIIPoint, v: Direction) -> Directi
         raise ValueError("direction is not anchored at the given point")
     image = pushforward(s, p)
     if v.at_infinity:
-        past = [x for x in s.push_table(p.center).crossings() if x < p.t]
-        end = max(past, default=p.t - 1)
+        cuts = s.push_table(p.center).cuts()
+        k = bisect_left(cuts, p.t)
+        end = cuts[k - 1] if k else p.t - 1
         probe = TypeIIPoint(p.center, (p.t + end) / 2)
     else:
-        past = [x for x in s.push_table(v.rep).crossings() if x > p.t]
-        end = min(past, default=p.t + 1)
+        cuts = s.push_table(v.rep).cuts()
+        k = bisect_right(cuts, p.t)
+        end = cuts[k] if k < len(cuts) else p.t + 1
         probe = TypeIIPoint(v.rep, (p.t + end) / 2)
     probe_image = pushforward(s, probe)
     if probe_image == image:

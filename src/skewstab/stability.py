@@ -91,7 +91,7 @@ DESTABILISING = "DestabilisingFound"
 INCONCLUSIVE = "Inconclusive"
 
 #: orbits whose radius exponent leaves this band are treated as escaped
-_T_BOUND = Fraction(10**6)
+_T_BOUND = 10**6
 
 #: steps a J-search probe orbit may take to reach the vertex family
 _PROBE_HORIZON = 16
@@ -363,7 +363,7 @@ class _Analyzer:
                 self.walk_failed = True
                 return
             yield j, p
-            if abs(p.t) > _T_BOUND:
+            if abs(p.tn) > _T_BOUND * p.td:
                 return
 
     def extend(self, additions: dict) -> bool:

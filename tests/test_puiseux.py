@@ -93,6 +93,25 @@ def test_pow_matches_repeated_mul():
     assert (a**0).terms == ((F(0), F(1)),)
 
 
+def test_pow_starts_from_the_base(monkeypatch):
+    # square-and-multiply with no product by 1: X**k costs the squarings
+    # plus one product per set bit after the first
+    products = []
+    mul = PuiseuxPoly.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(PuiseuxPoly, "__mul__", counting_mul)
+    for k, want in [(1, 0), (2, 1), (3, 2), (4, 2), (6, 3)]:
+        products.clear()
+        assert (X**k).terms == ((F(k), F(1)),)
+        assert len(products) == want, k
+    a = P((F(0), F(1)), (F(1, 2), F(2)), precision=F(3))
+    assert a**1 == a and a**5 == a * a * a * a * a
+
+
 def test_inv_geometric_series():
     # 1/(1 - x) = 1 + x + x^2 + ... ; exact input defaults to 64 terms
     a = P((F(0), F(1)), (F(1), F(-1)))

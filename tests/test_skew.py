@@ -693,3 +693,95 @@ def test_base_germ_keeps_one_growing_reversion(monkeypatch):
         else:
             assert len(asked) == calls
     assert asked == [F(3), F(6), F(13)]
+
+
+# -- the push table's stretches ---------------------------------------------------
+
+
+def _fresh_table(s, center):
+    """A push table of s at centre apart from the link's own, so that its
+    first push is scored over every line, with no stretch kept."""
+    P = shift_poly(list(s.num), center)
+    Q = shift_poly(list(s.den), center)
+    return skew.PushTable(skew.gauss_lines(Q), skew.candidate_lines(P, Q))
+
+
+def _radius_outcome(table, t):
+    try:
+        return table.radius(t)
+    except (SkewstabError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _levels(rng, cuts):
+    """Levels on, between and just off the crossings, some with
+    denominators of 2^60 and more."""
+    ts = [*cuts, F(rng.randint(-12, 24), rng.randint(1, 6))]
+    if cuts:
+        ts += [(a + b) / 2 for a, b in zip([cuts[0] - 1, *cuts], [*cuts, cuts[-1] + 1])]
+    for x in rng.sample(cuts, min(2, len(cuts))) or [F(rng.randint(-3, 3))]:
+        tiny = F(1, 2 ** rng.randint(60, 64))
+        ts += [x + tiny, x - tiny, x + F(rng.randint(1, 2**61), 2**61 + 1)]
+    rng.shuffle(ts)
+    return ts
+
+
+def test_the_stretch_read_matches_the_scoring_read():
+    # every level is pushed twice through the link's own table, whose
+    # pushes after its first read the stretch they lie in, and once
+    # through a fresh table that scores it: the radii, and the exceptions
+    # with their messages, agree
+    rng = random.Random(607)
+    links = [(s, [ZERO, ONE, X, S((F(1, 2), F(3)))]) for _, s in bundled_links()]
+    links += [(_mixed_link(rng), [_mixed_point(rng).center for _ in range(2)]) for _ in range(150)]
+    levels = on_crossing = stretches = scored = 0
+    for s, centres in links:
+        for center in centres:
+            try:
+                table = s.push_table(center)
+            except InsufficientPrecision:
+                continue
+            cuts = _fresh_table(s, center).cuts()
+            for t in _levels(rng, cuts):
+                want = _radius_outcome(_fresh_table(s, center), t)
+                for _ in range(2):
+                    assert _radius_outcome(table, t) == want, f"{s} at zeta({center}, {t})"
+                levels += 1
+                on_crossing += t in cuts and table._plain
+            if table._plain:
+                stretches += sum(x is not None for x in table._stretches)
+            else:
+                scored += 1
+                assert table._stretches is None
+    assert (levels, on_crossing, stretches, scored) == (3565, 286, 362, 176)
+
+
+def test_a_table_serving_one_push_sorts_nothing():
+    # a transport push builds a table at its own centre and reads it once,
+    # which scores the lines; the second push sorts the crossings and reads
+    # a stretch, which later pushes in that stretch share
+    s = thm6_map()
+    pushforward(s, Z(S((F(1, 3), F(2))), F(1)))
+    pushforward(s, Z(0, F(1, 3)))
+    assert all(table._cuts is None for table in s._tables.values())
+    table = s._tables[ZERO]
+    assert pushforward(s, Z(0, F(1, 4))) == Z(0, F(3, 8))
+    assert table._cuts == [0, F(2, 3), F(4, 3)]
+    assert table._stretches == [None, (0, 0, 3 * table.L), None, None]
+    assert pushforward(s, Z(0, F(1, 2))) == Z(0, F(3, 4))
+    assert table._stretches == [None, (0, 0, 3 * table.L), None, None]
+
+
+def test_every_image_of_a_stabilisation_run_is_the_scored_push():
+    # stabilize thm6 --max-rounds 2: each image the links keep equals the
+    # push of a fresh link, whose table scores its one push
+    from skewstab.stability import RoundCapExceeded, StabilizationConfig, stabilize_smooth
+
+    d = parse_definition(resources.files("skewstab.fixtures").joinpath("thm6.skew").read_text())
+    with pytest.raises(RoundCapExceeded):
+        stabilize_smooth(d.gammas, d.chain, StabilizationConfig(max_rounds=2))
+    (link,) = d.chain.links
+    assert len(link._pushes) > 1000
+    assert any(table._stretches and any(table._stretches) for table in link._tables.values())
+    for p, image in link._pushes.items():
+        assert pushforward(SkewLocal(link.base, link.num, link.den), p) == image, f"{p}"
