@@ -21,11 +21,12 @@ are the same bytes either way.
 
 Exit codes: 0 success (StableCertified for the stability family),
 1 failed check (non-smooth input, demo mismatch), 2 usage or parse
-error, 3 DestabilisingFound, 4 Inconclusive or round cap exceeded,
-5 internal error (an unexpected exception, reported on one line),
-6 the engine could not decide (any other SkewstabError, such as
-insufficient precision, a centre with no rational transport, or a
-number with too many digits to print).
+error (a definition file that is not UTF-8, or an --out file that
+cannot be written, included), 3 DestabilisingFound, 4 Inconclusive or
+round cap exceeded, 5 internal error (an unexpected exception, reported
+on one line), 6 the engine could not decide (any other SkewstabError,
+such as insufficient precision, a centre with no rational transport, or
+a number with too many digits to print).
 """
 
 from __future__ import annotations
@@ -117,7 +118,12 @@ def _load(args) -> DefinitionFile:
     name = args.definition
     path = Path(name)
     if path.is_file():
-        d = parse_definition(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise _CliError(f"{name}: not UTF-8 text (byte 0x{byte:02x} at offset {exc.start})") from None
+        d = parse_definition(text)
     else:
         stem = name[:-5] if name.endswith(".skew") else name
         if stem not in _FIXTURES:
@@ -171,7 +177,10 @@ def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -630,6 +639,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         code, text = globals()["cmd_" + args.command.replace("-", "_")](args)
+        if text:
+            _emit(args, text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -643,8 +654,6 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
-    if text:
-        _emit(args, text)
     return code
 
 

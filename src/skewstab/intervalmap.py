@@ -2,18 +2,16 @@
 
 The direct image of zeta(a, t) under a skew map, for t sweeping a ray,
 has radius exponent T(t) for a continuous piecewise-affine T with
-rational slopes and breakpoints.  T is read exactly off the fibre map's
-coefficients shifted to the centre, from the same push table as
-``skew.pushforward`` (``SkewLocal.push_table``): it is a difference of a
-max of mins and a min of lines in t (``_induce_link``), so its
-breakpoints are among the crossings of those lines, which the table
-sorts once for the map and the pushes on the ray (``PushTable.cuts``).
-Its lines are integer pairs on one lattice 1/L, so the lines at a cut
-are compared as integers before one Fraction is built per value.
-Between two crossings one candidate centre wins.  Each winning
-candidate's centre is transported once, at the deepest stretch end it
-wins, and gives its image ray; the rays must agree, or the map is not
-ray-invariant.  Orbit analysis of T is exact rational arithmetic
+rational slopes and breakpoints.  The push table of the fibre map
+shifted to the centre (``SkewLocal.push_table``) owns T: it keeps it
+stretch by stretch between the crossings of its integer lines, each
+stretch with its winning candidate centre, and every push on the ray
+reads the same stretches (``PushTable.stretch``).  A link's map is the
+table's T restricted to the range (``PushTable.ray_map``), so an
+interval map is a statement about the map the pushes compute.  Each
+winning candidate's centre is transported once, at the deepest stretch
+end it wins, and gives its image ray; the rays must agree, or the map
+is not ray-invariant.  Orbit analysis of T is exact rational arithmetic
 throughout.
 """
 
@@ -119,43 +117,23 @@ def induce_interval_map(source, center: PuiseuxPoly, t_range) -> PLMap:
 def _induce_link(smap: SkewLocal, center, lo, hi):
     """The map of one link on [lo, hi], and the centre of its image ray.
 
-    The radius is T(t) = q*(max_k vG(P - w_k*Q) - vG(Q)) over the
-    candidate ratios w_k = P_k/Q_k, read off the link's push table at the
-    centre (``SkewLocal.push_table``), whose lines are integer pairs on
-    one lattice 1/L.  Every term is a line in t, so T is affine between
-    their crossings, and on each stretch between crossings one candidate
-    wins; it is read at the stretch's midpoint.  A truncated zero's bound
-    minus the least line is affine on a stretch too, so checking
-    gauss_val's rule for the winner at both ends checks it on the whole
-    stretch.  A candidate's centre is one series, so one transport at the
-    deepest stretch end it wins reads its image ray; the rays of all
-    winners must agree.
+    The link's push table at the centre (``SkewLocal.push_table``) hands
+    out T on [lo, hi] stretch by stretch, each with its winning candidate
+    (``PushTable.ray_map``); adjacent equal pieces merge.  A candidate's
+    centre is one series, so one transport at the deepest stretch end it
+    wins reads its image ray; the rays of all winners must agree.
     """
     table = smap.push_table(center)
-    cuts = [lo, *(x for x in table.cuts() if lo < x < hi), hi]
-
-    def gauss(lines, bounds, t):
-        return Fraction(table.least(lines, bounds, t.numerator, t.denominator),
-                        table.L * t.denominator)
-
-    q = smap.base.scale_factor
-    vq = [gauss(*table.den, t) for t in cuts]
     breakpoints, pieces, deepest = [], [], {}
-    for a in range(len(cuts) - 1):
-        t0, t1 = cuts[a], cuts[a + 1]
-        j, _ = table.winner((t0 + t1) / 2)
-        lines, bounds = table.cands[j][2:]
-        r0 = gauss(lines, bounds, t0) - vq[a]
-        r1 = gauss(lines, bounds, t1) - vq[a + 1]
-        s = q * (r1 - r0) / (t1 - t0)
-        piece = (s, q * r0 - s * t0)
+    for t0, t1, j, piece in table.ray_map(lo, hi):
         if not pieces or piece != pieces[-1]:
             if pieces:
                 breakpoints.append(t0)
             pieces.append(piece)
-        r = max(r0, r1)
-        deepest[j] = max(r, deepest.get(j, r))
-    images = [image_point(smap.base, *table.cands[j][:2], r) for j, r in deepest.items()]
+        s, c = piece
+        T = max(s * t0, s * t1) + c
+        deepest[j] = max(T, deepest.get(j, T))
+    images = [image_point(smap.base, *table.cands[j][:2], T) for j, T in deepest.items()]
     ray = max(images, key=lambda img: img.t)
     for img in images:
         if img.center != ray.center.drop_from(img.t):

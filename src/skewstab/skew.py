@@ -19,20 +19,16 @@ One reader of the radius serves ``pushforward`` and the interval map:
 ``candidate_lines`` reads each candidate's vG(P - w_k*Q) off
 D_k = Q_k*P - P_k*Q, since P - w_k*Q = D_k/Q_k, so the maximum is
 decided with no series inverted.  None of this depends on t, so a link
-keeps it per centre, in a ``PushTable`` built on the first push there
-(``SkewLocal.push_table``): Q's lines and every candidate's, each line
-``val + t*i`` stored as the integer pair ``(val*L, i*L)`` over one
-lattice 1/L, L the lcm of every line's denominator.  At t = a/b a line
-scores ``val*L*b + i*L*a``, so a push compares Python ints and builds
-one Fraction, its radius.  From its second push on, a table keeps the
-interval map of its ray, each stretch between two crossings with its
-winner and affine radius, so a push off a crossing is one bisection on
-ints.  Only the winning ratio is inverted, once, and a winning P_k of
-zero needs no transport:
+keeps it per centre as integer lines, in a ``PushTable`` built on the
+first push there (``SkewLocal.push_table``).  The table owns its ray's
+map T(t) = r(t)/n, kept stretch by stretch between crossings of the
+lines: a push reads T there and builds one Fraction, and the interval
+map reads the same stretches.  Only the winning ratio is inverted,
+once, and a winning P_k of zero needs no transport:
 
-* It is read to ``O(x^(r + 1))``, r the radius before the 1/n, because
-  an image point keeps only the centre terms below its radius; it is
-  exact when its denominator is an exact monomial.
+* It is read to ``O(x^(T*n + 1))``, as an image point keeps only the
+  centre terms below its radius T; it is exact when its denominator is
+  an exact monomial.
 * The inverse of the base germ is read to
   ``O(x^(T + 1 + (1 - val(w))/n))``, what composing the winning ratio w
   with it to ``O(x^(T + 1))`` consumes.  The germ keeps one reversion
@@ -107,11 +103,6 @@ class BaseGerm:
     @property
     def is_simple(self) -> bool:
         return self.n == 1
-
-    @property
-    def scale_factor(self) -> Fraction:
-        """Radius exponents of image points scale by 1/n."""
-        return Fraction(1, self.n)
 
     def inverse_to(self, precision) -> PuiseuxPoly:
         """The compositional inverse of the germ, to O(x^precision).
@@ -206,7 +197,7 @@ class SkewLocal:
         if table is None:
             P = shift_poly(list(self.num), center)
             Q = shift_poly(list(self.den), center)
-            table = PushTable(gauss_lines(Q), candidate_lines(P, Q))
+            table = PushTable(gauss_lines(Q), candidate_lines(P, Q), self.base.n)
             self._tables[center] = table
         return table
 
@@ -314,7 +305,8 @@ def candidate_lines(P, Q):
 
 
 class PushTable:
-    """What a push at one centre reads, on one lattice 1/L.
+    """What a push at one centre reads, on one lattice 1/L, and its ray's
+    map T(t) = r(t)/n.
 
     ``den`` is Q's ``(lines, bounds)`` and ``cands`` each candidate's
     ``(P_k, Q_k, lines, bounds)``, as ``gauss_lines`` and
@@ -324,48 +316,31 @@ class PushTable:
     ``(u*L*b + i*L*a)/(L*b)``.  Every line at one t shares that
     denominator, so a push compares the numerators, the lines' scores.
 
-    The table also keeps its ray's interval map: the sorted crossings
-    (``cuts``) and, per stretch between two, the winner j and the radius
-    as ``(du, di)``, r = (du*b + di*a)/(L*b).  No two distinct lines cross
-    inside a stretch, so its first point read fixes both.  A first push,
-    a push on a crossing, and a table with a bound or a candidate with
-    no line are scored, so a table serving one push sorts nothing.
+    T is kept stretch by stretch (``stretch``): between two sorted
+    crossings (``cuts``) no two distinct lines cross, so the first point
+    read fixes the winner j and T = (du*b + di*a)/(L*n*b) as ``(du, di)``.
+    Pushes (``radius``) and the interval map (``ray_map``) read these
+    stretches.  A first push, a push on a crossing, and a table with a
+    bound or a candidate with no line read the same fill unstored, so a
+    table serving one push sorts nothing.
     """
 
-    __slots__ = ("L", "den", "cands", "_plain", "_served", "_cuts", "_grid", "_stretches")
+    __slots__ = ("L", "_Ln", "den", "cands", "_plain", "_served", "_cuts", "_grid", "_stretches")
 
-    def __init__(self, den, cands):
+    def __init__(self, den, cands, n):
         parts = [*den, *(part for c in cands for part in c[2:])]
         L = math.lcm(*(u.denominator for part in parts for _, u in part))
 
         def scaled(part):
             return tuple((u.numerator * (L // u.denominator), i * L) for i, u in part)
 
-        self.L = L
+        self.L, self._Ln = L, L * n
         self.den = (scaled(den[0]), scaled(den[1]))
         self.cands = tuple((pk, qk, scaled(lines), scaled(bounds)) for pk, qk, lines, bounds in cands)
         # Q has lines and no bound, as a truncated zero Q_k blocks the build
         self._plain = all(lines and not bounds for _, _, lines, bounds in self.cands)
         self._served = False
         self._cuts = self._grid = self._stretches = None
-
-    def least(self, lines, bounds, a, b):
-        """The least score of ``lines`` at t = a/b, None for no line: what
-        ``gauss_val`` reads, and it raises as that does when a bound's
-        score undercuts it."""
-        if not lines:
-            if bounds:
-                raise InsufficientPrecision("Gauss valuation of an all-truncated polynomial")
-            return None
-        best = min(u * b + i * a for u, i in lines)
-        for u, i in bounds:
-            if u * b + i * a < best:
-                d = self.L * b
-                raise InsufficientPrecision(
-                    f"truncated coefficient (bound {Fraction(u * b + i * a, d)}) "
-                    f"could undercut Gauss valuation {Fraction(best, d)}"
-                )
-        return best
 
     def cuts(self):
         """The levels t where two of Q's and the candidates' lines cross,
@@ -408,50 +383,75 @@ class PushTable:
             f"truncated coefficients leave the image radius undecided at t = {t}"
         )
 
-    def radius(self, t):
-        """``(j, r)``: the winning candidate at level t and the radius
-        r = max_k vG(P - w_k*Q) - vG(Q) before the 1/n; vG(Q) is checked
-        first.  Off a crossing, a push after the table's first reads the
-        stretch it lies in."""
+    def stretch(self, t):
+        """``(j, du, di)`` read at level t: the winner j and the winner's
+        least line less Q's, so T = (du*b + di*a)/(L*n*b) at t = a/b.  Off
+        a crossing, once the table has served a push or sorted its
+        crossings, the first read in a stretch fills its slot and later
+        reads return it."""
         a, b = t.numerator, t.denominator
+        slot = None
         if self._plain and (self._served or self._cuts is not None):
             self.cuts()
             M, grid = self._grid
             q, off = divmod(a * M, b)  # t*M = q + off/b
             k = bisect_right(grid, q)
             if off or not k or grid[k - 1] != q:  # t is no crossing
-                stretch = self._stretches[k]
-                if stretch is None:
-                    j, _ = self.winner(t)
-                    uq, iq = min(self.den[0], key=lambda line: line[0] * b + line[1] * a)
-                    uj, ij = min(self.cands[j][2], key=lambda line: line[0] * b + line[1] * a)
-                    stretch = self._stretches[k] = (j, uj - uq, ij - iq)
-                j, du, di = stretch
-                return j, Fraction(du * b + di * a, self.L * b)
+                if self._stretches[k] is not None:
+                    return self._stretches[k]
+                slot = k
         self._served = True
-        vq = self.least(*self.den, a, b)
-        if vq is None:
-            raise ValueError("denominator vanished identically after shift")
-        j, v = self.winner(t)
-        return j, Fraction(v - vq, self.L * b)
+        j, _ = self.winner(t)
+        uq, iq = min(self.den[0], key=lambda line: line[0] * b + line[1] * a)
+        uj, ij = min(self.cands[j][2], key=lambda line: line[0] * b + line[1] * a)
+        kept = j, uj - uq, ij - iq
+        if slot is not None:
+            self._stretches[slot] = kept
+        return kept
+
+    def radius(self, t):
+        """``(j, T)``: the winning candidate at level t and the image radius
+        T = (max_k vG(P - w_k*Q) - vG(Q))/n, read off ``stretch``."""
+        j, du, di = self.stretch(t)
+        return j, Fraction(du * t.denominator + di * t.numerator, self._Ln * t.denominator)
+
+    def ray_map(self, lo, hi):
+        """T on [lo, hi]: ``(t0, t1, j, (slope, intercept))`` per stretch
+        clipped to it, j its winner, read at its midpoint.  A bound of the
+        winner scoring below its least line at either end raises as
+        ``gauss_val`` does; their difference is affine, so that suffices."""
+        ends = [lo, *(x for x in self.cuts() if lo < x < hi), hi]
+        out = []
+        for t0, t1 in zip(ends, ends[1:]):
+            j, du, di = self.stretch((t0 + t1) / 2)
+            _, _, lines, bounds = self.cands[j]
+            for a, b in ((x.numerator, x.denominator) for x in (t0, t1) if bounds):
+                best = min(u * b + i * a for u, i in lines)
+                for u, i in bounds:
+                    if u * b + i * a < best:
+                        raise InsufficientPrecision(
+                            f"truncated coefficient (bound {Fraction(u * b + i * a, self.L * b)}) "
+                            f"could undercut Gauss valuation {Fraction(best, self.L * b)}"
+                        )
+            out.append((t0, t1, j, (Fraction(di, self._Ln), Fraction(du, self._Ln))))
+        return out
 
 
-def image_point(base: BaseGerm, pk, qk, r) -> TypeIIPoint:
-    """The image point of radius r/n centred at the ratio pk/qk carried
-    through the inverse of the base germ; r = max_k vG(P - w_k*Q) - vG(Q).
+def image_point(base: BaseGerm, pk, qk, T) -> TypeIIPoint:
+    """The image point of radius T centred at the ratio pk/qk carried
+    through the inverse of the base germ; T = (max_k vG(P - w_k*Q) - vG(Q))/n.
 
-    The centre keeps its terms below r only, so the ratio is read to
-    O(x^(r + 1)), exactly when qk is an exact monomial; a truncated zero
-    pk that won has bounds no lower than r, so its ratio is 0 below r,
-    and the image is zeta(0, r/n) with no transport.
+    The centre keeps its terms below T only, so the ratio is read to
+    O(x^(T*n + 1)), exactly when qk is an exact monomial; a truncated zero
+    pk that won has bounds no lower than T*n, so its ratio is 0 below it,
+    and the image is zeta(0, T) with no transport.
     """
     if not pk:
-        return _point(ZERO, r / base.n)
+        return _point(ZERO, T)
     if qk.precision is INF and len(qk.terms) == 1:
         w = pk * qk.inv()
     else:
-        w = pk * qk.inv(precision=max(r - pk.val(), -qk.val()) + 1)
-    T = r / base.n
+        w = pk * qk.inv(precision=max(T * base.n - pk.val(), -qk.val()) + 1)
     return TypeIIPoint(_transport_center(base, w, T), T)
 
 
@@ -471,9 +471,9 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
             # a blocked candidate ratio; vG(Q) at p.t is still checked first
             gauss_val(shift_poly(list(s.den), p.center), p.t)
             raise
-        j, r = table.radius(p.t)
+        j, T = table.radius(p.t)
         pk, qk = table.cands[j][:2]
-        image = s._pushes[p] = image_point(s.base, pk, qk, r)
+        image = s._pushes[p] = image_point(s.base, pk, qk, T)
     return image
 
 

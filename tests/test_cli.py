@@ -204,6 +204,13 @@ class TestFailureSurface:
         assert code == EXIT_UNDECIDED == 6 and out == ""
         assert err == "error: a number to be printed has too many decimal digits\n"
 
+    def test_a_definition_file_that_is_not_utf8_exits_2_on_one_line(self, tmp_path):
+        f = tmp_path / "latin.skew"
+        f.write_bytes(b"period 1\n[fibre 0]\nphi1 = x\nphi2 = y^2 \xff\n")
+        code, out, err = run_cli("check-smooth", str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: {f}: not UTF-8 text (byte 0xff at offset 39)\n"
+
     def test_an_unexpected_exception_exits_5_on_one_line(self, monkeypatch):
         def boom(args):
             raise ValueError("unexpected\nsecond line")
@@ -361,6 +368,14 @@ class TestOutputPlumbing:
         assert code == 0
         assert out == ""
         assert target.read_text() == THM6_ORBIT
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_an_out_file_that_cannot_be_written_exits_2_on_one_line(self, tmp_path, where):
+        target = tmp_path / "missing" / "orbit.txt" if where == "missing directory" else tmp_path
+        code, out, err = run_cli("image", "thm6", "zeta(0,1)", "2", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --out {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_console_entry_point_importable(self):
         from skewstab import cli

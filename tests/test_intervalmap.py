@@ -82,6 +82,18 @@ def seeded_parameters(rng, hi, count):
     return [F(rng.randint(1, 100 * hi), rng.randint(1, 100)) % hi or F(hi) for _ in range(count)]
 
 
+def counting_winners(monkeypatch):
+    """The levels at which ``PushTable.winner`` scores from here on."""
+    winners, winner = [], skew.PushTable.winner
+
+    def counting_winner(table, t):
+        winners.append(t)
+        return winner(table, t)
+
+    monkeypatch.setattr(skew.PushTable, "winner", counting_winner)
+    return winners
+
+
 class TestExactMapAgainstPushforward:
     @pytest.mark.parametrize("name,link", bundled_links())
     @pytest.mark.parametrize("centre", RAY_CENTRES)
@@ -136,6 +148,18 @@ class TestExactMapAgainstPushforward:
         with pytest.raises(InsufficientPrecision):
             pushforward(smap, TypeIIPoint(ZERO, F(7, 4)))
 
+    def test_a_bound_is_checked_at_both_ends_of_a_stretch(self):
+        # y^2 + O(x^3): the winning ratio is a truncated zero, so no
+        # transport reads its precision, and its bound 3 undercuts the 2t
+        # of y^2 past t = 3/2, inside the one stretch (0, 2), whose
+        # midpoint it does not undercut
+        smap = SkewLocal(BaseGerm(X), [PuiseuxPoly.monomial(0, 0, precision=3), ZERO, ONE], [ONE])
+        assert induce_interval_map(smap, ZERO, (0, F(3, 2))).pieces == ((F(2), F(0)),)
+        for lo in (0, 1):
+            with pytest.raises(InsufficientPrecision) as exc:
+                induce_interval_map(smap, ZERO, (lo, 2))
+            assert str(exc.value) == "truncated coefficient (bound 3) could undercut Gauss valuation 4"
+
     def test_breakpoints_are_exact_crossings(self):
         # thm6's fold at t = 2/3 lies on no dyadic grid over [0, 6]
         links = dict(bundled_links())
@@ -167,15 +191,41 @@ class TestExactMapAgainstPushforward:
         assert len(winners) == 9 and len(pl.breakpoints) == 1
         assert len(transports) <= len(set(winners)) == 1
 
+    def test_the_map_reads_the_stretches_the_pushes_filled(self, monkeypatch):
+        # thm6 at centre 0, crossings 0, 2/3 and 4/3: after a first push,
+        # three pushes fill the three stretches of [0, 2], so the map on
+        # [0, 2] scores no winner, and nor does a second map on it
+        link = thm6_map()
+        for t in (F(1, 3), F(1, 4), F(1), F(2)):
+            pushforward(link, TypeIIPoint(ZERO, t))
+        table = link.push_table(ZERO)
+        assert table.cuts() == [0, F(2, 3), F(4, 3)] and all(table._stretches[1:])
+        winners = counting_winners(monkeypatch)
+        pl, ray = _induce_link(link, ZERO, F(0), F(2))
+        assert winners == []
+        assert _induce_link(link, ZERO, F(0), F(2)) == (pl, ray) and winners == []
+        assert pl.breakpoints == (F(2, 3),) and ray.is_exact_zero
+        for t in (F(1, 3), F(1, 4), F(1), F(2)):
+            assert pl(t) == pushforward(link, TypeIIPoint(ZERO, t)).t
+
+    def test_a_second_map_reads_the_stretches_the_first_filled(self, monkeypatch):
+        # thmB fibre 0 at centre 1 on [0, 6]: the first map fills its 9
+        # stretches with one winner each, the second scores none
+        winners = counting_winners(monkeypatch)
+        link = dict(bundled_links())["thmB[0]"]
+        first = _induce_link(link, ONE, F(0), F(6))
+        assert len(winners) == 9
+        assert _induce_link(link, ONE, F(0), F(6)) == first and len(winners) == 9
+
     def test_the_map_and_the_pushes_on_its_ray_share_one_table(self, monkeypatch):
         # thmB fibre 0 at centre 1: the interval map builds the centre's
         # push table, and pushes along the ray read it
         builds = []
         build = skew.PushTable.__init__
 
-        def counting_build(table, den, cands):
+        def counting_build(table, den, cands, n):
             builds.append(len(cands))
-            build(table, den, cands)
+            build(table, den, cands, n)
 
         monkeypatch.setattr(skew.PushTable, "__init__", counting_build)
         link = dict(bundled_links())["thmB[0]"]

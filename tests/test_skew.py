@@ -175,7 +175,7 @@ def _seminorm_identity_holds(s, p, w):
         (P[i] if i < len(P) else ZERO) - wpull * (Q[i] if i < len(Q) else ZERO)
         for i in range(max(len(P), len(Q)))
     ]
-    rhs = s.base.scale_factor * (gauss_val(top, p.t) - gauss_val(Q, p.t))
+    rhs = F(1, s.base.n) * (gauss_val(top, p.t) - gauss_val(Q, p.t))
     return lhs == rhs
 
 
@@ -227,7 +227,7 @@ def _classical_image_exponent(s, b, img):
     diff = value - ghat
     if not diff.terms:
         return None  # indistinguishable from the centre at this precision
-    return diff.val() * s.base.scale_factor
+    return diff.val() * F(1, s.base.n)
 
 
 def test_classical_sphere_probes_see_the_image_radius():
@@ -440,7 +440,7 @@ def _oracle_pushforward(s, p, inverses, reversion_precision=None):
         if best_s is None or sw > best_s:
             best_s = sw
             best = (w, pi, qi)
-    T = s.base.scale_factor * best_s
+    T = F(1, s.base.n) * best_s
     w, pi, qi = best
     if w.terms and w.precision is not INF and w.precision <= best_s:
         w = pi * qi.inv(precision=best_s + 2 - pi.val_floor() + qi.val_floor())
@@ -703,7 +703,7 @@ def _fresh_table(s, center):
     first push is scored over every line, with no stretch kept."""
     P = shift_poly(list(s.num), center)
     Q = shift_poly(list(s.den), center)
-    return skew.PushTable(skew.gauss_lines(Q), skew.candidate_lines(P, Q))
+    return skew.PushTable(skew.gauss_lines(Q), skew.candidate_lines(P, Q), s.base.n)
 
 
 def _radius_outcome(table, t):
