@@ -407,6 +407,7 @@ GOLDEN_RUNS = [
     ["stabilize", "thm6", "--max-rounds", "2"],
     ["stabilize", "thm6"],
     ["image", "thm6", "zeta(0,3/5)", "40"],
+    ["image", "thmB", "zeta(2*x^(3/4),2)", "6"],
     ["hull", "thm6"],
     ["smooth-hull", "thm6"],
     ["smooth-hull", "thm6", "-n", "12", "--points", "zeta(x^(1/3),5/4),zeta(1+x^(3/4),2)"],
