@@ -31,7 +31,9 @@ a recursive descent.  A value without y stays a (numerator, denominator)
 pair of series, combined by one series operation a step, with no product
 by an exact 1; an operand with y is a rational function in y (lists of
 series, ``poly_mul`` and ``poly_add``), which lifts any pair it meets.
-Nothing is reduced: ``SkewLocal`` gets, entry for entry, the lists of
+A power x^a to a fractional or a negative integer exponent e is the
+series x^(a*e), so a series or a point as it prints reads back; 1 over
+any other value stays a pair.  Nothing is reduced: ``SkewLocal`` gets, entry for entry, the lists of
 evaluating every value as a rational function in y (``(1/2)*y^2`` keeps
 the denominator [2]), so the push tables and ``format_definition`` stay
 byte-identical.  A radius ``k`` or ``k/q`` is read from its tokens.
@@ -193,6 +195,9 @@ def _as_x_power(v) -> Optional[Fraction]:
 
 def _int_pow(v, e: int, tok: _Tok):
     if e < 0:
+        a = _as_x_power(v)
+        if a is not None:
+            return (PuiseuxPoly.monomial(1, a * e), _ONE)
         v = _div((_ONE, _ONE), v, tok)
         e = -e
     if type(v) is tuple:

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientPrecision
-from .puiseux import DEFAULT_PRECISION, INF, PuiseuxPoly, as_series, nth_root_fraction, rat
+from .puiseux import (
+    DEFAULT_PRECISION,
+    INF,
+    PuiseuxPoly,
+    _canon,
+    _ceil,
+    as_series,
+    nth_root_fraction,
+    rat,
+)
 
 _MAX_DEPTH = 400
 _FACTOR_LIMIT = 10**12
@@ -119,22 +128,69 @@ def ratio_str(num, den) -> str:
 
 
 def shift_poly(coeffs, a: PuiseuxPoly):
-    """Coefficients of the same polynomial in tau = y - a."""
+    """Coefficients of the same polynomial in tau = y - a, for an exact a.
+
+    A Taylor shift on integer slots: the coefficient of tau^i is
+    sum_j C(j, i)*c_j*a^(j - i).  Every c_j and every power of a is read
+    as slots on one lattice 1/N, over one common denominator, so each
+    coefficient is one integer convolution sum, canonicalised once.  A
+    truncated c_j leaves the coefficient of tau^i known to
+    O(x^(prec c_j + (j - i)*val a)), the least such bound over j >= i.
+    """
+    coeffs = list(coeffs)
     if a.is_exact_zero:
-        return list(coeffs)
-    d = len(coeffs) - 1
-    out = [PuiseuxPoly.zero() for _ in range(d + 1)]
-    apow = [PuiseuxPoly.const(1)]
-    for _ in range(d):
-        apow.append(apow[-1] * a)
-    for j, cj in enumerate(coeffs):
-        if cj.is_exact_zero:
+        return coeffs
+    if a.precision is not INF:
+        raise ValueError("a polynomial is shifted only to an exact centre")
+    live = [(j, c) for j, c in enumerate(coeffs) if c.nums]
+    N = math.lcm(a.N, *(c.N for _, c in live))
+    den = math.lcm(*(c.den for _, c in live))
+    m = live[-1][0] if live else 0
+    # a^k as (index, slot) pairs on 1/N from k*lo, times a.den^(m - k),
+    # so that every power is over a.den^m
+    sa = N // a.N
+    powers, dense = [[(0, a.den**m)]], [1]
+    for k in range(1, m + 1):
+        nxt = [0] * (len(dense) + len(a.nums) - 1)
+        for x, u in enumerate(dense):
+            if u:
+                for y, v in enumerate(a.nums):
+                    nxt[x + y] += u * v
+        dense, scale = nxt, a.den ** (m - k)
+        powers.append([(x * sa, u * scale) for x, u in enumerate(dense) if u])
+    # each c_j as (j, index of its lowest slot, slots from there) over den,
+    # den times a.den^m being the denominator of every output
+    rows = []
+    for j, c in live:
+        s, f = N // c.N, den // c.den
+        rows.append((j, c.lo * s, [(x * s, u * f) for x, u in enumerate(c.nums) if u]))
+    lo_a, span_a = a.lo * sa, (len(a.nums) - 1) * sa
+    cut = [(j, c.precision) for j, c in enumerate(coeffs) if c.precision is not INF]
+    val_a, den = Fraction(a.lo, a.N), den * a.den**m
+    out = []
+    for i in range(len(coeffs)):
+        prec = min((p + (j - i) * val_a for j, p in cut if j >= i), default=INF)
+        terms = [(j, at + (j - i) * lo_a, slots) for j, at, slots in rows if j >= i]
+        if not terms:
+            out.append(PuiseuxPoly.zero(prec))
             continue
-        b = 1
-        for i in range(j, -1, -1):
-            out[i] = out[i] + cj.scale(b) * apow[j - i]
-            if i > 0:
-                b = b * i // (j - i + 1)
+        lo = min(at for _, at, _ in terms)
+        size = max(at + slots[-1][0] + (j - i) * span_a for j, at, slots in terms) - lo + 1
+        if prec is not INF:
+            size = max(min(size, _ceil(prec, N) - lo), 0)
+        acc = [0] * size
+        for j, at, slots in terms:
+            f, pw = math.comb(j, i), powers[j - i]
+            for x, u in slots:
+                x += at - lo
+                if x >= size:
+                    break
+                u *= f
+                for y, v in pw:
+                    if x + y >= size:
+                        break
+                    acc[x + y] += u * v
+        out.append(_canon(N, lo, acc, den, prec))
     return out
 
 

@@ -20,11 +20,17 @@ One reader of the radius serves ``pushforward`` and the interval map:
 D_k = Q_k*P - P_k*Q, since P - w_k*Q = D_k/Q_k, so the maximum is
 decided with no series inverted.  None of this depends on t, so a link
 keeps it per centre as integer lines, in a ``PushTable`` built on the
-first push there (``SkewLocal.push_table``).  The table owns its ray's
-map T(t) = r(t)/n, kept stretch by stretch between crossings of the
-lines: a push reads T there and builds one Fraction, and the interval
-map reads the same stretches.  Only the winning ratio is inverted,
-once, and a winning P_k of zero needs no transport:
+first push there (``SkewLocal.push_table``, by ``build_push_table``).
+The build runs on integer slots: ``shift_poly`` Taylor-shifts num and
+den to the centre over one lattice and one denominator, and each entry
+D_ki of a D_k is read only down to its lowest nonzero slot, which its
+two products' leading slots decide unless they cancel.  The lines leave
+as integers on the table's lattice, with no Fraction built per line;
+the Fraction lines of ``gauss_lines`` serve ``gauss_val`` alone.  The
+table owns its ray's map T(t) = r(t)/n, kept stretch by stretch between
+crossings of the lines: a push reads T there and builds one Fraction,
+and the interval map reads the same stretches.  Only the winning ratio
+is inverted, once, and a winning P_k of zero needs no transport:
 
 * It is read to ``O(x^(T*n + 1))``, as an image point keeps only the
   centre terms below its radius T; it is exact when its denominator is
@@ -63,6 +69,7 @@ from .errors import DegenerateImage, InsufficientPrecision, SkewstabError, Valid
 from .puiseux import (
     INF,
     PuiseuxPoly,
+    _ceil,
     as_series,
     rat,
     reversion,
@@ -195,10 +202,7 @@ class SkewLocal:
         the first request and kept; a build that raises keeps nothing."""
         table = self._tables.get(center)
         if table is None:
-            P = shift_poly(list(self.num), center)
-            Q = shift_poly(list(self.den), center)
-            table = PushTable(gauss_lines(Q), candidate_lines(P, Q), self.base.n)
-            self._tables[center] = table
+            table = self._tables[center] = build_push_table(self, center)
         return table
 
     def __str__(self):
@@ -261,22 +265,87 @@ def gauss_val(coeffs, t):
 # -- pushforward ----------------------------------------------------------------
 
 
+def _product_precision(a, b):
+    """The precision of a*b, as ``PuiseuxPoly.__mul__`` gives it."""
+    prec = INF if a.precision is INF else a.precision + b.val_floor()
+    if b.precision is not INF:
+        prec = min(prec, b.precision + a.val_floor())
+    return prec
+
+
 def candidate_lines(P, Q):
-    """The Gauss lines of each candidate centre, read without inverting.
+    """The Gauss lines of Q and of each candidate centre, read without
+    inverting, as ``(L, den, cands)``.
 
     P and Q are the fibre map's coefficients shifted to a centre.  For
-    each k with Q_k != 0 this gives ``(P_k, Q_k, lines, bounds)``, those of
-    D_k = Q_k*P - P_k*Q lowered by val Q_k: read as ``gauss_val`` reads
-    them, they give vG(P - w_k*Q) for w_k = P_k/Q_k.  A product is
-    skipped only when a factor is an exact zero, so a truncated zero P_k
-    keeps the bounds of its products P_k*Q_i; that of D_kk says how far
-    w_k is known.
-    D_ki = -D_ik, so a pair of candidates costs one difference.
+    each k with Q_k != 0, ``cands`` holds ``(P_k, Q_k, lines, bounds)``,
+    those of D_k = Q_k*P - P_k*Q lowered by val Q_k: read as ``gauss_val``
+    reads them, they give vG(P - w_k*Q) for w_k = P_k/Q_k.  ``den`` holds
+    Q's lines.  A line ``(i, u)`` of ``gauss_lines`` leaves as the
+    integers ``(u*L, i*L)``, L the lcm of the lattice 1/N of every P_i
+    and Q_i and of the denominators of the bounds.
+
+    Each D_ki = P_i*Q_k - P_k*Q_i is read on integer slots of 1/N only
+    down to its lowest nonzero slot below its precision: the two
+    products' leading slots decide it unless they cancel, and only then
+    is the convolution run.  D_kk is zero, known to the precision of
+    P_k*Q_k, with no arithmetic, and D_ik = -D_ki is read once.  A
+    product is skipped only when a factor is an exact zero, so a
+    truncated zero P_k keeps the bounds of its products P_k*Q_i; that of
+    D_kk says how far w_k is known.
     """
     n = max(len(P), len(Q))
     P = list(P) + [ZERO] * (n - len(P))
     Q = list(Q) + [ZERO] * (n - len(Q))
-    cands, rows = [], {}
+    N = math.lcm(*(c.N for c in P + Q if c.nums))
+    dp, dq = math.lcm(*(c.den for c in P)), math.lcm(*(c.den for c in Q))
+
+    def slots(c, d):
+        # c*d as (index, numerator) pairs on 1/N, lowest first
+        s, f = N // c.N, d // c.den
+        return [((c.lo + x) * s, u * f) for x, u in enumerate(c.nums) if u]
+
+    def lead(c, d):
+        # the lowest slot of c*d, or None for a zero c
+        return (c.lo * (N // c.N), c.nums[0] * (d // c.den)) if c.nums else None
+
+    lp, lq = [lead(c, dp) for c in P], [lead(c, dq) for c in Q]
+    truncated = any(c.precision is not INF for c in P + Q)
+    rows = {}
+
+    def entry(k, i):
+        """D_ki as ("line", its least slot), ("bound", its precision) or None."""
+        pk, qk, pi, qi = P[k], Q[k], P[i], Q[i]
+        prec = INF
+        if truncated:
+            prec = INF if pi.is_exact_zero else _product_precision(pi, qk)
+            if not qi.is_exact_zero:
+                prec = min(prec, _product_precision(pk, qi))
+        low = None
+        if i != k:
+            a, b, c, d = lp[i], lq[k], lp[k], lq[i]
+            if a and c and d:
+                if a[0] + b[0] != c[0] + d[0]:
+                    low = min(a[0] + b[0], c[0] + d[0])
+                elif a[1] * b[1] != c[1] * d[1]:
+                    low = a[0] + b[0]
+                else:  # the leading slots cancel
+                    acc = {}
+                    for f, g, sign in ((pi, qk, 1), (pk, qi, -1)):
+                        g = slots(g, dq)
+                        for x, u in slots(f, dp):
+                            for y, v in g:
+                                acc[x + y] = acc.get(x + y, 0) + sign * u * v
+                    low = min((x for x, u in acc.items() if u), default=None)
+            elif a:
+                low = a[0] + b[0]
+            elif c and d:
+                low = c[0] + d[0]
+        if low is not None and (prec is INF or low < _ceil(prec, N)):
+            return "line", low
+        return None if prec is INF else ("bound", prec)
+
+    raw = []
     for k, qk in enumerate(Q):
         if not qk:
             if qk.precision is not INF:
@@ -284,35 +353,51 @@ def candidate_lines(P, Q):
                     f"candidate ratio at y-degree {k} blocked by truncated coefficient"
                 )
             continue
-        pk = P[k]
+        pk, vq = P[k], lq[k][0]
         if pk.is_exact_zero:  # w_k = 0, so D_k lowered by val Q_k is P
-            cands.append((pk, qk, *gauss_lines(P)))
+            lines = [(a[0], i) for i, a in enumerate(lp) if a]
+            bounds = [(c.precision, i) for i, c in enumerate(P) if not c and c.precision is not INF]
+            raw.append((pk, qk, lines, bounds))
             continue
-        d = []
-        for i, (pi, qi) in enumerate(zip(P, Q)):
-            if i in rows:
-                d.append(-rows[i][k])
+        lines, bounds = [], []
+        for i in range(n):
+            # D_ki = -D_ik, read already when i is a candidate before k
+            got = rows[i, k] if (i, k) in rows else entry(k, i)
+            rows[k, i] = got
+            if got is None:
                 continue
-            di = ZERO if pi.is_exact_zero else pi * qk
-            if not qi.is_exact_zero:
-                di = di - pk * qi
-            d.append(di)
-        rows[k] = d
-        lines, bounds = gauss_lines(d)
-        vq = qk.val()
-        cands.append((pk, qk, [(i, v - vq) for i, v in lines], [(i, b - vq) for i, b in bounds]))
-    return cands
+            if got[0] == "line":
+                lines.append((got[1] - vq, i))
+            else:
+                bounds.append((got[1] - Fraction(vq, N), i))
+        raw.append((pk, qk, lines, bounds))
+    L = math.lcm(N, *(u.denominator for *_, bounds in raw for u, _ in bounds))
+    s = L // N
+
+    def scaled(pk, qk, lines, bounds):
+        lines = tuple((u * s, i * L) for u, i in lines)
+        return pk, qk, lines, tuple((u.numerator * (L // u.denominator), i * L) for u, i in bounds)
+
+    den = tuple((a[0] * s, i * L) for i, a in enumerate(lq) if a)
+    return L, den, tuple(scaled(*c) for c in raw)
+
+
+def build_push_table(s: SkewLocal, center) -> "PushTable":
+    """The push table of the link's fibre map shifted to ``center``:
+    shift P and Q there, read the candidates' lines, and keep them."""
+    P = shift_poly(list(s.num), center)
+    Q = shift_poly(list(s.den), center)
+    return PushTable(*candidate_lines(P, Q), s.base.n)
 
 
 class PushTable:
     """What a push at one centre reads, on one lattice 1/L, and its ray's
     map T(t) = r(t)/n.
 
-    ``den`` is Q's ``(lines, bounds)`` and ``cands`` each candidate's
-    ``(P_k, Q_k, lines, bounds)``, as ``gauss_lines`` and
-    ``candidate_lines`` give them, except that each line or bound
-    ``(i, u)`` is stored as the integer pair ``(u*L, i*L)``, L the lcm of
-    the denominators of every u.  At t = a/b the value u + t*i is
+    ``den`` is Q's lines and ``cands`` each candidate's
+    ``(P_k, Q_k, lines, bounds)``, as ``candidate_lines`` gives them:
+    each line or bound ``(i, u)`` is stored as the integer pair
+    ``(u*L, i*L)``.  At t = a/b the value u + t*i is
     ``(u*L*b + i*L*a)/(L*b)``.  Every line at one t shares that
     denominator, so a push compares the numerators, the lines' scores.
 
@@ -327,18 +412,10 @@ class PushTable:
 
     __slots__ = ("L", "_Ln", "den", "cands", "_plain", "_served", "_cuts", "_grid", "_stretches")
 
-    def __init__(self, den, cands, n):
-        parts = [*den, *(part for c in cands for part in c[2:])]
-        L = math.lcm(*(u.denominator for part in parts for _, u in part))
-
-        def scaled(part):
-            return tuple((u.numerator * (L // u.denominator), i * L) for i, u in part)
-
-        self.L, self._Ln = L, L * n
-        self.den = (scaled(den[0]), scaled(den[1]))
-        self.cands = tuple((pk, qk, scaled(lines), scaled(bounds)) for pk, qk, lines, bounds in cands)
+    def __init__(self, L, den, cands, n):
+        self.L, self._Ln, self.den, self.cands = L, L * n, den, cands
         # Q has lines and no bound, as a truncated zero Q_k blocks the build
-        self._plain = all(lines and not bounds for _, _, lines, bounds in self.cands)
+        self._plain = all(lines and not bounds for _, _, lines, bounds in cands)
         self._served = False
         self._cuts = self._grid = self._stretches = None
 
@@ -351,7 +428,7 @@ class PushTable:
         the lattice u + i*t = v + k*t, so a crossing is (v - u)/(i - k).
         """
         if self._cuts is None:
-            every = list({*self.den[0], *(line for _, _, lines, _ in self.cands for line in lines)})
+            every = list({*self.den, *(line for _, _, lines, _ in self.cands for line in lines)})
             pairs = [(v - u, i - k) for a, (u, i) in enumerate(every) for v, k in every[a + 1 :] if i != k]
             # sorted on a common grid 1/M as ints, which hash and compare fast
             M = math.lcm(*(d for _, d in pairs))
@@ -402,7 +479,7 @@ class PushTable:
                 slot = k
         self._served = True
         j, _ = self.winner(t)
-        uq, iq = min(self.den[0], key=lambda line: line[0] * b + line[1] * a)
+        uq, iq = min(self.den, key=lambda line: line[0] * b + line[1] * a)
         uj, ij = min(self.cands[j][2], key=lambda line: line[0] * b + line[1] * a)
         kept = j, uj - uq, ij - iq
         if slot is not None:

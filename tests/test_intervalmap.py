@@ -221,13 +221,13 @@ class TestExactMapAgainstPushforward:
         # thmB fibre 0 at centre 1: the interval map builds the centre's
         # push table, and pushes along the ray read it
         builds = []
-        build = skew.PushTable.__init__
+        build = skew.build_push_table
 
-        def counting_build(table, den, cands, n):
-            builds.append(len(cands))
-            build(table, den, cands, n)
+        def counting_build(link, center):
+            builds.append(center)
+            return build(link, center)
 
-        monkeypatch.setattr(skew.PushTable, "__init__", counting_build)
+        monkeypatch.setattr(skew, "build_push_table", counting_build)
         link = dict(bundled_links())["thmB[0]"]
         pl, _ = _induce_link(link, ONE, F(0), F(6))
         assert len(builds) == 1 and list(link._tables) == [ONE]

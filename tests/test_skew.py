@@ -656,6 +656,112 @@ def test_pushforward_matches_the_oracle_on_mixed_zero_coefficients():
     assert (points, truncated_pk, blocked, q_failures) == (603, 51, 174, 39)
 
 
+# -- the integer table build against the series build ---------------------------
+#
+# _oracle_shift_poly and _oracle_candidate_lines are the Taylor shift and
+# the candidate lines as they were computed on series: the shift by series
+# products, scalings and sums, and each D_ki = P_i*Q_k - P_k*Q_i as a full
+# product difference, read by ``gauss_lines``.  The push table's build on
+# integer slots must give the same coefficients, lines and bounds.
+
+
+def _oracle_shift_poly(coeffs, a):
+    if a.is_exact_zero:
+        return list(coeffs)
+    d = len(coeffs) - 1
+    out = [ZERO] * (d + 1)
+    apow = [ONE]
+    for _ in range(d):
+        apow.append(apow[-1] * a)
+    for j, cj in enumerate(coeffs):
+        if cj.is_exact_zero:
+            continue
+        for i in range(j, -1, -1):
+            out[i] = out[i] + cj.scale(math.comb(j, i)) * apow[j - i]
+    return out
+
+
+def _oracle_candidate_lines(P, Q):
+    """Q's lines and each candidate's (P_k, Q_k, lines, bounds), lines
+    and bounds as (i, u) Fraction pairs lowered by val Q_k."""
+    n = max(len(P), len(Q))
+    P = list(P) + [ZERO] * (n - len(P))
+    Q = list(Q) + [ZERO] * (n - len(Q))
+    cands = []
+    for k, qk in enumerate(Q):
+        if not qk:
+            if qk.precision is not INF:
+                raise InsufficientPrecision(
+                    f"candidate ratio at y-degree {k} blocked by truncated coefficient"
+                )
+            continue
+        pk = P[k]
+        if pk.is_exact_zero:
+            cands.append((pk, qk, *skew.gauss_lines(P)))
+            continue
+        d = []
+        for pi, qi in zip(P, Q):
+            di = ZERO if pi.is_exact_zero else pi * qk
+            if not qi.is_exact_zero:
+                di = di - pk * qi
+            d.append(di)
+        lines, bounds = skew.gauss_lines(d)
+        vq = qk.val()
+        cands.append((pk, qk, [(i, v - vq) for i, v in lines], [(i, b - vq) for i, b in bounds]))
+    return skew.gauss_lines(Q)[0], cands
+
+
+def _table_lines(table):
+    """The table's integer lines read back as (i, u) Fraction pairs."""
+    L = table.L
+
+    def read(part):
+        return [(iL // L, F(uL, L)) for uL, iL in part]
+
+    return read(table.den), [(pk, qk, read(ls), read(bs)) for pk, qk, ls, bs in table.cands]
+
+
+def _centre(rng):
+    """One to three terms c*x^e, e in [-3, 3] with denominators up to 4."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(1, 4)
+        terms[F(rng.randint(-3 * d, 3 * d), d)] = F(rng.choice([-3, -1, 1, 2, 5]))
+    return PuiseuxPoly(terms.items())
+
+
+def test_the_integer_table_build_matches_the_series_build():
+    # seeded mixed links (exact zeros, truncated zeros, truncated terms)
+    # shifted to centres of one to three terms, and the bundled links:
+    # the shifted coefficients equal the series shift's, and the table's
+    # lines and bounds equal the product-based candidate lines', or both
+    # builds raise the same InsufficientPrecision
+    rng = random.Random(613)
+    links = [(s, [_centre(rng) for _ in range(3)]) for _, s in bundled_links()]
+    links += [(_mixed_link(rng), [_centre(rng) for _ in range(3)]) for _ in range(200)]
+    built = blocked = bounded = truncated_pk = 0
+    for s, centres in links:
+        for center in centres:
+            P = shift_poly(list(s.num), center)
+            Q = shift_poly(list(s.den), center)
+            assert P == _oracle_shift_poly(list(s.num), center), f"{s} at {center}"
+            assert Q == _oracle_shift_poly(list(s.den), center), f"{s} at {center}"
+            try:
+                want = _oracle_candidate_lines(P, Q)
+            except InsufficientPrecision as exc:
+                with pytest.raises(InsufficientPrecision) as got:
+                    skew.build_push_table(s, center)
+                assert str(got.value) == str(exc)
+                blocked += 1
+                continue
+            table = skew.build_push_table(s, center)
+            assert _table_lines(table) == want, f"{s} at {center}"
+            built += 1
+            bounded += any(bs for *_, bs in table.cands)
+            truncated_pk += any(not pk and not pk.is_exact_zero for pk, *_ in table.cands)
+    assert (built, blocked, bounded, truncated_pk) == (526, 89, 379, 27)
+
+
 def test_a_candidate_with_no_visible_line_leaves_the_radius_open():
     # At zeta(0, -1/2), P_0 = O(x^(5/2)), so the candidate w_0 = P_0/Q_0 is
     # known only to O(x^(1/2)) and every coefficient of D_0 is a truncated
@@ -701,9 +807,7 @@ def test_base_germ_keeps_one_growing_reversion(monkeypatch):
 def _fresh_table(s, center):
     """A push table of s at centre apart from the link's own, so that its
     first push is scored over every line, with no stretch kept."""
-    P = shift_poly(list(s.num), center)
-    Q = shift_poly(list(s.den), center)
-    return skew.PushTable(skew.gauss_lines(Q), skew.candidate_lines(P, Q), s.base.n)
+    return skew.build_push_table(s, center)
 
 
 def _radius_outcome(table, t):
