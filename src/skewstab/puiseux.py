@@ -19,8 +19,12 @@ first read.  Costs for s and r slots: ``*`` is an O(s*r) convolution of
 the nonzero slots on the lcm lattice, cut at the precision; ``+``, ``-``
 and ``scale`` are O(s + r) after aligning indices and denominators;
 ``shift``, ``stretch``, ``derivative``, the truncations and ``coeff_at``
-are index arithmetic; ``ramification_index`` reads N.  ``inv``,
-``rational_power``, ``compose`` and ``reversion`` are built on these.
+are index arithmetic; ``ramification_index`` reads N.  A negative or
+fractional power to K slots (``inv``, ``rational_power``) is one run of
+Miller's recurrence on the integer slots, O(K*s) int operations and no
+series product; ``compose`` takes an incremental product per integer
+exponent and one such power per other exponent, and adds them all on one
+lattice over one denominator.  ``reversion`` is built on these.
 
 Precision is explicit rather than ambient: every arithmetic operation
 propagates the tightest bound that is actually justified, and operations
@@ -158,7 +162,12 @@ class PuiseuxPoly:
 
     @classmethod
     def monomial(cls, coeff, exponent, precision=INF) -> "PuiseuxPoly":
-        return cls(((rat(exponent), rat(coeff)),), precision)
+        c, e = rat(coeff), rat(exponent)
+        if not _is_prec(precision):
+            precision = rat(precision)
+        if not c or e >= precision:
+            return _new(1, 0, (), 1, precision)
+        return _new(e.denominator, e.numerator, (c.numerator,), c.denominator, precision)
 
     # -- basic queries -----------------------------------------------------
 
@@ -385,7 +394,10 @@ class PuiseuxPoly:
         raises NotRepresentable otherwise.  Fractional powers of
         multi-term series are infinite expansions and are truncated at
         ``precision`` (DEFAULT_PRECISION-based fallback), and never past
-        what a truncated input supports.
+        what a truncated input supports.  A negative or fractional power
+        to K slots is one run of Miller's recurrence on the integer slots
+        (``_power``): O(K*s) int operations for s nonzero slots, no series
+        product.
         """
         e = rat(e)
         if e.denominator == 1 and e >= 0:
@@ -396,46 +408,38 @@ class PuiseuxPoly:
             if e > 0:
                 return PuiseuxPoly.zero()
             raise ZeroDivisionError("negative power of exact zero")
-        c0 = self.leading_coeff()
-        root = nth_root_fraction(c0, e.denominator)
-        if root is None:
-            raise NotRepresentable(f"{c0} has no rational {e.denominator}-th root")
-        lead = Fraction(root) ** e.numerator
-        unit = self.shift(-v).scale(1 / c0)
-        h = unit - 1
-        if not h and unit.precision is INF:
-            res = PuiseuxPoly.monomial(lead, v * e)
-            return res if precision is None else res.truncate_soft(rat(precision))
-        # a truncated unit bounds what the expansion can know
-        out_prec = v * e + unit.precision
-        if precision is not None:
-            out_prec = min(rat(precision), out_prec)
-        elif out_prec is INF:
-            out_prec = v * e + DEFAULT_PRECISION
-        rel = out_prec - v * e
-        if rel <= 0 and h:
+        if len(self.nums) == 1 and self.precision is INF:
+            out_prec, rel = INF if precision is None else rat(precision), INF
+        else:
+            # a truncated unit bounds what the expansion can know
+            out_prec = self.precision + v * (e - 1)
+            if precision is not None:
+                out_prec = min(rat(precision), out_prec)
+            elif out_prec is INF:
+                out_prec = v * e + DEFAULT_PRECISION
+            rel = out_prec - v * e
+        form = _power(self, e.numerator, e.denominator, 1 if rel is INF else _ceil(rel, self.N))
+        if rel <= 0 and len(self.nums) > 1:
             raise InsufficientPrecision(f"power would be O(x^{out_prec}) with no visible term")
-        acc = pw = PuiseuxPoly.const(1)
-        k, binom = 0, Fraction(1)
-        if h:
-            hv = h.val()
-            while hv * (k + 1) < rel:
-                k += 1
-                binom = binom * (e - (k - 1)) / k
-                pw = (pw * h).truncate_soft(rel)
-                acc = acc + pw.scale(binom)
-        return acc.truncate_soft(rel).scale(lead).shift(v * e).truncate_soft(out_prec)
+        return _canon(*form, out_prec)
 
     # -- composition and reversion -------------------------------------------
 
     def compose(self, inner: "PuiseuxPoly", precision=None) -> "PuiseuxPoly":
-        """Substitute ``inner`` (valuation > 0) for x in self."""
+        """Substitute ``inner`` (valuation > 0) for x in self.
+
+        A term with an integer exponent takes the next incremental power
+        of ``inner``, any other one ``_power`` with its coefficient folded
+        in; the pieces are summed on one lattice over one denominator.
+        """
         if inner.val_floor() is not INF and inner.val_floor() <= 0:
             raise ValueError("compose requires val(inner) > 0")
         if inner.is_exact_zero:
             # inner is exactly 0: only nonnegative-exponent terms survive
             if self.nums and self.lo < 0:
                 raise ZeroDivisionError("negative exponent at inner = 0")
+            if self.precision <= 0:
+                raise InsufficientPrecision(f"constant term undecidable: element is O(x^{self.precision})")
             return PuiseuxPoly.const(self.coeff_at(0))
         iv = inner.val()
         out_prec = self.precision * iv
@@ -447,21 +451,32 @@ class PuiseuxPoly:
         # a fractional or negative exponent expands to an infinite series
         if out_prec is INF and (self.N > 1 or self.lo < 0) and len(inner.nums) > 1:
             out_prec = DEFAULT_PRECISION * max(iv, 1)
-        acc = PuiseuxPoly.zero(out_prec)
-        # incremental powers for the integer exponents (the common case),
-        # one fractional-power expansion per remaining term
+        # with iv = m/n and out_prec = a/b, the term x^(k/N) is live when
+        # K = ceil((a/b - iv*k/N)*n) > 0, K its power's slots on inner's
+        # lattice; a truncated inner bounds out_prec, so every piece is
+        # known at least that far
+        N, m, n = self.N, inner.lo, inner.N
+        a, b = (None, None) if out_prec is INF else (out_prec.numerator, out_prec.denominator)
+        pieces = []
         pw, cur = PuiseuxPoly.const(1), 0
-        for e, c in self.terms:
-            if iv * e >= out_prec:
-                break  # this term and every later one live beyond the output precision
-            if e.denominator == 1 and e >= 0:
-                while cur < e:
+        for k, c in enumerate(self.nums, self.lo):
+            if not c:
+                continue
+            if a is None:
+                K = 1
+            else:
+                K = -((m * k * b - a * n * N) // (b * N))
+                if K <= 0:
+                    break  # this term and every later one live beyond the output precision
+            if k >= 0 and k % N == 0:
+                while cur < k // N:
                     pw = (pw * inner).truncate_soft(out_prec)
                     cur += 1
-                acc = acc + pw.scale(c)
+                pieces.append((pw.N, pw.lo, [c * x for x in pw.nums], pw.den))
             else:
-                acc = acc + inner.rational_power(e, None if out_prec is INF else out_prec).scale(c)
-        return acc.truncate_soft(out_prec)
+                g = math.gcd(k, N)
+                pieces.append(_power(inner, k // g, N // g, K, c))
+        return _sum(pieces, out_prec, self.den)
 
     # -- presentation ---------------------------------------------------------
 
@@ -554,6 +569,83 @@ def _add(a: PuiseuxPoly, b: PuiseuxPoly, sign: int) -> PuiseuxPoly:
         if c:
             acc[start + k * sb] += c * mb
     return _canon(N, lo, acc, den, prec)
+
+
+def _sum(pieces, precision, den) -> PuiseuxPoly:
+    """The sum of the forms (N, lo, nums, den), divided by ``den``, on
+    their lcm lattice over their lcm denominator, known to O(x^precision):
+    one ``_canon``."""
+    if not pieces:
+        return _new(1, 0, (), 1, precision)
+    N = math.lcm(*(f[0] for f in pieces))
+    common = math.lcm(*(f[3] for f in pieces))
+    lo = min(f[1] * (N // f[0]) for f in pieces)
+    acc = [0] * (max((f[1] + len(f[2])) * (N // f[0]) for f in pieces) - lo)
+    for n, at, nums, d in pieces:
+        s, m = N // n, common // d
+        at = at * s - lo
+        for k, c in enumerate(nums):
+            if c:
+                acc[at + k * s] += c * m
+    return _canon(N, lo, acc, common * den, precision)
+
+
+def _power(s: PuiseuxPoly, p: int, q: int, K: int, coeff: int = 1) -> tuple:
+    """The form (N, lo, nums, den) of the first K slots (none for K <= 0)
+    of ``coeff * s**(p/q)``, p/q in lowest terms and s with a visible
+    leading term; NotRepresentable without a rational q-th root of that
+    term's coefficient.
+
+    With s = c0*x^v*u, u = 1 + ... a unit and r the root, the power is
+    coeff * r**p * x^(v*p/q) * u^(p/q), and ``_unit_power`` reads u^(p/q)
+    on the lattice of s.  A unit with no slot past its 1 needs one slot:
+    its truncation, if any, is the caller's precision.
+    """
+    c0 = Fraction(s.nums[0], s.den)
+    r = nth_root_fraction(c0, q)
+    if r is None:
+        raise NotRepresentable(f"{c0} has no rational {q}-th root")
+    r = r ** p
+    A, D = _unit_power(s.nums, p, q, K if len(s.nums) > 1 else min(K, 1))
+    lead = coeff * r.numerator
+    return s.N * q, s.lo * p, _spread([x * lead for x in A], q), D * r.denominator
+
+
+def _unit_power(c: tuple, p: int, q: int, K: int):
+    """Slots 0..K-1 of u^(p/q), u the unit with slots f_k = c[k]/c[0], as
+    integers A over one D > 0.
+
+    J.C.P. Miller's recurrence for W = V^alpha (Knuth, TAOCP vol. 2,
+    4.7): a_0 = 1 and a_n = (1/n) * sum_{k=1..n} ((alpha + 1)*k - n) * f_k * a_(n-k).
+    With f_k = c_k/d in lowest common terms, take lam with the denominator
+    of every f_k dividing lam^k (lam divides d; for f_k over 4^k it is 4,
+    not d).  Then a_n * n! * (q*lam)^n is an integer, as the binomial
+    series of u(x/lam) shows, so with D = (K-1)! * (q*lam)^(K-1) every
+    A_n = a_n * D is one: the exact quotient
+    sum_k ((p + q)*k - q*n) * c_k * A_(n-k) / (n*q*d).
+    O(K*s) int operations for s nonzero slots.
+    """
+    if K <= 0:
+        return [], 1
+    live = [(k, ck) for k, ck in enumerate(c[1:K], 1) if ck]
+    g = math.gcd(c[0], *(ck for _, ck in live))
+    d, live = c[0] // g, [(k, ck // g) for k, ck in live]
+    lam = 1
+    for k, ck in live:
+        den = abs(d) // math.gcd(d, ck)
+        lam *= den // math.gcd(den, pow(lam, k, den))
+    D = math.factorial(K - 1) * (q * lam) ** (K - 1)
+    live = [(k, (p + q) * k * ck, q * ck) for k, ck in live]
+    qd = q * d
+    A = [D]
+    for n in range(1, K):
+        t = 0
+        for k, a, b in live:
+            if k > n:
+                break
+            t += (a - n * b) * A[n - k]
+        A.append(t // (n * qd))
+    return A, D
 
 
 #: The series x, exactly.

@@ -525,8 +525,9 @@ def image_point(base: BaseGerm, pk, qk, T) -> TypeIIPoint:
     """
     if not pk:
         return _point(ZERO, T)
-    if qk.precision is INF and len(qk.terms) == 1:
-        w = pk * qk.inv()
+    if qk.precision is INF and len(qk.nums) == 1:
+        # divide by the exact monomial qk: a shift and a scale
+        w = pk.shift(-qk.val()).scale(1 / qk.leading_coeff())
     else:
         w = pk * qk.inv(precision=max(T * base.n - pk.val(), -qk.val()) + 1)
     return TypeIIPoint(_transport_center(base, w, T), T)

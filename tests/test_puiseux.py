@@ -228,6 +228,46 @@ def test_compose_fractional_exponent_needs_rational_root():
     a = P((F(1, 2), F(1)))
     with pytest.raises(NotRepresentable):
         a.compose(P((F(2), F(2))))
+    # the message names the first live term's root: 8 has a rational cube
+    # root but no square root, 4 the other way round
+    outer = P((F(1, 3), F(1)), (F(1, 2), F(1)))
+    for lead, d in ((8, 2), (4, 3)):
+        with pytest.raises(NotRepresentable, match=f"^{lead} has no rational {d}-th root$"):
+            outer.compose(P((F(1), F(lead)), (F(2), F(1))), precision=F(3))
+    # a term at or past the output precision is never root-checked
+    late = P((F(1), F(1)), (F(5, 2), F(1)))
+    inner = P((F(1), F(2)), (F(2), F(1)))
+    assert late.compose(inner, precision=F(2)) == P((F(1), F(2)), precision=F(2))
+    with pytest.raises(NotRepresentable, match="^2 has no rational 2-th root$"):
+        late.compose(inner, precision=F(3))
+
+
+def test_compose_at_an_exact_zero_inner_needs_the_constant_term():
+    zero = PuiseuxPoly.zero()
+    for outer in (PuiseuxPoly.zero(0), PuiseuxPoly.zero(F(-1, 2))):
+        with pytest.raises(InsufficientPrecision):
+            outer.compose(zero)
+        with pytest.raises(InsufficientPrecision):
+            Oracle(outer.terms, outer.precision).compose(Oracle.zero())
+    for outer in (P((F(0), F(3)), (F(1), F(1)), precision=F(2)), PuiseuxPoly.zero(F(1, 2))):
+        want = PuiseuxPoly.const(outer.coeff_at(0))
+        assert outer.compose(zero) == want
+        assert _same(outer.compose(zero), Oracle(outer.terms, outer.precision).compose(Oracle.zero()))
+    with pytest.raises(ZeroDivisionError):
+        P((F(-1), F(1)), precision=F(0)).compose(zero)
+
+
+def test_rational_power_makes_no_series_product(monkeypatch):
+    calls = []
+    mul = PuiseuxPoly.__mul__
+    monkeypatch.setattr(PuiseuxPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    a = P((F(1, 2), F(4096)), (F(1), F(-3)), (F(7, 4), F(5, 2)), (F(3), F(1)), precision=F(9))
+    b = P((F(-1), F(4096)), (F(0), F(1)), (F(2), F(-7)))
+    results = []
+    for e in (F(-1), F(-5, 3), F(1, 3), F(-7, 4), F(5, 6), F(-2)):
+        results += [a.rational_power(e), b.rational_power(e, precision=F(20)), b.inv(precision=F(30))]
+    assert calls == []
+    assert all(r.nums for r in results)
 
 
 def test_reversion_simple_germ():
@@ -646,6 +686,8 @@ class Oracle:
             for e, _ in self.terms:
                 if e < 0:
                     raise ZeroDivisionError("negative exponent at inner = 0")
+            if self.precision is not INF and self.precision <= 0:
+                raise InsufficientPrecision("constant term undecidable")
             return Oracle.const(self.coeff_at(0))
         iv = inner.val()
         out_prec = INF
@@ -788,6 +830,8 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _same(new, old) -> bool:
+    if isinstance(old, NotRepresentable):
+        return type(new) is type(old) and str(new) == str(old)
     if isinstance(old, Exception):
         return type(new) is type(old)
     if isinstance(old, Oracle):
@@ -807,6 +851,7 @@ def _same(new, old) -> bool:
 def _check(fn, a, o, *args, **kwargs):
     new, old = _outcome(fn, a, *args, **kwargs), _outcome(fn, o, *args, **kwargs)
     assert _same(new, old), (fn, a, o, args, kwargs, new, old)
+    return new
 
 
 def _random_terms(rng, n, count, bits, lo=-3, hi=6):
@@ -894,6 +939,35 @@ def test_kernel_matches_the_oracle_on_inverses_and_powers():
         e = rng.choice((F(1, 2), F(-1, 3), F(2, 3), F(-1), F(3), F(0), F(5, 6), F(-3, 2)))
         p = e * o.val() + F(rng.randint(1, 3 * n), n) if o.terms else None
         _check(lambda x: x.rational_power(e, precision=p), a, o)
+    # negative fractional powers of series on lattices up to 1/4, most of
+    # them truncated; twelfth powers have every root below, a negative
+    # one no even root
+    rng = random.Random(606)
+    raised = kept = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        v = F(rng.randint(-2 * n, 2 * n), n)
+        lead = F(rng.randint(1, 30), rng.randint(1, 30)) ** 12 * rng.choice((1, 1, -1))
+        terms = [(v, lead)] + [
+            (v + F(rng.randint(1, 4 * n), n), _rational(rng)) for _ in range(rng.randint(1, 4))
+        ]
+        precision = rng.choice((INF, v + F(rng.randint(1, 6 * n), n), v + F(rng.randint(1, 6 * n), n)))
+        a, o = PuiseuxPoly(terms, precision), Oracle(terms, precision)
+        e = rng.choice((F(-5, 3), F(-7, 4), F(-1, 2), F(-3, 4), F(-2), F(-4, 3)))
+        p = e * v + F(rng.randint(1, 4 * n), n) if rng.random() < 0.8 or precision is INF else None
+        new = _check(lambda x: x.rational_power(e, precision=p), a, o)
+        raised += isinstance(new, NotRepresentable)
+        kept += isinstance(new, PuiseuxPoly) and len(new.nums) > 1
+    assert raised > 10 and kept > 60
+    # five-term inverses to precision 64: the expansion runs 64 slots and more
+    for seed in range(2):
+        rng = random.Random(seed)
+        n = 1 + seed
+        terms = [(F(k, n), F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 4))) for k in range(n, n + 5)]
+        terms[0] = (terms[0][0], F(rng.choice((1, -1)) * rng.randint(1, 4) ** 3, rng.randint(1, 3) ** 3))
+        a, o = PuiseuxPoly(terms), Oracle(terms)
+        assert len(_check(lambda x: x.inv(precision=F(64)), a, o).nums) >= 64
+        _check(lambda x: x.rational_power(F(-5, 3), precision=F(32)), a, o)
 
 
 def test_kernel_matches_the_oracle_on_composition():
@@ -909,6 +983,29 @@ def test_kernel_matches_the_oracle_on_composition():
         p = F(rng.randint(1, 12), rng.randint(1, 3))
         new = _outcome(a.compose, inner, precision=p)
         assert _same(new, _outcome(o.compose, oinner, precision=p)), (a, inner, p)
+    # outer series of 2-4 terms, each on its own lattice, negative
+    # exponents among them; inner leading coefficients with and without
+    # the roots the terms need
+    rng = random.Random(607)
+    raised = 0
+    for _ in range(150):
+        outer = []
+        for _ in range(rng.randint(2, 4)):
+            d = rng.randint(1, 4)
+            outer.append((F(rng.randint(-3 * d, 4 * d), d), _rational(rng) or F(1)))
+        oprec = rng.choice((INF, INF, F(rng.randint(2, 12), rng.randint(1, 3))))
+        m = rng.randint(1, 3)
+        lead_e = F(rng.randint(1, 2 * m), m)
+        terms = [(lead_e, rng.choice((F(1), F(-1), F(4), F(-8), F(9), F(1, 16), F(2), F(64))))]
+        terms += [(lead_e + F(rng.randint(1, 3 * m), m), _rational(rng)) for _ in range(rng.randint(0, 3))]
+        iprec = rng.choice((INF, lead_e + F(rng.randint(1, 4 * m), m)))
+        inner, oinner = PuiseuxPoly(terms, iprec), Oracle(terms, iprec)
+        p = F(rng.randint(1, 12), rng.randint(1, 3)) if rng.random() < 0.9 or iprec is INF else None
+        a, o = PuiseuxPoly(outer, oprec), Oracle(outer, oprec)
+        new = _outcome(a.compose, inner, precision=p)
+        assert _same(new, _outcome(o.compose, oinner, precision=p)), (a, inner, p)
+        raised += isinstance(new, NotRepresentable)
+    assert raised > 10
 
 
 @pytest.mark.parametrize("germ", [
