@@ -411,6 +411,10 @@ GOLDEN_RUNS = [
     ["hull", "thm6"],
     ["smooth-hull", "thm6"],
     ["smooth-hull", "thm6", "-n", "12", "--points", "zeta(x^(1/3),5/4),zeta(1+x^(3/4),2)"],
+    # the lattice scan on pieces of multiplicity 1, 3 and 6, and its
+    # emptiness test with two interior-vertex witnesses, one on a cut piece
+    ["smooth-hull", "thm6", "-n", "24", "--points", "zeta(x^(1/3)+x^(5/6),2),zeta(x^(-1/2),1)"],
+    ["check-smooth", "thm6", "--points", "zeta(0,3),zeta(x^(1/3)+x^(5/6),2),zeta(x^(-1/2),1)"],
     ["check-smooth", "thm6"],
     ["domains", "thm6"],
     ["dual-graph", "thm6"],
