@@ -419,7 +419,7 @@ class PuiseuxPoly:
                 out_prec = v * e + DEFAULT_PRECISION
             rel = out_prec - v * e
         form = _power(self, e.numerator, e.denominator, 1 if rel is INF else _ceil(rel, self.N))
-        if rel <= 0 and len(self.nums) > 1:
+        if rel <= 0:
             raise InsufficientPrecision(f"power would be O(x^{out_prec}) with no visible term")
         return _canon(*form, out_prec)
 

@@ -5,7 +5,7 @@ Level-n vertices are the points with g <= n.  Along a segment these sit
 at the radius exponents p/q with lcm(m, q) <= n, so consecutive ones are
 Farey neighbours; an annulus between adjacent vertices is clean exactly
 when no point with g <= max(g_outer, g_inner) lies strictly inside,
-which the Farey structure makes decidable by a finite denominator scan.
+which the first step of a Farey walk decides.
 Smoothness = every special direction of every vertex meets the set, and
 every complement component is a clean disk or annulus.  The checker is
 independent of the hull constructions so the two can audit each other.
@@ -37,12 +37,15 @@ tree of depth d whose nodes have at most k children:
   child costs one comparison of centres; a ``Direction`` is built only
   for a flank that is missing;
 * ``is_smooth``, ``enumerate_domains``, ``dual_graph``: one pass over the
-  tree (``is_smooth`` adds a lattice scan per pair of adjacent vertices);
+  tree; ``is_smooth`` adds, per pair of adjacent vertices, the first
+  step of the lattice walk, and walks on only for a violation, to name
+  its least-level point;
 * ``segment_lattice_points`` at level N: per piece between the inner
-  centre's slots, only the denominators q <= N allowed there with a
-  non-empty range of numerators, and the numerators prime to q.  The
-  pairs (k, q) are sorted by the integer k * L/q, L the lcm of the q
-  kept, and a ``Fraction`` and a point are built only for those;
+  centre's slots, of multiplicity m, a walk of the Farey sequence of
+  order N // m on ints, O(1) per point returned.  Its start costs one
+  modular inverse when m times the piece's lower end is in that
+  sequence, and one pass over the denominators up to N // m otherwise;
+  a ``Fraction`` and a point are built only for each point returned;
 * ``smooth_n_convex_hull``: one tree build, then edits of parents and
   children; a lattice scan per edge and a flank test per vertex, once.
 
@@ -315,37 +318,60 @@ def _join_closure(pts):
 
 
 def segment_lattice_points(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
-    """Level-`bound` vertices strictly between two comparable points.
+    """Level-`bound` vertices strictly between two comparable points, in
+    order of t: the list of ``_lattice_walk``."""
+    return list(_lattice_walk(outer, inner, bound))
 
-    These are the points zeta(c, p/q) on the inner centre's ray with
-    lcm(m, q) <= bound, m the multiplicity of the centre truncated at
-    p/q.  The centre's exponents cut the segment into pieces (lo, hi],
-    the last open at inner.t, on each of which the truncation is fixed.
-    A piece's points are found and ordered as integer pairs (k, q), and
-    only those are made Fractions.
+
+def _lattice_walk(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
+    """Yield the level-`bound` vertices strictly between two comparable
+    points, in order of t; ValueError at the first step when they are not.
+
+    These are the points zeta(c, t) on the inner centre's ray with
+    lcm(m, q) <= bound, t = k/q in lowest terms and m the multiplicity of
+    the centre truncated at t.  The centre's exponents cut the segment
+    into pieces (lo, hi], the last open at inner.t, on each of which the
+    truncation is fixed.  On a piece, lcm(m, q) <= bound exactly when
+    m*t has a denominator r <= R = bound // m, so the points are s/m for
+    s in the Farey sequence of order R between m*lo and m*hi.  The walk
+    starts from the Farey pair around m*lo and steps with the next-term
+    recurrence on ints; a ``Fraction`` and a point are built only for
+    each point it yields.
     """
     if not leq(inner, outer):
         raise ValueError("segment endpoints are not comparable")
     c = inner.center
     cuts = [c.lo + i for i, k in enumerate(c.nums) if k and (c.lo + i) * outer.td > outer.tn * c.N]
-    ln, ld, found = outer.tn, outer.td, []
+    ln, ld = outer.tn, outer.td
     for i, (hn, hd) in enumerate([(k, c.N) for k in cuts] + [(inner.tn, inner.td)]):
         at_end = i == len(cuts)
         center = c if at_end else c._cut(hn, INF)
-        m, pairs, L = center.N, [], 1
-        for q in range(1, bound + 1):
-            # lo < k/q <= hi, and k/q < hi on the last piece
-            k0, k1 = ln * q // ld + 1, (hn * q - at_end) // hd
-            if k0 <= k1 and math.lcm(m, q) <= bound:
-                got = [(k, q) for k in range(k0, k1 + 1) if math.gcd(k, q) == 1]
-                if got:
-                    L = math.lcm(L, q)
-                    pairs += got
-        # k/q in lowest terms is unique, so the key k * L/q never ties
-        pairs.sort(key=lambda kq: kq[0] * (L // kq[1]))
-        found += [_point(center, Fraction(k, q)) for k, q in pairs]
+        m = center.N
+        R = bound // m
+        if R:
+            # a/b < e/f: consecutive in the Farey sequence of order R, with
+            # a/b <= m*lo < e/f
+            g = math.gcd(m * ln, ld)
+            p, r = m * ln // g, ld // g
+            if r <= R:  # m*lo is a term: its successor has p*f = -1 mod r, f <= R
+                a, b = p, r
+                f = R - (R + pow(p, -1, r)) % r
+                e = (p * f + 1) // r
+            else:  # the nearest fractions on each side, denominator by denominator
+                a, b, e, f = p // r, 1, p // r + 1, 1
+                for q in range(2, R + 1):
+                    k = p * q // r
+                    if k * b > a * q:
+                        a, b = k, q
+                    if (k + 1) * f < e * q:
+                        e, f = k + 1, q
+            # e/f <= m*hi, and e/f < m*hi on the last piece
+            M = m * hn
+            while e * hd < M * f + (not at_end):
+                yield _point(center, Fraction(e, m * f))
+                k = (R + b) // f
+                a, b, e, f = e, f, k * e - a, k * f - b
         ln, ld = hn, hd
-    return found
 
 
 def _fill(parent_of, children_of, edges, n: int) -> list:
@@ -534,9 +560,11 @@ def is_smooth(gammas) -> SmoothnessReport:
         if outer is None:
             continue
         cap = max(g_point(outer), g_point(inner))
-        inside = segment_lattice_points(outer, inner, cap)
-        if inside:
-            witness = min(inside, key=g_point)  # the first, in order of t
+        walk = _lattice_walk(outer, inner, cap)
+        first = next(walk, None)
+        if first is not None:
+            # the first of least level, in order of t
+            witness = min([first, *walk], key=g_point)
             violations.append(
                 Violation(
                     "interior-vertex",

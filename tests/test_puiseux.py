@@ -604,11 +604,11 @@ class Oracle:
         else:
             out_prec = DEFAULT_PRECISION - v
         rel = out_prec + v  # precision needed for 1/unit
+        if rel <= 0:  # a truncated monomial too, as in rational_power
+            raise InsufficientPrecision(
+                f"inverse would be O(x^{out_prec}) with no visible term"
+            )
         if h:
-            if rel <= 0:
-                raise InsufficientPrecision(
-                    f"inverse would be O(x^{out_prec}) with no visible term"
-                )
             acc = {Fraction(0): Fraction(1)}
             pw = Oracle.const(1)
             step = h.val()
@@ -940,10 +940,10 @@ def test_kernel_matches_the_oracle_on_inverses_and_powers():
         p = e * o.val() + F(rng.randint(1, 3 * n), n) if o.terms else None
         _check(lambda x: x.rational_power(e, precision=p), a, o)
     # negative fractional powers of series on lattices up to 1/4, most of
-    # them truncated; twelfth powers have every root below, a negative
-    # one no even root
+    # them truncated, each also to the precision v*e; twelfth powers have
+    # every root below, a negative one no even root
     rng = random.Random(606)
-    raised = kept = 0
+    raised = kept = monomials = 0
     for _ in range(150):
         n = rng.randint(1, 4)
         v = F(rng.randint(-2 * n, 2 * n), n)
@@ -958,7 +958,16 @@ def test_kernel_matches_the_oracle_on_inverses_and_powers():
         new = _check(lambda x: x.rational_power(e, precision=p), a, o)
         raised += isinstance(new, NotRepresentable)
         kept += isinstance(new, PuiseuxPoly) and len(new.nums) > 1
-    assert raised > 10 and kept > 60
+        # no term is visible at v*e: a truncated monomial raises too
+        if not isinstance(_check(lambda x: x.rational_power(e, precision=e * v), a, o), NotRepresentable):
+            monomials += len(a.nums) == 1 and a.precision is not INF
+    assert raised > 10 and kept > 60 and monomials > 5
+    # the seeded case where the kernel returned O(x^(10/3)) and the oracle
+    # raised, and the same power of a two-term series
+    for terms in ([(F(-2), F(8))], [(F(-2), F(8)), (F(-1), F(1))]):
+        a, o = PuiseuxPoly(terms, F(0)), Oracle(terms, F(0))
+        got = _check(lambda x: x.rational_power(F(-5, 3), precision=F(10, 3)), a, o)
+        assert isinstance(got, InsufficientPrecision)
     # five-term inverses to precision 64: the expansion runs 64 slots and more
     for seed in range(2):
         rng = random.Random(seed)

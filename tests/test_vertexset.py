@@ -709,6 +709,22 @@ def _oracle_segment_lattice_points(outer, inner, bound):
     return [found[s] for s in sorted(found)]
 
 
+def _walk_is_empty(outer, inner, bound):
+    return next(vertexset._lattice_walk(outer, inner, bound), None) is None
+
+
+#: a segment from GAUSS whose truncated centre has m = 1, 2, 6, 12 on its
+#: four pieces
+_MULTI_PIECE_INNER = zeta(PuiseuxPoly(((F(1, 2), 1), (F(2, 3), 1), (F(3, 4), 1))), 2)
+
+_NEGATIVE_RADIUS_SEGMENTS = [
+    (zeta(ZERO, -1), zeta(PuiseuxPoly.monomial(2, F(-1, 2)), 1)),
+    (zeta(ZERO, F(-7, 3)), zeta(ZERO, F(-1, 4))),
+    (zeta(ZERO, F(1, 2)), zeta(ZERO, F(3, 2))),
+    (zeta(ROOT_X, 1), zeta(ROOT_X + PuiseuxPoly.monomial(1, F(5, 4)), 3)),
+]
+
+
 def _oracle_n_convex_hull(points, n):
     h = hull(points)
     got = list(h.nodes)
@@ -773,14 +789,15 @@ class TestOneTreeSmoothHull:
             bounds = [*range(1, 13), 24, 60] if case < 6 else range(1, 13)
             for outer, inner in hull(pts).edges:
                 for bound in bounds:
-                    assert segment_lattice_points(outer, inner, bound) == (
-                        _oracle_segment_lattice_points(outer, inner, bound)
-                    ), f"case {case}: {outer} to {inner} at {bound}"
+                    want = _oracle_segment_lattice_points(outer, inner, bound)
+                    where = f"case {case}: {outer} to {inner} at {bound}"
+                    assert segment_lattice_points(outer, inner, bound) == want, where
+                    # the emptiness test of is_smooth reads one step of the walk
+                    assert _walk_is_empty(outer, inner, bound) == (not want), where
 
     def test_multiplicity_changes_inside_the_segment(self):
         # the truncated centre has m = 1, 2, 6, 12 on the four pieces
-        center = PuiseuxPoly(((F(1, 2), 1), (F(2, 3), 1), (F(3, 4), 1)))
-        inner = zeta(center, 2)
+        inner = _MULTI_PIECE_INNER
         got = segment_lattice_points(GAUSS, inner, 6)
         assert [p.t for p in got] == [F(1, 6), F(1, 5), F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(2, 3)]
         assert got[-1].center == PuiseuxPoly.monomial(1, F(1, 2))
@@ -790,13 +807,7 @@ class TestOneTreeSmoothHull:
             ), bound
 
     def test_negative_radii_and_a_lattice_point_outer_end(self):
-        cases = [
-            (zeta(ZERO, -1), zeta(PuiseuxPoly.monomial(2, F(-1, 2)), 1)),
-            (zeta(ZERO, F(-7, 3)), zeta(ZERO, F(-1, 4))),
-            (zeta(ZERO, F(1, 2)), zeta(ZERO, F(3, 2))),
-            (zeta(ROOT_X, 1), zeta(ROOT_X + PuiseuxPoly.monomial(1, F(5, 4)), 3)),
-        ]
-        for outer, inner in cases:
+        for outer, inner in _NEGATIVE_RADIUS_SEGMENTS:
             for bound in range(1, 13):
                 assert segment_lattice_points(outer, inner, bound) == (
                     _oracle_segment_lattice_points(outer, inner, bound)
@@ -825,6 +836,81 @@ class TestOneTreeSmoothHull:
         assert smooth_n_convex_hull([GAUSS, zeta(ZERO, 2)], 1) == VertexSet(
             [GAUSS, zeta(ZERO, 1), zeta(ZERO, 2)]
         )
+
+
+# -- the Farey walk of the lattice scan -----------------------------------
+
+
+def _farey_terms(order, lo, hi):
+    """The reduced a/b with b <= order and lo < a/b <= hi, as pairs (a, b),
+    by trying every denominator."""
+    return {
+        (a, b)
+        for b in range(1, order + 1)
+        for a in range(math.floor(lo * b) + 1, math.floor(hi * b) + 1)
+        if math.gcd(a, b) == 1
+    }
+
+
+class TestFareyWalk:
+    def test_level_points_are_a_farey_sequence_over_m(self):
+        lo, hi = F(-3, 4), F(5, 3)
+        for m in range(1, 13):
+            for n in range(1, 61):
+                # reduced k/q with lcm(m, q) <= n, as pairs (k, q)
+                want = {
+                    (k, q)
+                    for k, q in _farey_terms(n, lo, hi)
+                    if math.lcm(m, q) <= n
+                }
+                got = set()
+                for a, b in _farey_terms(n // m, m * lo, m * hi):
+                    g = math.gcd(a, m)
+                    got.add((a // g, m * b // g))
+                assert got == want, (m, n)
+
+    def test_emptiness_on_multi_piece_and_negative_radius_segments(self):
+        # the hull edges of seed 808 are checked in the scan test above
+        empty = 0
+        for outer, inner in [(GAUSS, _MULTI_PIECE_INNER), *_NEGATIVE_RADIUS_SEGMENTS]:
+            for bound in [*range(1, 13), 24, 60]:
+                want = not _oracle_segment_lattice_points(outer, inner, bound)
+                assert _walk_is_empty(outer, inner, bound) == want, (
+                    f"{outer} to {inner} at {bound}"
+                )
+                empty += want
+        assert empty >= 5
+
+    def test_interior_vertex_violations_match_the_oracle_scan(self):
+        rng = random.Random(809)
+        found = 0
+        for case in range(200):
+            vs = _raw_set(rng)
+            want = []
+            for outer, inner in _oracle_adjacent_pairs(list(vs)):
+                cap = max(g_point(outer), g_point(inner))
+                inside = _oracle_segment_lattice_points(outer, inner, cap)
+                if inside:
+                    witness = min(inside, key=lambda p: (g_point(p), p.t))
+                    want.append(
+                        Violation(
+                            "interior-vertex",
+                            witness,
+                            f"annulus from {outer} to {inner} contains a point of "
+                            f"level {g_point(witness)} <= {cap}",
+                        )
+                    )
+            got = [v for v in is_smooth(vs).violations if v.kind == "interior-vertex"]
+            key = lambda v: (v.witness.sort_key(), v.message)
+            assert sorted(got, key=key) == sorted(want, key=key), f"case {case}"
+            found += len(want)
+        assert found > 100
+
+    def test_incomparable_endpoints_are_refused(self):
+        a, b = zeta(ONE, 1), zeta(ZERO, 2)
+        for outer, inner in ((a, b), (b, a), (zeta(ZERO, 2), GAUSS)):
+            with pytest.raises(ValueError, match="^segment endpoints are not comparable$"):
+                segment_lattice_points(outer, inner, 6)
 
 
 # -- descents that jump runs of single-child nodes, against the ----------
