@@ -428,7 +428,9 @@ class _Analyzer:
                     for cand in (w, TypeIIPoint(b.center, (w.t + b.t) / 2)):
                         if domain_contains(dom, self.gammas[j], cand):
                             out.append(cand)
-            return out[:8]
+                            if len(out) == 8:
+                                return out
+            return out
         return []
 
     def _probe_orbit(self, j: int, p: TypeIIPoint):
@@ -796,18 +798,21 @@ def minimal_stabilisation(gammas, chain, cfg=None):
     chain, cfg = _chain_and_config(chain, cfg)
     an = _Analyzer(chain, gammas, cfg, None)
     trace = []
+    closed = set()  # images are vertices or additions; the sets only grow
     for rnd in range(1, cfg.max_rounds + 1):
         additions = {}
         for j, p in an.vertices():
+            if (j, p) in closed:
+                continue
             j2, img = an.chain.step(j, p)
-            if img in an.gammas[j2] or img in additions.get(j2, set()):
-                continue
-            dom = locate(an.gammas[j2], img)
-            cls = an.classify(j2, dom)
-            if cls.kind == "F":
-                continue
-            additions.setdefault(j2, set()).add(img)
-            trace.append(StabilisationStep(rnd, j, p, img, j2, cls.kind))
+            if img not in an.gammas[j2] and img not in additions.get(j2, ()):
+                dom = locate(an.gammas[j2], img)
+                cls = an.classify(j2, dom)
+                if cls.kind == "F":  # F regions may change as the sets grow
+                    continue
+                additions.setdefault(j2, set()).add(img)
+                trace.append(StabilisationStep(rnd, j, p, img, j2, cls.kind))
+            closed.add((j, p))
         if not additions:
             return an.result(), _report(an), trace
         an.extend(additions)

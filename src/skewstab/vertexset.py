@@ -21,6 +21,10 @@ tree of depth d whose nodes have at most k children:
 * building the tree: O(n log n) comparisons of integer keys to sort the
   vertices in depth-first order, n - 1 joins of neighbours to close
   them, and one stack pass for the parents;
+* ``VertexSet.union`` of k new points with a set that carries its tree:
+  k seats on that tree, whose run caches are warm, a join per slot of
+  one point, O(k log n) comparisons of integer keys to merge the points
+  and nodes, one copy of the parent map and one pass for the children;
 * ``hull``, ``HullTree.parent_of``/``children_of`` and ``in``: lookups;
 * ``HullTree.seat``: a descent from the top, O(k) comparisons at each
   node with several children, and one join and a bisection over cached
@@ -59,7 +63,7 @@ kernel, building, seating, flanking and the lattice scan compare no
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -120,7 +124,18 @@ class VertexSet:
         return hash(self.points)
 
     def union(self, extra) -> "VertexSet":
-        return VertexSet(self.points + tuple(extra))
+        """The set with the extra points.  A set carrying its tree hands
+        the union the tree grown from it, and merges in the new points."""
+        if self._tree is None:
+            return VertexSet(self.points + tuple(extra))
+        new = _in_set_order({p: None for p in extra if p not in self._members})
+        if not new:
+            return self
+        vs = object.__new__(VertexSet)
+        object.__setattr__(vs, "points", tuple(_merged(self.points, new)))
+        object.__setattr__(vs, "_members", self._members.union(new))
+        object.__setattr__(vs, "_tree", _grown_by(self._tree, new, vs._members))
+        return vs
 
     def tree(self) -> "HullTree":
         """The hull tree of the set (built once)."""
@@ -274,6 +289,57 @@ def _tree_from_parents(parent_of, lst, vertices) -> HullTree:
             edges.append((outer, p))
             children_of[outer].append(p)
     return HullTree(tuple(lst), tuple(edges), top, vertices, parent_of, children_of)
+
+
+def _grown_by(tree: HullTree, new, vertices) -> HullTree:
+    """The tree of ``vertices``: those of ``tree`` and the points
+    ``new``, given in set order.  Each new point is seated on ``tree``,
+    whose run caches are warm.  A slot of ``seat`` holds no node, so a
+    point meets the old nodes and other slots' points only at old nodes
+    or at nodes spliced into its own slot.  The points of a slot are
+    hulled with its lower end, and the hull's top hangs from u; a lone
+    point is u itself, a leaf off u, or sits on the edge u-w or off one
+    new junction on it."""
+    slots = {}
+    for p in new:
+        slots.setdefault(tree.seat(p), []).append(p)
+    parent_of, added = dict(tree.parent_of), []
+    for (u, w), pts in slots.items():
+        p = pts[0]
+        if len(pts) > 1:
+            ups = _build_tree(VertexSet(pts + [u if w is None else w])).parent_of
+        elif w is None:  # a new leaf off u, or u itself
+            ups = {p: None}
+        else:  # on the edge u-w, or off a new junction s on it
+            s = join(p, w)
+            ups = {p: s, w: s, s: None}
+        for x, up in ups.items():
+            if x != u:  # the top of a slot's hull hangs from u
+                parent_of[x] = u if up is None else up
+        added += [x for x in ups if x not in tree.parent_of]
+    lst = _merged(tree.nodes, _in_set_order(added))
+    return _tree_from_parents(parent_of, lst, vertices)
+
+
+def _merged(old, new) -> list:
+    """Two disjoint runs in set order merged, each new point placed by
+    bisection past the one before it."""
+    out, i = [], 0
+    for p in new:
+        k = bisect_left(old, True, i, key=lambda q: _precedes(p, q))
+        out += old[i:k]
+        out.append(p)
+        i = k
+    return out + list(old[i:])
+
+
+def _precedes(a: TypeIIPoint, b: TypeIIPoint) -> bool:
+    """Whether a comes before b in the set order, read on the lattice of
+    the two."""
+    if a.tn * b.td != b.tn * a.td:
+        return a.tn * b.td < b.tn * a.td
+    n, d = _lattice((a, b))
+    return _scaled(a.center, n, d) < _scaled(b.center, n, d)
 
 
 def _lattice(points):
@@ -538,28 +604,30 @@ def is_smooth(gammas) -> SmoothnessReport:
     violations = []
     # the non-vertex nodes are the missing junctions; each is named by the
     # first pair of vertices, in set order, that meet there unseparated
-    rank = {p: i for i, p in enumerate(tree.nodes)}
-    first = {}  # lowest-ranked vertex met first below each node
-    for x in reversed(tree.nodes):
-        if x in tree.vertices:
-            first[x] = x
-            continue
-        a, b = sorted((first[c] for c in tree.children_of[x]), key=rank.get)[:2]
-        first[x] = a
-        violations.append(
-            Violation(
-                "missing-junction",
-                x,
-                f"component between {a} and {b} is not a disk or annulus",
+    if len(tree.nodes) > len(vs):
+        rank = {p: i for i, p in enumerate(tree.nodes)}
+        first = {}  # lowest-ranked vertex met first below each node
+        for x in reversed(tree.nodes):
+            if x in tree.vertices:
+                first[x] = x
+                continue
+            a, b = sorted((first[c] for c in tree.children_of[x]), key=rank.get)[:2]
+            first[x] = a
+            violations.append(
+                Violation(
+                    "missing-junction",
+                    x,
+                    f"component between {a} and {b} is not a disk or annulus",
+                )
             )
-        )
+    g = {p: g_point(p) for p in vs}
     for inner in vs:
         outer = tree.parent_of[inner]
         while outer is not None and outer not in tree.vertices:
             outer = tree.parent_of[outer]
         if outer is None:
             continue
-        cap = max(g_point(outer), g_point(inner))
+        cap = max(g[outer], g[inner])
         walk = _lattice_walk(outer, inner, cap)
         first = next(walk, None)
         if first is not None:

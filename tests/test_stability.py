@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction as F
@@ -40,6 +41,7 @@ from skewstab.stability import (
     PersistentFDiskRegistry,
     RegistryDisk,
     STABLE,
+    StabilisationStep,
     StabilizationConfig,
     _Analyzer,
     _residue_cycle,
@@ -276,6 +278,71 @@ class TestMinimalStabilisation:
         assert report.verdict == STABLE
         assert trace == []
         assert set(res) == set(gam)
+
+
+def _stepping_every_vertex(gammas, chain, cfg):
+    """minimal_stabilisation's trace from a loop that steps every vertex
+    in every round, and the number of steps it takes."""
+    an = _Analyzer(chain, gammas, cfg, None)
+    trace, steps = [], 0
+    for rnd in range(1, cfg.max_rounds + 1):
+        additions = {}
+        for j, p in an.vertices():
+            j2, img = an.chain.step(j, p)
+            steps += 1
+            if img in an.gammas[j2] or img in additions.get(j2, set()):
+                continue
+            cls = an.classify(j2, locate(an.gammas[j2], img))
+            if cls.kind != "F":
+                additions.setdefault(j2, set()).add(img)
+                trace.append(StabilisationStep(rnd, j, p, img, j2, cls.kind))
+        if not additions:
+            break
+        an.extend(additions)
+    return trace, steps
+
+
+class TestMinimalStabilisationSteps:
+    def test_a_vertex_imaged_onto_a_vertex_is_not_stepped_again(self, monkeypatch):
+        # the sets only grow, so once a vertex's image is a vertex, or is
+        # added as one, the loop never steps it again; the walks that
+        # classify an image are not counted
+        analyzers, last, onto, count = [], {}, Counter(), Counter()
+        real_init, real_step, real_extend = _Analyzer.__init__, Chain.step, _Analyzer.extend
+
+        def init(self, *args):
+            real_init(self, *args)
+            analyzers.append(self)
+
+        def step(self, j, p):
+            j2, img = real_step(self, j, p)
+            if sys._getframe(1).f_code.co_name == "minimal_stabilisation":
+                assert onto[(j, p)] == 0, f"{p} stepped after its image became a vertex"
+                onto[(j, p)] += img in analyzers[-1].gammas[j2]
+                last[(j, p)] = count["rounds"] + 1
+                count["steps"] += 1
+            return j2, img
+
+        def extend(self, additions):
+            count["rounds"] += 1
+            return real_extend(self, additions)
+
+        monkeypatch.setattr(_Analyzer, "__init__", init)
+        monkeypatch.setattr(Chain, "step", step)
+        monkeypatch.setattr(_Analyzer, "extend", extend)
+        d = fixture("thm6")
+        with pytest.raises(RoundCapExceeded) as exc:
+            minimal_stabilisation(d.gammas, d.chain)
+        monkeypatch.undo()
+        # a vertex whose image was added is last stepped in that round
+        assert all(last[(s.fibre, s.point)] == s.round for s in exc.value.trace)
+        d = fixture("thm6")
+        trace, every = _stepping_every_vertex(d.gammas, d.chain, StabilizationConfig())
+        assert exc.value.trace == trace and len(trace) == 32
+        # on thm6 every vertex is stepped once: each image is added or is
+        # a vertex already
+        assert count["steps"] == len(onto) == 33 and sum(onto.values()) == 1
+        assert every > 10 * count["steps"]
 
 
 class TestRegistry:

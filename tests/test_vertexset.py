@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -990,3 +991,65 @@ class TestTreeDescent:
                     assert not meets([], v)
                     seen.add((v.at_infinity, want))
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# -- a union grows the tree its set carries, against a rebuild -------------
+
+
+def _slot_kind(tree, p):
+    """Where p lands on the tree, by the slot ``seat`` gives it."""
+    u, w = tree.seat(p)
+    if w is None:
+        return "a missing junction" if p == u else "a leaf off a node"
+    if u is None:
+        return "above the top" if leq(w, p) else "beside the top"
+    return "on an edge" if leq(w, p) else "off an edge"
+
+
+class TestUnionGrowsTheCarriedTree:
+    def test_matches_a_rebuild(self):
+        rng = random.Random(811)
+        lone, shared, repeats = Counter(), 0, 0
+        for case in range(480):
+            base = (_smooth_set if case % 2 else _raw_set)(rng)
+            tree = base.tree()
+            # probes land in every kind of slot; a node that is not a
+            # vertex is a missing junction
+            pool = _probes(base) + list(tree.nodes) + [random_point(rng)]
+            extra = rng.sample(pool, min(len(pool), rng.choice([1, 1, 1, 2, 3, 6])))
+            # a branch below a point off the tree shares its slot
+            extra += [_branch(p, F(1, 4), coeff=-3) for p in extra[: rng.randint(0, 2)]]
+            extra += rng.choice([[], [], extra[:1], list(base)[:1]])
+            new = set(extra).difference(base)
+            repeats += len(new) < len(extra)
+            slots = Counter(tree.seat(p) for p in new)
+            shared += any(k > 1 for k in slots.values())
+            lone.update(_slot_kind(tree, p) for p in new if slots[tree.seat(p)] == 1)
+            got = base.union(extra)
+            want = VertexSet(list(base) + extra)
+            assert got.points == want.points, f"case {case}"
+            assert got._members == want._members, f"case {case}"
+            grown, fresh = got._tree, _build_tree(want)
+            assert grown is not None, f"case {case}"
+            for name in ("nodes", "edges", "top", "parent_of", "children_of", "vertices"):
+                assert getattr(grown, name) == getattr(fresh, name), f"case {case}: {name}"
+        assert set(lone) == {
+            "a missing junction",
+            "a leaf off a node",
+            "above the top",
+            "beside the top",
+            "on an edge",
+            "off an edge",
+        }
+        assert min(lone.values()) > 10 and shared > 200 and repeats > 200
+
+    def test_a_set_without_a_tree_builds_none(self):
+        vs = VertexSet([GAUSS, zeta(ZERO, 1)])
+        got = vs.union([zeta(ONE, 1), GAUSS])
+        assert got == VertexSet([GAUSS, zeta(ZERO, 1), zeta(ONE, 1)])
+        assert vs._tree is None and got._tree is None
+
+    def test_nothing_new_keeps_the_set(self):
+        vs = VertexSet([GAUSS, zeta(ZERO, 1)])
+        tree = vs.tree()
+        assert vs.union([GAUSS, zeta(ZERO, 1)]) is vs and vs.tree() is tree
