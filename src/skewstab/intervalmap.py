@@ -17,6 +17,7 @@ throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -277,6 +278,7 @@ class InfiniteByDenominatorGrowth:
     deferred_from: Optional[Rat]
     window: tuple
     invariant: str
+    prime: int
 
     kind: str = field(default="infinite-by-denominator-growth", init=False)
 
@@ -306,6 +308,11 @@ def _is_pow2(n: int) -> bool:
     return n & (n - 1) == 0
 
 
+def _forward_invariant(pl: PLMap) -> bool:
+    vals = [pl(x) for x in pl.cuts()]
+    return pl.lo <= min(vals) and max(vals) <= pl.hi
+
+
 #: Orbit steps the denominator-growth certificate verifies one by one.
 _GROWTH_WINDOW = 50
 
@@ -330,8 +337,7 @@ def denominator_growth_certificate(pl: PLMap, t):
         if not _is_pow2(c.denominator):
             return GrowthFailure(f"intercept {c} is not dyadic")
         j_max = max(j_max, c.denominator.bit_length() - 1)
-    vals = [pl(x) for x in pl.cuts()]
-    if min(vals) < pl.lo or max(vals) > pl.hi:
+    if not _forward_invariant(pl):
         return GrowthFailure("domain is not forward-invariant")
     if not _is_pow2(t.denominator) or t.numerator % 2 == 0:
         return GrowthFailure(f"start {t} is not a reduced odd/2^n fraction")
@@ -355,16 +361,29 @@ def denominator_growth_certificate(pl: PLMap, t):
 def detect_preperiodic(pl: PLMap, t, horizon: int = 64):
     """Classify the orbit of t: exact cycle, certified infinite, or open.
 
-    Cycle detection is exact set membership on rationals.  If no repeat
-    occurs within the horizon, the denominator-growth certificate is
-    attempted at each early orbit point (the start may need a few steps
-    to enter the dyadic family).
+    Cycle detection is exact set membership on rationals.  Each orbit
+    point t_k is first tested at p, the least prime dividing every slope's
+    denominator (v_p(s_i) = -a_i < 0): if v_p(s_i*t_k) < v_p(c_i) on every
+    piece, then v_p(T(t_k)) = v_p(t_k) - a_i and the test holds again, so
+    on a forward-invariant domain v_p falls strictly from t_k on and no
+    point up to t_k is periodic.  A start outside [lo, hi] raises as T does.
     """
     t = rat(t)
+    if t < pl.lo or t > pl.hi:
+        raise ValueError(f"{t} outside domain [{pl.lo}, {pl.hi}]")
+    g = math.gcd(*(s.denominator for s, _ in pl.pieces))
+    p = next((q for q in range(2, math.isqrt(g) + 1) if g % q == 0), g)
+    p = p if p > 1 and _forward_invariant(pl) else None
     orbit = [t]
     seen = {t: 0}
     cur = t
-    for _ in range(horizon):
+    for k in range(horizon):
+        if p and cur and all((s * cur / c).denominator % p == 0 for s, c in pl.pieces if c):
+            dyadic = cur.numerator % 2 and _is_pow2(cur.denominator) and all(
+                s.denominator == 2 and _is_pow2(c.denominator) for s, c in pl.pieces)
+            why = "odd/2^n with strictly growing n" if dyadic else (
+                f"{p}-adic valuation strictly decreasing from step {k}")
+            return InfiniteByDenominatorGrowth(cur, t if k else None, tuple(orbit), why, p)
         if cur < pl.lo or cur > pl.hi:
             break
         cur = pl(cur)
@@ -379,13 +398,4 @@ def detect_preperiodic(pl: PLMap, t, horizon: int = 64):
             return Preperiodic(tail, cycle)
         seen[cur] = len(orbit)
         orbit.append(cur)
-    for k in range(min(len(orbit), 16)):
-        cert = denominator_growth_certificate(pl, orbit[k])
-        if isinstance(cert, GrowthCertificate):
-            return InfiniteByDenominatorGrowth(
-                orbit[k],
-                t if k else None,
-                cert.window,
-                cert.invariant,
-            )
     return HorizonExceeded(horizon, orbit[-1])

@@ -1100,10 +1100,11 @@ def _residue_disks(an: _Analyzer, path, additions):
 class WanderingJuliaCertificate:
     """Non-stabilisability evidence from an induced interval model.
 
-    The named vertex generates an infinite orbit (certified by exact
-    denominator growth) on an invariant interval that also carries a
-    repelling fixed parameter; no finite vertex family closed under the
-    pushforward can absorb such an orbit.
+    The named vertex generates an infinite orbit (certified by a p-adic
+    valuation that strictly decreases along it, ``detect_preperiodic``)
+    on an invariant interval that also carries a repelling fixed
+    parameter; no finite vertex family closed under the pushforward can
+    absorb such an orbit.
     """
 
     point: TypeIIPoint

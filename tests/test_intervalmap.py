@@ -331,6 +331,43 @@ class TestGrowthCertificate:
         assert "odd/2^n" in res.reason
 
 
+def vp(x, p):
+    """v_p of a nonzero rational."""
+    n, d, v = x.numerator, x.denominator, 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def unit_fold():
+    """thm6's map on [0, 1]: 3/2*t, then -3/2*t + 2 past t = 2/3."""
+    pl = induce_interval_map(thm6_map(), ZERO, (0, 1))
+    assert pl.pieces == ((F(3, 2), F(0)), (F(-3, 2), F(2)))
+    return pl
+
+
+def seeded_invariant_map(rng, p):
+    """A zigzag on [0, H], H >= 1, with values in [0, 1] (so the domain is
+    forward-invariant) and every slope +-u/p^e with p not dividing u."""
+    v = F(rng.randint(0, 6), 6)
+    cuts, pieces, sign = [F(0)], [], 1
+    while cuts[-1] < 1 or len(pieces) < 2:
+        u = rng.choice([u for u in range(1, 4 * p) if u % p])
+        s = sign * F(u, p ** rng.randint(1, 2))
+        target = F(rng.randint(0, 6), 6)
+        target = min(target, v - F(1, 6)) if sign < 0 else max(target, v + F(1, 6))
+        target = min(max(target, F(0)), F(1))
+        if target == v:
+            sign = -sign
+            continue
+        cuts.append(cuts[-1] + (target - v) / s)
+        pieces.append((s, v - s * cuts[-2]))
+        v, sign = target, -sign
+    return PLMap(cuts[0], cuts[-1], tuple(cuts[1:-1]), tuple(pieces))
+
+
 class TestDetectPreperiodic:
     def test_fixed_point_is_preperiodic(self):
         pl = fold_map()
@@ -343,24 +380,85 @@ class TestDetectPreperiodic:
         assert isinstance(cert, Preperiodic)
         assert cert.cycle == (F(0),)
 
-    def test_breakpoint_defers_to_dyadic_orbit(self):
+    def test_breakpoint_certified_at_step_0(self):
+        # v_2(2/3) - 1 = 0 < 1 = v_2(2): certified before any step
         cert = detect_preperiodic(fold_map(), F(2, 3))
-        assert isinstance(cert, InfiniteByDenominatorGrowth)
-        assert cert.deferred_from == F(2, 3)
-        assert cert.start == 1
+        assert cert == InfiniteByDenominatorGrowth(
+            F(2, 3), None, (F(2, 3),), "2-adic valuation strictly decreasing from step 0", 2
+        )
 
     def test_dyadic_start_certified_directly(self):
         cert = detect_preperiodic(fold_map(), 1)
         assert isinstance(cert, InfiniteByDenominatorGrowth)
         assert cert.deferred_from is None
         assert cert.start == 1
+        assert cert.invariant == "odd/2^n with strictly growing n"
 
-    def test_horizon_exceeded_without_certificate(self):
-        # golden-ratio-style slope: orbits neither repeat nor fit the
-        # dyadic family
+    def test_slopes_five_thirds_certified_at_step_1(self):
+        # v_3(5/3 * 1/7) = -1 = v_3(5/3) fails at 1/7; 5/21 passes
         pl = PLMap(0, 1, (F(1, 2),), ((F(5, 3), F(0)), (F(-5, 3), F(5, 3))))
         cert = detect_preperiodic(pl, F(1, 7), horizon=40)
-        assert isinstance(cert, HorizonExceeded)
+        why = "3-adic valuation strictly decreasing from step 1"
+        assert cert == InfiniteByDenominatorGrowth(F(5, 21), F(1, 7), (F(1, 7), F(5, 21)), why, 3)
+
+    def test_horizon_exceeded_without_certificate(self):
+        # slopes +-2: no prime divides every slope's denominator, and the
+        # orbit 2^k/2^50 does not repeat within 40 steps
+        pl = PLMap(0, 1, (F(1, 2),), ((F(2), F(0)), (F(-2), F(2))))
+        cert = detect_preperiodic(pl, F(1, 2**50), horizon=40)
+        assert cert == HorizonExceeded(40, F(1, 2**10))
+
+    def test_start_outside_the_domain_raises_as_the_map_does(self):
+        pl = unit_fold()
+        for t in (F(4, 3), F(3, 2), F(-1, 2)):
+            with pytest.raises(ValueError) as want:
+                pl(t)
+            with pytest.raises(ValueError) as got:
+                detect_preperiodic(pl, t)
+            assert str(got.value) == str(want.value) == f"{t} outside domain [0, 1]"
+
+    def test_starts_the_old_window_left_open(self):
+        # no point among the first 64 of either orbit is odd/2^n, so the
+        # window never starts; v_2(-3/2 * t) = -1 < 1 = v_2(2) certifies
+        # both at step 0
+        pl = unit_fold()
+        for t in (F(9, 13), F(3, 7)):
+            assert not any(
+                isinstance(denominator_growth_certificate(pl, u), GrowthCertificate)
+                for u in iterate(pl, t, 63)
+            )
+            cert = detect_preperiodic(pl, t)
+            assert (cert.start, cert.deferred_from, cert.window, cert.prime) == (t, None, (t,), 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_seeded_valuation_certificates_against_iterate(self, p):
+        rng = random.Random(1000 + p)
+        certified = old_open = preperiodic = 0
+        for _ in range(4):
+            pl = seeded_invariant_map(rng, p)
+            assert all(pl.lo <= pl(c) <= pl.hi for c in pl.cuts())
+            fixed = [fp.t for fp in fixed_points(pl) if isinstance(fp, FixedPoint)]
+            for t in fixed + [F(rng.randint(0, 40), rng.randint(1, 40)) % pl.hi for _ in range(12)]:
+                cert = detect_preperiodic(pl, t)
+                orbit = iterate(pl, t, 200)
+                if isinstance(cert, Preperiodic):
+                    preperiodic += 1
+                    assert tuple(orbit[: len(cert.tail) + len(cert.cycle)]) == cert.tail + cert.cycle
+                    assert pl(cert.cycle[-1]) == cert.cycle[0]
+                    continue
+                assert isinstance(cert, InfiniteByDenominatorGrowth) and cert.prime == p
+                certified += 1
+                k = len(cert.window) - 1
+                assert cert.window == tuple(orbit[: k + 1]) and cert.start == orbit[k]
+                assert cert.deferred_from == (t if k else None)
+                assert len(set(orbit)) == len(orbit) == 201
+                vals = [vp(u, p) for u in orbit[k:]]
+                assert all(b < a for a, b in zip(vals, vals[1:]))
+                old_open += not any(
+                    isinstance(denominator_growth_certificate(pl, u), GrowthCertificate)
+                    for u in orbit[:16]
+                )
+        assert certified and old_open and preperiodic
 
 
 class TestChainInduce:
