@@ -115,6 +115,8 @@ def _fixture_text(name: str) -> str:
 
 
 def _load(args) -> DefinitionFile:
+    if args.precision is not None and args.precision < 1:
+        raise _CliError("--precision must be >= 1")
     name = args.definition
     path = Path(name)
     if path.is_file():

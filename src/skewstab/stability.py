@@ -96,25 +96,27 @@ _T_BOUND = 10**6
 #: steps a J-search probe orbit may take to reach the vertex family
 _PROBE_HORIZON = 16
 
+#: the largest lattice level g of a point the resolution rules may add
+_MAX_LEVEL = 16
+
 
 @dataclass(frozen=True)
 class StabilizationConfig:
     """Budgets for classification and stabilisation loops.
 
     horizon caps orbit length, max_rounds caps closure rounds,
-    probe_budget caps probe denominators and retry counts, max_level caps
-    the lattice level of points the resolution rules may add.  The
-    working lattice level of smooth stabilisation is the largest g over
-    the input vertices.
+    probe_budget caps probe denominators and retry counts.  The lattice
+    level of points the resolution rules may add is capped at
+    ``_MAX_LEVEL``; the working lattice level of smooth stabilisation is
+    the largest g over the input vertices.
     """
 
     horizon: int = 64
     max_rounds: int = 32
     probe_budget: int = 8
-    max_level: int = 16
 
     def __post_init__(self):
-        for name in ("horizon", "max_rounds", "probe_budget", "max_level"):
+        for name in ("horizon", "max_rounds", "probe_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -150,21 +152,8 @@ class AttractingCycleCertificate:
 
 
 @dataclass(frozen=True)
-class GoodReductionInvariance:
-    """A residue-class cycle under the reduced maps, clear of the vertex sets."""
-
-    residues: tuple  # ((fibre, residue-or-None), ...)
-
-    def __str__(self):
-        inner = ", ".join(
-            f"({j}, {'inf' if r is None else r})" for j, r in self.residues
-        )
-        return f"good-reduction residue cycle {inner}"
-
-
-@dataclass(frozen=True)
 class FCertified:
-    reason: object  # one of the three certificate types above
+    reason: object  # MapsIntoPersistentFDisk or AttractingCycleCertificate
 
     kind: str = field(default="F", init=False)
 
@@ -525,28 +514,6 @@ class _Analyzer:
             disks.append(RegistryDisk(j, v))
         return None
 
-    def _good_reduction_f(self, j: int, dom: GammaDomain):
-        if dom.kind != "disk" or dom.direction is None:
-            return None
-        b, v = dom.boundary[0], dom.direction
-        gauss = gauss_point()
-        if b != gauss or v.at_infinity:
-            return None
-        found = _residue_cycle(self, j, v.rep.residue())
-        if found is None:
-            return None
-        walk, start = found
-        # the residue classes at the Gauss point that hold a vertex
-        blocked = set()
-        for jj in range(self.chain.size):
-            for g in self.gammas[jj]:
-                if g != gauss:
-                    d = direction_at(gauss, g)
-                    blocked.add((jj, None if d.at_infinity else d.rep.residue()))
-        if blocked.intersection(walk):
-            return None
-        return FCertified(GoodReductionInvariance(tuple(walk[start:])))
-
     # -- classification -------------------------------------------------------
 
     def classify(self, j: int, dom: GammaDomain):
@@ -574,9 +541,6 @@ class _Analyzer:
             f = self._disk_cycle_f(j, dom.direction)
             if f is not None:
                 return f
-        f = self._good_reduction_f(j, dom)
-        if f is not None:
-            return f
         note = "" if dom.kind == "disk" else "no disk-tracking F route for this shape"
         return Unknown(self.cfg.horizon, note=note)
 
@@ -948,7 +912,7 @@ def _add_points(additions, pairs):
 
 def _level_ok(an: _Analyzer, pairs) -> bool:
     """Refuse additions whose lattice level would blow up the hull."""
-    return all(g_point(p) <= an.cfg.max_level for _, p in pairs)
+    return all(g_point(p) <= _MAX_LEVEL for _, p in pairs)
 
 
 def _escape_index(path):
@@ -1004,9 +968,7 @@ def _attracting_disks(an: _Analyzer, path, additions):
     """Rule (iv): convert a nested orbit escape into registry disks.
 
     Boundaries sit on integer levels past every current vertex in the
-    class, then the candidate cycle is verified by exact disk image
-    containment; depths are pushed further on failure, up to the probe
-    budget.
+    class; ``_trap_cycle`` verifies and deepens them.
     """
     hit = _escape_index(path)
     if hit is None:
@@ -1029,20 +991,8 @@ def _attracting_disks(an: _Analyzer, path, additions):
             # floor(min t) - 1, read on the integer radii
             floors = [first.tn // first.td] + [g.tn // g.td for g in an.gammas[jj]]
             bound = Fraction(min(floors) - 1)
-        slots.append((jj, q, bound))
-    step = Fraction(1) if inward else Fraction(-1)
-    for _ in range(an.cfg.probe_budget):
-        disks = []
-        for jj, q, bound in slots:
-            b = TypeIIPoint(q.center, bound)
-            v = direction_to_class(b, q.center) if inward else direction_infinity(b)
-            d = RegistryDisk(jj, v)
-            if d not in disks:
-                disks.append(d)
-        if _verify_disk_cycle(an, disks, additions):
-            return _commit_trap(an, path, additions, disks, "attracting-disk")
-        slots = [(jj, q, bound + step) for jj, q, bound in slots]
-    return None
+        slots.append((jj, q.center, bound))
+    return _trap_cycle(an, path, additions, slots, inward, "attracting-disk")
 
 
 def _verify_disk_cycle(an: _Analyzer, disks, additions) -> bool:
@@ -1065,7 +1015,8 @@ def _residue_disks(an: _Analyzer, path, additions):
 
     Only attempted when every link has good reduction and the orbit sits
     in residue classes at the Gauss point whose reduced orbit cycles;
-    the cycle becomes registry disks at depth 1, deepened on conflict.
+    the cycle becomes registry disks off the Gauss point, deepened on
+    conflict by ``_trap_cycle``.
     """
     if not path:
         return None
@@ -1079,17 +1030,31 @@ def _residue_disks(an: _Analyzer, path, additions):
     # a disk at the Gauss point needs a finite residue
     if any(r is None for _, r in walk):
         return None
-    cyc = walk[start:]
-    # depth 0 anchors the disks at the Gauss point: the full residue class
-    depth = Fraction(0)
-    for _ in range(an.cfg.probe_budget):
+    # level 0 anchors the disks at the Gauss point: the full residue class
+    slots = [(jj, as_series(r), Fraction(0)) for jj, r in walk[start:]]
+    return _trap_cycle(an, path, additions, slots, True, "residue-cycle")
+
+
+def _trap_cycle(an: _Analyzer, path, additions, slots, inward: bool, rule: str):
+    """Commit the first verified disk cycle built on ``slots``.
+
+    Each (fibre, centre, level) slot gives the disk off zeta(centre,
+    level) towards the centre when ``inward``, else towards infinity.
+    The cycle is verified by exact disk image containment; on failure
+    every boundary moves one level further the same way, up to the probe
+    budget.
+    """
+    step = 1 if inward else -1
+    for k in range(an.cfg.probe_budget):
         disks = []
-        for jj, r in cyc:
-            b = TypeIIPoint(as_series(r), depth)
-            disks.append(RegistryDisk(jj, direction_to_class(b, as_series(r))))
+        for jj, c, level in slots:
+            b = TypeIIPoint(c, level + k * step)
+            v = direction_to_class(b, c) if inward else direction_infinity(b)
+            d = RegistryDisk(jj, v)
+            if d not in disks:
+                disks.append(d)
         if _verify_disk_cycle(an, disks, additions):
-            return _commit_trap(an, path, additions, disks, "residue-cycle")
-        depth += 1
+            return _commit_trap(an, path, additions, disks, rule)
     return None
 
 

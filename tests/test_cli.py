@@ -313,6 +313,8 @@ class TestFlags:
             (("image", "thm6", "zeta(0, 1)", "3", "--fibre", "5"), "fibre 5 out of range (size 1)"),
             (("hull", "thm6", "--fibre", "5"), "fibre 5 out of range (size 1)"),
             (("image", "thm6", "zeta(0, 1)", "0"), "steps must be >= 1"),
+            (("check-stability", "thm6", "--precision", "0"), "--precision must be >= 1"),
+            (("hull", "thm6", "--precision", "-2"), "--precision must be >= 1"),
         ],
     )
     def test_an_out_of_range_setting_is_a_usage_error(self, argv, message):
@@ -444,12 +446,15 @@ OPEN_RUNS = {
     ("stabilize", "w2"): "the residue orbit c -> c^2 + 1 of zeta(3, 1) never cycles",
     ("min-stabilize", "w1"): "each round adds the next point of the orbit c -> c^2 + 1",
     ("min-stabilize", "w2"): "each round adds the next point of the orbit c -> c^2 + 1",
+    ("check-stability", "cub"): "the probe orbits' centre heights roughly triple at each step",
+    ("stabilize", "cub"): "does not end in 30 s",
+    ("min-stabilize", "cub"): "does not end in 30 s",
 }
 
 
 def test_every_repro_run_is_golden_or_open():
     maps = sorted(p.stem for p in (ROOT / "tests" / "data").glob("*.skew"))
-    assert maps == ["deep", "p2", "ram", "sq", "w1", "w2", "w3", "x3"]
+    assert maps == ["cub", "deep", "p2", "ram", "sq", "w1", "w2", "w3", "x3"]
     golden = {
         (argv[0], Path(argv[1]).stem)
         for argv in GOLDEN_RUNS

@@ -4,6 +4,7 @@ import random
 import sys
 import weakref
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction as F
 from importlib import resources
 
@@ -35,7 +36,6 @@ from skewstab.skew import BaseGerm, Chain, SkewLocal, has_good_reduction, pushfo
 from skewstab.stability import (
     AttractingCycleCertificate,
     DESTABILISING,
-    GoodReductionInvariance,
     INCONCLUSIVE,
     JDomain,
     PersistentFDiskRegistry,
@@ -94,6 +94,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = StabilizationConfig()
         assert cfg.horizon == 64 and cfg.max_rounds == 32
+        assert [f.name for f in fields(cfg)] == ["horizon", "max_rounds", "probe_budget"]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -210,6 +211,8 @@ class TestClassify:
         assert an.classify(0, dom) is first
 
     def test_good_reduction_residue_cycle(self):
+        # 1 is fixed by the reduced map y^2, and y^2 maps the residue disk
+        # towards 1 onto itself: the exact disk image closes a one-disk cycle
         an = _Analyzer(
             single_chain(square_map()),
             [gauss_point(), zp(0, 1)],
@@ -217,11 +220,12 @@ class TestClassify:
             None,
         )
         b = gauss_point()
-        dom = GammaDomain("disk", (b,), direction_to_class(b, as_series(1)))
-        cert = an._good_reduction_f(0, dom)
-        assert cert is not None and cert.kind == "F"
-        assert isinstance(cert.reason, GoodReductionInvariance)
-        assert cert.reason.residues == ((0, F(1)),)
+        v = direction_to_class(b, as_series(1))
+        cert = an.classify(0, GammaDomain("disk", (b,), v))
+        assert cert.kind == "F"
+        assert isinstance(cert.reason, AttractingCycleCertificate)
+        assert cert.reason.disks == (RegistryDisk(0, v),)
+        assert str(cert.reason).startswith("invariant disk cycle after 0 step(s)")
 
     def test_residue_cycle_into_a_blocked_class(self):
         # 1 is fixed by the reduced map y^2, but zeta(1, 1) sits in its class
@@ -236,7 +240,7 @@ class TestClassify:
         b = gauss_point()
         for r in (1, -1):
             dom = GammaDomain("disk", (b,), direction_to_class(b, as_series(r)))
-            assert an._good_reduction_f(0, dom) is None
+            assert an.classify(0, dom).kind == "J"
 
     def test_residue_cycle_height_bound(self):
         # 2 -> 4 -> 16 -> 256 -> 65536 -> 2^32 passes 10^9 before any cycle
@@ -426,7 +430,7 @@ class TestStabilizeSmooth:
         assert kinds == {True, False}
 
     def test_fold_map_stalls_honestly(self):
-        cfg = StabilizationConfig(horizon=12, max_rounds=3, max_level=4)
+        cfg = StabilizationConfig(horizon=12, max_rounds=3)
         try:
             _, report, _, trace = stabilize_smooth([gauss_point()], thm6_map(), cfg)
         except RoundCapExceeded:
@@ -435,7 +439,7 @@ class TestStabilizeSmooth:
         assert any("no resolution rule" in n for n in report.notes)
 
     def test_unresolved_note_names_eight_points_and_counts_the_rest(self):
-        cfg = StabilizationConfig(horizon=12, max_rounds=3, max_level=4)
+        cfg = StabilizationConfig(horizon=12, max_rounds=3)
         _, report, _, trace = stabilize_smooth([gauss_point()], thm6_map(), cfg)
         unresolved = trace[-1]["unresolved"]
         assert len(unresolved) > 8
@@ -456,7 +460,7 @@ class TestStabilizeSmooth:
         assert rules == {"preperiodic", "vertex"}
 
     def test_residue_cycle_rule_fires(self):
-        cfg = StabilizationConfig(horizon=16, max_rounds=4, max_level=8)
+        cfg = StabilizationConfig(horizon=16, max_rounds=4)
         res, report, registry, trace = stabilize_smooth(
             [gauss_point(), zp(-1, 1)], drift_square_map(), cfg
         )
