@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .errors import NotRayInvariant
 from .puiseux import PuiseuxPoly, Rat, rat
@@ -275,7 +274,6 @@ class Preperiodic:
 @dataclass(frozen=True)
 class InfiniteByDenominatorGrowth:
     start: Rat
-    deferred_from: Optional[Rat]
     window: tuple
     invariant: str
     prime: int
@@ -291,19 +289,6 @@ class HorizonExceeded:
     kind: str = field(default="horizon-exceeded", init=False)
 
 
-@dataclass(frozen=True)
-class GrowthCertificate:
-    start: Rat
-    window: tuple
-    invariant: str
-
-
-@dataclass(frozen=True)
-class GrowthFailure:
-    reason: str
-    step: Optional[int] = None
-
-
 def _is_pow2(n: int) -> bool:
     return n & (n - 1) == 0
 
@@ -311,51 +296,6 @@ def _is_pow2(n: int) -> bool:
 def _forward_invariant(pl: PLMap) -> bool:
     vals = [pl(x) for x in pl.cuts()]
     return pl.lo <= min(vals) and max(vals) <= pl.hi
-
-
-#: Orbit steps the denominator-growth certificate verifies one by one.
-_GROWTH_WINDOW = 50
-
-
-def denominator_growth_certificate(pl: PLMap, t):
-    """Infinite-orbit certificate for the dyadic-odd invariant family.
-
-    Applies only when every piece has slope (odd)/2 and a dyadic
-    intercept, the domain is forward-invariant, and t is a reduced
-    odd/2^n fraction.  Verifies a window of ``_GROWTH_WINDOW`` steps one
-    by one (odd numerator, strictly growing power-of-two denominator) and
-    checks the window outruns every intercept scale, after which the
-    growth is automatic:
-    (odd/2)*(a/2^n) + p/2^j has reduced denominator exactly 2^(n+1)
-    once n + 1 > j.  Returns GrowthCertificate or GrowthFailure.
-    """
-    t = rat(t)
-    j_max = 0
-    for s, c in pl.pieces:
-        if s.denominator != 2 or s.numerator % 2 == 0:
-            return GrowthFailure(f"slope {s} is not an odd multiple of 1/2")
-        if not _is_pow2(c.denominator):
-            return GrowthFailure(f"intercept {c} is not dyadic")
-        j_max = max(j_max, c.denominator.bit_length() - 1)
-    if not _forward_invariant(pl):
-        return GrowthFailure("domain is not forward-invariant")
-    if not _is_pow2(t.denominator) or t.numerator % 2 == 0:
-        return GrowthFailure(f"start {t} is not a reduced odd/2^n fraction")
-    orbit = [t]
-    cur = t
-    for k in range(_GROWTH_WINDOW):
-        nxt = pl(cur)
-        if nxt.numerator % 2 == 0 or not _is_pow2(nxt.denominator):
-            return GrowthFailure("image left the dyadic-odd family", step=k + 1)
-        # growth is only guaranteed once 1/2^(n+1) is finer than every
-        # intercept; before that only family membership is required
-        if cur.denominator >= 2**j_max and nxt.denominator <= cur.denominator:
-            return GrowthFailure("denominator failed to grow", step=k + 1)
-        orbit.append(nxt)
-        cur = nxt
-    if cur.denominator <= 2 ** (j_max + 1):
-        return GrowthFailure("window too short to outrun the intercept scales")
-    return GrowthCertificate(t, tuple(orbit), "odd/2^n with strictly growing n")
 
 
 def detect_preperiodic(pl: PLMap, t, horizon: int = 64):
@@ -383,7 +323,7 @@ def detect_preperiodic(pl: PLMap, t, horizon: int = 64):
                 s.denominator == 2 and _is_pow2(c.denominator) for s, c in pl.pieces)
             why = "odd/2^n with strictly growing n" if dyadic else (
                 f"{p}-adic valuation strictly decreasing from step {k}")
-            return InfiniteByDenominatorGrowth(cur, t if k else None, tuple(orbit), why, p)
+            return InfiniteByDenominatorGrowth(cur, tuple(orbit), why, p)
         if cur < pl.lo or cur > pl.hi:
             break
         cur = pl(cur)
@@ -399,3 +339,10 @@ def detect_preperiodic(pl: PLMap, t, horizon: int = 64):
         seen[cur] = len(orbit)
         orbit.append(cur)
     return HorizonExceeded(horizon, orbit[-1])
+
+
+def denominator_growth_certificate(pl: PLMap, t, horizon: int = 64):
+    """The infinite-orbit certificate of t: the InfiniteByDenominatorGrowth
+    that ``detect_preperiodic`` finds within ``horizon`` steps, or None."""
+    cert = detect_preperiodic(pl, t, horizon)
+    return cert if isinstance(cert, InfiniteByDenominatorGrowth) else None

@@ -61,7 +61,7 @@ from .intervalmap import (
     FixedPoint,
     InfiniteByDenominatorGrowth,
     PLMap,
-    detect_preperiodic,
+    denominator_growth_certificate,
     fixed_points,
     induce_interval_map,
 )
@@ -1143,8 +1143,8 @@ def wandering_julia_report(chain, point: TypeIIPoint, cfg=None, fibre: int = 0):
     sub = _invariant_restriction(pl, p.t)
     if sub is None or not (sub.lo <= p.t <= sub.hi):
         return None
-    cert = detect_preperiodic(sub, p.t, horizon=cfg.horizon)
-    if not isinstance(cert, InfiniteByDenominatorGrowth):
+    cert = denominator_growth_certificate(sub, p.t, horizon=cfg.horizon)
+    if cert is None:
         return None
     repelling = [
         f for f in fixed_points(sub) if isinstance(f, FixedPoint) and f.repelling

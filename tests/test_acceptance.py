@@ -30,7 +30,6 @@ from skewstab.berkovich import (
 from skewstab.cli import main as cli_main
 from skewstab.errors import RoundCapExceeded
 from skewstab.intervalmap import (
-    GrowthCertificate,
     denominator_growth_certificate,
     fixed_points,
     induce_interval_map,
@@ -107,8 +106,12 @@ def test_criterion_03_orbit_prefix_and_growth_certificate():
         assert list(orbit) == [F(1), F(1, 2), F(3, 4), F(7, 8), F(11, 16)]
         assert not orbit.escaped
         cert = denominator_growth_certificate(pl, 1)
-        assert isinstance(cert, GrowthCertificate)
-        assert cert.start == F(1) and len(cert.window) == 51
+        assert (cert.start, cert.window, cert.prime) == (1, (1,), 2)
+        assert cert.invariant == "odd/2^n with strictly growing n"
+        # independent oracle: 50 steps of odd/2^k, k = 1, 2, ..., 50
+        steps = iterate(pl, 1, 50)[1:]
+        assert [t.denominator for t in steps] == [2**k for k in range(1, 51)]
+        assert all(t.numerator % 2 for t in steps)
 
 
 def test_criterion_04_destabilisation_witness_and_round_cap():

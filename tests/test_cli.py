@@ -315,6 +315,7 @@ class TestFlags:
             (("image", "thm6", "zeta(0, 1)", "0"), "steps must be >= 1"),
             (("check-stability", "thm6", "--precision", "0"), "--precision must be >= 1"),
             (("hull", "thm6", "--precision", "-2"), "--precision must be >= 1"),
+            (("hull", "--points", "zeta(0, 1/3)", "--fibre", "5"), "--fibre needs a definition file"),
         ],
     )
     def test_an_out_of_range_setting_is_a_usage_error(self, argv, message):

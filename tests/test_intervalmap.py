@@ -10,8 +10,6 @@ from skewstab.errors import InsufficientPrecision, NotRayInvariant
 from skewstab.intervalmap import (
     FixedInterval,
     FixedPoint,
-    GrowthCertificate,
-    GrowthFailure,
     HorizonExceeded,
     InfiniteByDenominatorGrowth,
     PLMap,
@@ -302,33 +300,18 @@ class TestFixedPoints:
         assert not any(isinstance(fp, FixedPoint) and fp.t == 1 for fp in fps)
 
 
-class TestGrowthCertificate:
-    def test_window_50_succeeds(self):
+class TestInfiniteOrbitCertificate:
+    def test_dyadic_start_is_certified_at_step_0(self):
         cert = denominator_growth_certificate(fold_map(), 1)
-        assert isinstance(cert, GrowthCertificate)
-        dens = [t.denominator for t in cert.window]
-        assert dens[0] == 1
-        assert all(b == 2 * a for a, b in zip(dens[1:], dens[2:]))
-        assert all(t.numerator % 2 == 1 for t in cert.window)
+        assert (cert.start, cert.window, cert.prime) == (1, (1,), 2)
+        assert cert.invariant == "odd/2^n with strictly growing n"
 
-    def test_replay_reproduces_window(self):
-        pl = fold_map()
-        cert = denominator_growth_certificate(pl, 1)
-        t = cert.start
-        for expected in cert.window[1:]:
-            t = pl(t)
-            assert t == expected
-
-    def test_slope_two_not_applicable(self):
+    def test_slope_two_gives_none(self):
         pl = induce_interval_map(square_map(), ZERO, (0, 1))
-        res = denominator_growth_certificate(pl, 1)
-        assert isinstance(res, GrowthFailure)
-        assert "slope" in res.reason
+        assert denominator_growth_certificate(pl, 1) is None
 
-    def test_non_dyadic_start_not_applicable(self):
-        res = denominator_growth_certificate(fold_map(), F(4, 5))
-        assert isinstance(res, GrowthFailure)
-        assert "odd/2^n" in res.reason
+    def test_fixed_point_gives_none(self):
+        assert denominator_growth_certificate(fold_map(), F(4, 5)) is None
 
 
 def vp(x, p):
@@ -384,13 +367,13 @@ class TestDetectPreperiodic:
         # v_2(2/3) - 1 = 0 < 1 = v_2(2): certified before any step
         cert = detect_preperiodic(fold_map(), F(2, 3))
         assert cert == InfiniteByDenominatorGrowth(
-            F(2, 3), None, (F(2, 3),), "2-adic valuation strictly decreasing from step 0", 2
+            F(2, 3), (F(2, 3),), "2-adic valuation strictly decreasing from step 0", 2
         )
 
     def test_dyadic_start_certified_directly(self):
         cert = detect_preperiodic(fold_map(), 1)
         assert isinstance(cert, InfiniteByDenominatorGrowth)
-        assert cert.deferred_from is None
+        assert cert.window == (1,)
         assert cert.start == 1
         assert cert.invariant == "odd/2^n with strictly growing n"
 
@@ -399,7 +382,7 @@ class TestDetectPreperiodic:
         pl = PLMap(0, 1, (F(1, 2),), ((F(5, 3), F(0)), (F(-5, 3), F(5, 3))))
         cert = detect_preperiodic(pl, F(1, 7), horizon=40)
         why = "3-adic valuation strictly decreasing from step 1"
-        assert cert == InfiniteByDenominatorGrowth(F(5, 21), F(1, 7), (F(1, 7), F(5, 21)), why, 3)
+        assert cert == InfiniteByDenominatorGrowth(F(5, 21), (F(1, 7), F(5, 21)), why, 3)
 
     def test_horizon_exceeded_without_certificate(self):
         # slopes +-2: no prime divides every slope's denominator, and the
@@ -418,28 +401,30 @@ class TestDetectPreperiodic:
             assert str(got.value) == str(want.value) == f"{t} outside domain [0, 1]"
 
     def test_starts_the_old_window_left_open(self):
-        # no point among the first 64 of either orbit is odd/2^n, so the
-        # window never starts; v_2(-3/2 * t) = -1 < 1 = v_2(2) certifies
-        # both at step 0
+        # no point among the first 64 of either orbit has a power-of-two
+        # denominator, so a window of odd/2^n steps never starts; v_2(-3/2 * t) = -1 < 1 =
+        # v_2(2) certifies both at step 0
         pl = unit_fold()
         for t in (F(9, 13), F(3, 7)):
-            assert not any(
-                isinstance(denominator_growth_certificate(pl, u), GrowthCertificate)
-                for u in iterate(pl, t, 63)
-            )
+            dens = [u.denominator for u in iterate(pl, t, 63)]
+            assert not any(d & (d - 1) == 0 for d in dens)
             cert = detect_preperiodic(pl, t)
-            assert (cert.start, cert.deferred_from, cert.window, cert.prime) == (t, None, (t,), 2)
+            assert (cert.start, cert.window, cert.prime) == (t, (t,), 2)
+            assert cert.invariant == "2-adic valuation strictly decreasing from step 0"
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_seeded_valuation_certificates_against_iterate(self, p):
         rng = random.Random(1000 + p)
-        certified = old_open = preperiodic = 0
+        certified = preperiodic = 0
         for _ in range(4):
             pl = seeded_invariant_map(rng, p)
             assert all(pl.lo <= pl(c) <= pl.hi for c in pl.cuts())
             fixed = [fp.t for fp in fixed_points(pl) if isinstance(fp, FixedPoint)]
             for t in fixed + [F(rng.randint(0, 40), rng.randint(1, 40)) % pl.hi for _ in range(12)]:
                 cert = detect_preperiodic(pl, t)
+                assert denominator_growth_certificate(pl, t) == (
+                    cert if isinstance(cert, InfiniteByDenominatorGrowth) else None
+                )
                 orbit = iterate(pl, t, 200)
                 if isinstance(cert, Preperiodic):
                     preperiodic += 1
@@ -450,15 +435,10 @@ class TestDetectPreperiodic:
                 certified += 1
                 k = len(cert.window) - 1
                 assert cert.window == tuple(orbit[: k + 1]) and cert.start == orbit[k]
-                assert cert.deferred_from == (t if k else None)
                 assert len(set(orbit)) == len(orbit) == 201
                 vals = [vp(u, p) for u in orbit[k:]]
                 assert all(b < a for a, b in zip(vals, vals[1:]))
-                old_open += not any(
-                    isinstance(denominator_growth_certificate(pl, u), GrowthCertificate)
-                    for u in orbit[:16]
-                )
-        assert certified and old_open and preperiodic
+        assert certified and preperiodic
 
 
 class TestChainInduce:
