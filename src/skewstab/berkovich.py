@@ -8,14 +8,17 @@ Only these disk points are represented: that is exactly what the
 algorithms downstream need.  Classical points enter only as series
 tested against directions (``classical_in_direction``).
 
-Stored form: ``(center, t, tn, td)``.  The centre is canonical: every
-exponent of it is strictly below ``t``, and it is the exact finite sum
-obtained by discarding the rest.  ``t`` is a ``Fraction`` and
-``tn/td`` the same radius as two ints in lowest terms.  Two points are
-equal as seminorms iff their stored forms are equal, so ``==`` is
-semantic equality.  The tree queries (``leq``, ``join``, directions)
-compare integers: radii by cross-multiplication, and centres term by
-term on the lcm of their exponent lattices (``_split``).
+Stored form: ``(center, tn, td)``.  The radius t is the pair of ints
+``tn/td`` in lowest terms with ``td > 0``, and the centre is canonical:
+every exponent of it is strictly below t, and it is the exact finite sum
+obtained by discarding the rest.  Two points are equal as seminorms iff
+their stored forms are equal, so ``==`` is semantic equality.  The
+producers (``join`` here, the lattice walk and flanks of
+``vertexset``, the pushes of ``skew``) reduce their pair with one gcd,
+and the tree queries (``leq``, ``join``, directions) compare integers:
+radii by cross-multiplication, and centres term by term on the lcm of
+their exponent lattices (``_split``).  ``t`` as a ``Fraction`` is built
+on its first read and kept on the point.
 
 Conventions: ``|x| < 1``, so larger ``t`` means smaller disk.  The
 hyperbolic metric is normalised so the Gauss point and ``zeta(0, 1)``
@@ -38,10 +41,11 @@ class TypeIIPoint:
     convention (the hot constructor skips a ``__setattr__`` guard).
 
     The stored centre is exact: a truncated centre known to O(x^t) or
-    beyond is cut at t, and one known less far is rejected.
+    beyond is cut at t, and one known less far is rejected.  The radius
+    is stored as ``tn/td``; ``t`` reads it as a ``Fraction``.
     """
 
-    __slots__ = ("center", "t", "tn", "td", "_hash")
+    __slots__ = ("center", "tn", "td", "_t", "_hash")
 
     def __init__(self, center, t):
         center = as_series(center)
@@ -51,7 +55,15 @@ class TypeIIPoint:
                 f"centre only known to O(x^{center.precision}), "
                 f"cannot canonicalise at t = {t}"
             )
-        _point(center.drop_from(t), t, self)
+        _point(center.drop_from(t), t.numerator, t.denominator, self)
+        self._t = t
+
+    @property
+    def t(self) -> Fraction:
+        t = self._t
+        if t is None:
+            t = self._t = Fraction(self.tn, self.td)
+        return t
 
     def __eq__(self, other):
         if not isinstance(other, TypeIIPoint):
@@ -69,18 +81,25 @@ class TypeIIPoint:
         return (self.t, self.center.terms)
 
     def __str__(self):
-        return f"zeta({self.center}, {_text(self.t)})"
+        t = _text(self.tn) if self.td == 1 else f"{_text(self.tn)}/{_text(self.td)}"
+        return f"zeta({self.center}, {t})"
 
     def __repr__(self):
         return f"TypeIIPoint({self})"
 
 
-def _point(center: PuiseuxPoly, t: Fraction, into=None) -> TypeIIPoint:
-    """The point of a centre already canonical at t, set up in ``into``
-    if given."""
+def _point(center: PuiseuxPoly, tn: int, td: int, into=None) -> TypeIIPoint:
+    """The point of radius tn/td, in lowest terms with td > 0, of a centre
+    already canonical there, set up in ``into`` if given."""
     p = object.__new__(TypeIIPoint) if into is None else into
-    p.center, p.t, p.tn, p.td, p._hash = center, t, t.numerator, t.denominator, None
+    p.center, p.tn, p.td, p._t, p._hash = center, tn, td, None, None
     return p
+
+
+def _point_over(center: PuiseuxPoly, k: int, n: int) -> TypeIIPoint:
+    """``_point`` of radius k/n, n > 0, reduced with one gcd."""
+    g = math.gcd(k, n)
+    return _point(center, k // g, n // g)
 
 
 def gauss_point() -> TypeIIPoint:
@@ -175,7 +194,7 @@ def join(p1: TypeIIPoint, p2: TypeIIPoint) -> TypeIIPoint:
     k, n = _split(p1.center, p2.center)
     if k is None or k * outer.td >= outer.tn * n:
         return outer
-    return _point(p1.center._cut(-(-k * p1.center.N // n), INF), Fraction(k, n))
+    return _point_over(p1.center._cut(-(-k * p1.center.N // n), INF), k, n)
 
 
 def hyperbolic_distance(p1: TypeIIPoint, p2: TypeIIPoint) -> Fraction:

@@ -133,7 +133,9 @@ def _induce_link(smap: SkewLocal, center, lo, hi):
         s, c = piece
         T = max(s * t0, s * t1) + c
         deepest[j] = max(T, deepest.get(j, T))
-    images = [image_point(smap.base, *table.cands[j][:2], T) for j, T in deepest.items()]
+    images = [
+        image_point(smap.base, *table.cands[j][:2], T.numerator, T.denominator) for j, T in deepest.items()
+    ]
     ray = max(images, key=lambda img: img.t)
     for img in images:
         if img.center != ray.center.drop_from(img.t):

@@ -211,19 +211,19 @@ class SkewLocal:
 
 
 def _proportional(num, den) -> bool:
-    # exact cross-ratio test: num_i*den_j == num_j*den_i for all i, j
+    """Exact cross-ratio test: num_i*den_j == num_j*den_i for all i, j.
+
+    Exact series have no zero divisors, so it suffices to test every i
+    against the first k with den_k != 0: (num_i*den_j - num_j*den_i)*den_k
+    is num_i*den_k*den_j - num_j*den_k*den_i = 0 when both hold against k.
+    A truncated coefficient leaves it undecided, read as False.
+    """
     if any(c.precision is not INF for c in list(num) + list(den)):
         return False
     n = max(len(num), len(den))
-
-    def get(seq, i):
-        return seq[i] if i < len(seq) else ZERO
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if get(num, i) * get(den, j) != get(num, j) * get(den, i):
-                return False
-    return True
+    num, den = [*num, *[ZERO] * (n - len(num))], [*den, *[ZERO] * (n - len(den))]
+    k = next((k for k, c in enumerate(den) if c), None)
+    return k is None or all(a * den[k] == num[k] * b for a, b in zip(num, den))
 
 
 # -- Gauss valuations ----------------------------------------------------------
@@ -460,13 +460,12 @@ class PushTable:
             f"truncated coefficients leave the image radius undecided at t = {t}"
         )
 
-    def stretch(self, t):
-        """``(j, du, di)`` read at level t: the winner j and the winner's
-        least line less Q's, so T = (du*b + di*a)/(L*n*b) at t = a/b.  Off
-        a crossing, once the table has served a push or sorted its
+    def stretch(self, a, b):
+        """``(j, du, di)`` read at level t = a/b, b > 0: the winner j and
+        the winner's least line less Q's, so T = (du*b + di*a)/(L*n*b).
+        Off a crossing, once the table has served a push or sorted its
         crossings, the first read in a stretch fills its slot and later
-        reads return it."""
-        a, b = t.numerator, t.denominator
+        reads return it; only a fill builds t as a ``Fraction``."""
         slot = None
         if self._plain and (self._served or self._cuts is not None):
             self.cuts()
@@ -478,7 +477,7 @@ class PushTable:
                     return self._stretches[k]
                 slot = k
         self._served = True
-        j, _ = self.winner(t)
+        j, _ = self.winner(Fraction(a, b))
         uq, iq = min(self.den, key=lambda line: line[0] * b + line[1] * a)
         uj, ij = min(self.cands[j][2], key=lambda line: line[0] * b + line[1] * a)
         kept = j, uj - uq, ij - iq
@@ -486,11 +485,14 @@ class PushTable:
             self._stretches[slot] = kept
         return kept
 
-    def radius(self, t):
-        """``(j, T)``: the winning candidate at level t and the image radius
-        T = (max_k vG(P - w_k*Q) - vG(Q))/n, read off ``stretch``."""
-        j, du, di = self.stretch(t)
-        return j, Fraction(du * t.denominator + di * t.numerator, self._Ln * t.denominator)
+    def radius(self, a, b):
+        """``(j, Tn, Td)``: the winning candidate at level t = a/b, b > 0,
+        and the image radius T = (max_k vG(P - w_k*Q) - vG(Q))/n as
+        Tn/Td in lowest terms, Td > 0, read off ``stretch``."""
+        j, du, di = self.stretch(a, b)
+        tn, td = du * b + di * a, self._Ln * b
+        g = math.gcd(tn, td)
+        return j, tn // g, td // g
 
     def ray_map(self, lo, hi):
         """T on [lo, hi]: ``(t0, t1, j, (slope, intercept))`` per stretch
@@ -500,7 +502,8 @@ class PushTable:
         ends = [lo, *(x for x in self.cuts() if lo < x < hi), hi]
         out = []
         for t0, t1 in zip(ends, ends[1:]):
-            j, du, di = self.stretch((t0 + t1) / 2)
+            mid = (t0 + t1) / 2
+            j, du, di = self.stretch(mid.numerator, mid.denominator)
             _, _, lines, bounds = self.cands[j]
             for a, b in ((x.numerator, x.denominator) for x in (t0, t1) if bounds):
                 best = min(u * b + i * a for u, i in lines)
@@ -514,17 +517,19 @@ class PushTable:
         return out
 
 
-def image_point(base: BaseGerm, pk, qk, T) -> TypeIIPoint:
-    """The image point of radius T centred at the ratio pk/qk carried
-    through the inverse of the base germ; T = (max_k vG(P - w_k*Q) - vG(Q))/n.
+def image_point(base: BaseGerm, pk, qk, tn: int, td: int) -> TypeIIPoint:
+    """The image point of radius T = tn/td, in lowest terms with td > 0,
+    centred at the ratio pk/qk carried through the inverse of the base
+    germ; T = (max_k vG(P - w_k*Q) - vG(Q))/n.
 
     The centre keeps its terms below T only, so the ratio is read to
     O(x^(T*n + 1)), exactly when qk is an exact monomial; a truncated zero
     pk that won has bounds no lower than T*n, so its ratio is 0 below it,
-    and the image is zeta(0, T) with no transport.
+    and the image is zeta(0, T) with no transport, and no ``Fraction``.
     """
     if not pk:
-        return _point(ZERO, T)
+        return _point(ZERO, tn, td)
+    T = Fraction(tn, td)
     if qk.precision is INF and len(qk.nums) == 1:
         # divide by the exact monomial qk: a shift and a scale
         w = pk.shift(-qk.val()).scale(1 / qk.leading_coeff())
@@ -549,9 +554,9 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
             # a blocked candidate ratio; vG(Q) at p.t is still checked first
             gauss_val(shift_poly(list(s.den), p.center), p.t)
             raise
-        j, T = table.radius(p.t)
+        j, tn, td = table.radius(p.tn, p.td)
         pk, qk = table.cands[j][:2]
-        image = s._pushes[p] = image_point(s.base, pk, qk, T)
+        image = s._pushes[p] = image_point(s.base, pk, qk, tn, td)
     return image
 
 

@@ -928,9 +928,10 @@ def _escape_index(path):
             ji, pi = path[i]
             if ji != jk or pi == pk:
                 continue
-            if leq(pk, pi) and pk.t > pi.t:
+            d = pk.tn * pi.td - pi.tn * pk.td  # the sign of pk.t - pi.t
+            if d > 0 and leq(pk, pi):
                 return i, k, True
-            if leq(pi, pk) and pk.t < pi.t:
+            if d < 0 and leq(pi, pk):
                 return i, k, False
     return None
 
@@ -978,11 +979,13 @@ def _attracting_disks(an: _Analyzer, path, additions):
     slots = []
     for idx in range(i, k):
         jj, first = path[idx]
-        # the deepest centre seen in this slot best approximates the limit
-        q = max(
-            (path[s][1] for s in range(idx, len(path), period)),
-            key=lambda pt: pt.t if inward else -pt.t,
-        )
+        # the deepest centre seen in this slot best approximates the limit:
+        # the first of largest t inward, of least t outward
+        q = first
+        for _, pt in path[idx + period :: period]:
+            d = pt.tn * q.td - q.tn * pt.td
+            if d > 0 if inward else d < 0:
+                q = pt
         if inward:
             deepest = deepest_below(an.gammas[jj], TypeIIPoint(q.center, first.t))
             depth = first.t if deepest is None else deepest

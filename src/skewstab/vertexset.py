@@ -49,7 +49,7 @@ tree of depth d whose nodes have at most k children:
   order N // m on ints, O(1) per point returned.  Its start costs one
   modular inverse when m times the piece's lower end is in that
   sequence, and one pass over the denominators up to N // m otherwise;
-  a ``Fraction`` and a point are built only for each point returned;
+  each point returned costs one gcd and a point, and no ``Fraction``;
 * ``smooth_n_convex_hull``: one tree build, then edits of parents and
   children; a lattice scan per edge and a flank test per vertex, once.
 
@@ -57,7 +57,7 @@ The set order, in which a ``VertexSet`` keeps its points and the tree its
 nodes, is ``TypeIIPoint.sort_key``'s, each radius and centre term read
 as integers on the lattice of the set.  With ``berkovich``'s integer
 kernel, building, seating, flanking and the lattice scan compare no
-``Fraction``.
+``Fraction``, and the points they make are built from ints with none.
 """
 
 from __future__ import annotations
@@ -65,13 +65,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .berkovich import (
     Direction,
     TypeIIPoint,
     _point,
+    _point_over,
     _scaled,
     _split,
     classify_point,
@@ -225,12 +225,17 @@ class HullTree:
         return got
 
     def deepest(self) -> dict:
-        """Each node's largest t of a vertex in its closed disk (built
-        once): a leaf is a vertex, and a node that is not has children."""
+        """Each node's vertex of largest t in its closed disk (built
+        once): a leaf is a vertex, and a node that is not has children,
+        each deeper than it."""
         if not self._deepest:
             for x in reversed(self.nodes):
-                below = (self._deepest[c] for c in self.children_of[x])
-                self._deepest[x] = max(below, default=x.t)
+                best = x
+                for c in self.children_of[x]:
+                    d = self._deepest[c]
+                    if d.tn * best.td > best.tn * d.td:
+                        best = d
+                self._deepest[x] = best
         return self._deepest
 
     def reach(self, starts, passed=None) -> set:
@@ -401,8 +406,8 @@ def _lattice_walk(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
     m*t has a denominator r <= R = bound // m, so the points are s/m for
     s in the Farey sequence of order R between m*lo and m*hi.  The walk
     starts from the Farey pair around m*lo and steps with the next-term
-    recurrence on ints; a ``Fraction`` and a point are built only for
-    each point it yields.
+    recurrence on ints; each point it yields is built from its pair
+    reduced by one gcd, with no ``Fraction``.
     """
     if not leq(inner, outer):
         raise ValueError("segment endpoints are not comparable")
@@ -434,7 +439,9 @@ def _lattice_walk(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
             # e/f <= m*hi, and e/f < m*hi on the last piece
             M = m * hn
             while e * hd < M * f + (not at_end):
-                yield _point(center, Fraction(e, m * f))
+                # e/f is in lowest terms, so gcd(e, m*f) = gcd(e, m)
+                g = math.gcd(e, m)
+                yield _point(center, e // g, m * f // g)
                 k = (R + b) // f
                 a, b, e, f = e, f, k * e - a, k * f - b
         ln, ld = hn, hd
@@ -508,9 +515,9 @@ def flank_in_direction(p: TypeIIPoint, v: Direction) -> TypeIIPoint:
         # the last k/m below t; the centre's exponents lie on 1/m below t,
         # so one at k/m is cut
         k = (p.tn * m - 1) // p.td
-        return _point(p.center._cut(k, INF), Fraction(k, m))
+        return _point_over(p.center._cut(k, INF), k, m)
     # the first k/m past t; the class representative ends at or before t
-    return _point(v.rep, Fraction(p.tn * m // p.td + 1, m))
+    return _point_over(v.rep, p.tn * m // p.td + 1, m)
 
 
 def missing_flanks(p: TypeIIPoint, gammas):
@@ -770,7 +777,7 @@ def deepest_below(gammas, p: TypeIIPoint):
     tree = vs.tree()
     u, w = tree.seat(p)
     x = u if w is None else w
-    return tree.deepest()[x] if leq(x, p) else None
+    return tree.deepest()[x].t if leq(x, p) else None
 
 
 def _between(members) -> GammaDomain:

@@ -572,6 +572,53 @@ def test_constant_fibre_map_is_degenerate_as_before():
         assert _outcome(pushforward, s, p) is DegenerateImage
 
 
+def _pairwise_proportional(num, den):
+    """The definition: num_i*den_j == num_j*den_i for every pair i < j,
+    and False when a coefficient is truncated."""
+    if any(c.precision is not INF for c in [*num, *den]):
+        return False
+    n = max(len(num), len(den))
+    num, den = [*num, *[ZERO] * (n - len(num))], [*den, *[ZERO] * (n - len(den))]
+    return all(num[i] * den[j] == num[j] * den[i] for i in range(n) for j in range(i + 1, n))
+
+
+def test_proportional_matches_the_pairwise_definition():
+    # zero patterns that differ, pairs that differ by a series factor,
+    # the same with one entry changed or truncated, and unrelated pairs
+    rng = random.Random(2903)
+    half = S((F(1, 2), F(1)))
+    pairs = [
+        ([ZERO, ONE], [ONE, ZERO]),
+        ([ONE, ZERO], [ZERO, ONE]),
+        ([ZERO, X], [ZERO, ONE]),
+        ([ZERO, ZERO, X + half], [ZERO, ZERO, ONE]),
+        ([X, ONE], [X * X, X]),
+        ([ONE], [ONE, ONE]),
+        ([X, ONE.truncate(4)], [X, ONE]),
+    ]
+    for _ in range(400):
+        choices = [ZERO, ZERO, ONE, X, half, S((F(-1), F(2)), (F(1, 3), F(-1)))]
+        den = [rng.choice(choices) for _ in range(rng.randint(1, 4))]
+        r = rng.random()
+        if r < 0.6:
+            factor = rng.choice([ONE, X, S((F(0), F(2)), (F(1, 2), F(1))), S((F(-2, 3), F(-3)))])
+            num = [factor * c for c in den]
+            if r < 0.2:
+                i = rng.randrange(len(num))
+                num[i] = rng.choice([num[i] + X, ZERO, ONE, num[i].truncate(3)])
+            if rng.random() < 0.3:
+                num.append(ZERO)
+        else:
+            num = [rng.choice([ZERO, ONE, X, half]) for _ in range(rng.randint(1, 4))]
+        pairs.append((num, den) if rng.random() < 0.5 else (den, num))
+    seen = {True: 0, False: 0}
+    for num, den in pairs:
+        want = _pairwise_proportional(num, den)
+        assert skew._proportional(num, den) is want, f"{num} / {den}"
+        seen[want] += 1
+    assert min(seen.values()) > 100, seen
+
+
 def _mixed_coefficient(rng):
     """An exact zero, a truncated zero, or one or two small terms, at
     times truncated."""
@@ -812,7 +859,7 @@ def _fresh_table(s, center):
 
 def _radius_outcome(table, t):
     try:
-        return table.radius(t)
+        return table.radius(t.numerator, t.denominator)
     except (SkewstabError, ValueError) as exc:
         return type(exc), str(exc)
 

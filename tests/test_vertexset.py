@@ -1,11 +1,12 @@
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 
-from mapdefs import random_point
+from mapdefs import bundled_links, random_point
 from skewstab.berkovich import (
     TypeIIPoint,
     direction_at,
@@ -21,8 +22,10 @@ from skewstab.berkovich import (
     special_directions,
 )
 from skewstab import vertexset
-from skewstab.errors import RoundCapExceeded
+from skewstab.errors import RoundCapExceeded, SkewstabError
+from skewstab.parsing import parse_point
 from skewstab.puiseux import PuiseuxPoly, Rat
+from skewstab.skew import SkewLocal, pushforward
 from skewstab.vertexset import (
     GammaDomain,
     SmoothnessReport,
@@ -912,6 +915,117 @@ class TestFareyWalk:
         for outer, inner in ((a, b), (b, a), (zeta(ZERO, 2), GAUSS)):
             with pytest.raises(ValueError, match="^segment endpoints are not comparable$"):
                 segment_lattice_points(outer, inner, 6)
+
+
+# -- the stored form: integer radii from every producer --------------------
+
+
+def _stored_form_holds(p):
+    """tn/td in lowest terms with td > 0, and p the point the public
+    constructor makes of its centre and Fraction(tn, td)."""
+    want = TypeIIPoint(p.center, F(p.tn, p.td))
+    return (
+        math.gcd(p.tn, p.td) == 1
+        and p.td > 0
+        and p == want
+        and hash(p) == hash(want)
+        and str(p) == str(want) == f"zeta({p.center}, {F(p.tn, p.td)})"
+        and p.t == want.t == F(p.tn, p.td)
+    )
+
+
+@contextmanager
+def _fractions_made():
+    """The argument tuples of every Fraction built inside the block."""
+    made, new = [], F.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counting)
+    try:
+        yield made
+    finally:
+        F.__new__ = new
+
+
+def _fresh_links():
+    """thm6's link and thmB's first, apart from the bundled ones, so that
+    no push of another test is kept on them."""
+    links = dict(bundled_links())
+    return [SkewLocal(s.base, s.num, s.den) for s in (links["thm6[0]"], links["thmB[0]"])]
+
+
+class TestStoredForm:
+    def test_walk_points_are_in_lowest_terms(self):
+        walked = 0
+        for outer, inner in [(GAUSS, _MULTI_PIECE_INNER), *_NEGATIVE_RADIUS_SEGMENTS]:
+            for bound in [*range(1, 13), 24, 60]:
+                for p in segment_lattice_points(outer, inner, bound):
+                    assert _stored_form_holds(p), f"{outer} to {inner} at {bound}: {p}"
+                    walked += 1
+        assert walked > 5000
+
+    def test_flanks_and_joins_are_in_lowest_terms(self):
+        rng = random.Random(2901)
+        kinds = Counter()
+        for _ in range(300):
+            p, q = random_point(rng, 6), random_point(rng, 6)
+            for v in (direction_infinity(p), direction_to_class(p, p.center)):
+                f = flank_in_direction(p, v)
+                assert _stored_form_holds(f), f"flank of {p} in {v}: {f}"
+                kinds["flank", v.at_infinity] += 1
+            s = join(p, q)
+            assert _stored_form_holds(s), f"join of {p} and {q}: {s}"
+            kinds["new join" if s not in (p, q) else "outer"] += 1
+        assert min(kinds.values()) > 50, kinds
+
+    def test_pushes_and_parsed_points_are_in_lowest_terms(self):
+        # zero winners push centre 0 with no transport; non-zero winners
+        # carry their centre through the inverse germ
+        rng = random.Random(2902)
+        zero_won = transported = 0
+        for s in _fresh_links():
+            for _ in range(40):
+                p = random_point(rng, 4)
+                p = rng.choice([p, TypeIIPoint(ZERO, p.t), TypeIIPoint(ONE, p.t)])
+                try:
+                    image = pushforward(s, p)
+                except SkewstabError:
+                    continue
+                assert _stored_form_holds(image), f"{s} at {p}: {image}"
+                table = s.push_table(p.center)
+                if table.cands[table.winner(p.t)[0]][0]:
+                    transported += 1
+                else:
+                    zero_won += 1
+        assert zero_won > 10 and transported > 10, (zero_won, transported)
+        for text in ("zeta(0, 6/4)", "zeta(x^(1/2) - x, -10/15)", "zeta(1, 0/7)", "zeta(x^(-1/3), -2)"):
+            assert _stored_form_holds(parse_point(text)), text
+        for _ in range(100):
+            p = random_point(rng, 6)
+            assert _stored_form_holds(parse_point(str(p))), p
+
+    def test_a_lattice_walk_builds_no_fraction(self):
+        segments = [(GAUSS, _MULTI_PIECE_INNER), *_NEGATIVE_RADIUS_SEGMENTS]
+        with _fractions_made() as made:
+            walked = sum(len(segment_lattice_points(o, i, b)) for o, i in segments for b in range(1, 61))
+        assert walked > 5000 and made == []
+
+    def test_a_push_read_off_a_kept_stretch_builds_no_fraction(self):
+        # two pushes in the stretch (0, 2/3) of thm6's table at centre 0
+        # fill and keep it; a third in it reads the kept stretch, and its
+        # winning ratio is zero, so its image takes no centre transport
+        s, _ = _fresh_links()
+        first, second, third = (TypeIIPoint(ZERO, F(k, 7)) for k in (1, 2, 3))
+        pushforward(s, first)
+        pushforward(s, second)
+        table = s.push_table(ZERO)
+        assert not table.cands[table.winner(third.t)[0]][0]
+        with _fractions_made() as made:
+            image = pushforward(s, third)
+        assert made == [] and image == TypeIIPoint(ZERO, F(9, 14))
 
 
 # -- descents that jump runs of single-child nodes, against the ----------
