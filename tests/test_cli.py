@@ -422,6 +422,9 @@ GOLDEN_RUNS = [
     *(["stabilize", f"tests/data/{m}.skew"] for m in ("x3", "w3", "p2")),
     ["image", "thm6", "zeta(0,3/5)", "40"],
     ["image", "thmB", "zeta(2*x^(3/4),2)", "6"],
+    # a two-term centre, shifted by both thmB germs: it crosses from fibre
+    # 0 to fibre 1
+    ["image", "thmB", "zeta(x^(-3/2)-3*x^(-1/2),1)", "6"],
     ["hull", "thm6"],
     ["smooth-hull", "thm6"],
     ["smooth-hull", "thm6", "-n", "12", "--points", "zeta(x^(1/3),5/4),zeta(1+x^(3/4),2)"],
