@@ -134,7 +134,7 @@ def _induce_link(smap: SkewLocal, center, lo, hi):
         T = max(s * t0, s * t1) + c
         deepest[j] = max(T, deepest.get(j, T))
     images = [
-        image_point(smap.base, *table.cands[j][:2], T.numerator, T.denominator) for j, T in deepest.items()
+        image_point(smap.base, *table.ratio(j), T.numerator, T.denominator) for j, T in deepest.items()
     ]
     ray = max(images, key=lambda img: img.t)
     for img in images:
@@ -295,6 +295,18 @@ def _is_pow2(n: int) -> bool:
     return n & (n - 1) == 0
 
 
+def _prime_factors(g: int) -> list:
+    """The primes dividing g >= 1, in increasing order."""
+    out, q = [], 2
+    while q * q <= g:
+        if g % q == 0:
+            out.append(q)
+            while g % q == 0:
+                g //= q
+        q += 1
+    return out + [g] if g > 1 else out
+
+
 def _forward_invariant(pl: PLMap) -> bool:
     vals = [pl(x) for x in pl.cuts()]
     return pl.lo <= min(vals) and max(vals) <= pl.hi
@@ -304,23 +316,27 @@ def detect_preperiodic(pl: PLMap, t, horizon: int = 64):
     """Classify the orbit of t: exact cycle, certified infinite, or open.
 
     Cycle detection is exact set membership on rationals.  Each orbit
-    point t_k is first tested at p, the least prime dividing every slope's
-    denominator (v_p(s_i) = -a_i < 0): if v_p(s_i*t_k) < v_p(c_i) on every
-    piece, then v_p(T(t_k)) = v_p(t_k) - a_i and the test holds again, so
-    on a forward-invariant domain v_p falls strictly from t_k on and no
-    point up to t_k is periodic.  A start outside [lo, hi] raises as T does.
+    point t_k is first tested at every prime p dividing every slope's
+    denominator (v_p(s_i) = -a_i < 0), in increasing order: if
+    v_p(s_i*t_k) < v_p(c_i) on every piece, then v_p(T(t_k)) = v_p(t_k) - a_i
+    and the test holds again, so on a forward-invariant domain v_p falls
+    strictly from t_k on and no point up to t_k is periodic.  The first
+    prime that holds is the certificate's.  A start outside [lo, hi]
+    raises as T does.
     """
     t = rat(t)
     if t < pl.lo or t > pl.hi:
         raise ValueError(f"{t} outside domain [{pl.lo}, {pl.hi}]")
-    g = math.gcd(*(s.denominator for s, _ in pl.pieces))
-    p = next((q for q in range(2, math.isqrt(g) + 1) if g % q == 0), g)
-    p = p if p > 1 and _forward_invariant(pl) else None
+    primes = []
+    if _forward_invariant(pl):
+        primes = _prime_factors(math.gcd(*(s.denominator for s, _ in pl.pieces)))
     orbit = [t]
     seen = {t: 0}
     cur = t
     for k in range(horizon):
-        if p and cur and all((s * cur / c).denominator % p == 0 for s, c in pl.pieces if c):
+        holds = (q for q in primes if all((s * cur / c).denominator % q == 0 for s, c in pl.pieces if c))
+        p = next(holds, None) if cur else None
+        if p:
             dyadic = cur.numerator % 2 and _is_pow2(cur.denominator) and all(
                 s.denominator == 2 and _is_pow2(c.denominator) for s, c in pl.pieces)
             why = "odd/2^n with strictly growing n" if dyadic else (

@@ -230,9 +230,11 @@ class PuiseuxPoly:
                 and self.den == other.den and self.precision == other.precision)
 
     def __hash__(self):
+        """The hash of the stored form, the fields ``==`` compares, so no
+        ``Fraction`` is built."""
         h = self._hash
         if h is None:
-            h = hash((self.terms, self.precision))
+            h = hash((self.N, self.lo, self.nums, self.den, self.precision))
             self._hash = h
         return h
 

@@ -127,71 +127,194 @@ def ratio_str(num, den) -> str:
     return f"{num_s} / {den_s}"
 
 
-def shift_poly(coeffs, a: PuiseuxPoly):
-    """Coefficients of the same polynomial in tau = y - a, for an exact a.
+class TaylorShift:
+    """The coefficients of a polynomial in tau = y - a, for an exact a,
+    each read only as far as a reader needs it.
 
-    A Taylor shift on integer slots: the coefficient of tau^i is
-    sum_j C(j, i)*c_j*a^(j - i).  Every c_j and every power of a is read
-    as slots on one lattice 1/N, over one common denominator, so each
-    coefficient is one integer convolution sum, canonicalised once.  A
-    truncated c_j leaves the coefficient of tau^i known to
-    O(x^(prec c_j + (j - i)*val a)), the least such bound over j >= i.
+    The coefficient of tau^i is sum_j C(j, i)*c_j*a^(j - i).  The setup
+    reads every c_j and every power of a as slots on one lattice 1/N,
+    over one common denominator ``den``, and finds where each
+    coefficient's slots start: row j puts its slots of tau^i from index
+    lo c_j + (j - i)*lo a on, and the least of these over j >= i is the
+    coefficient's first index.  A read is then one integer convolution
+    of the rows c_j with the powers of a, run for each coefficient only
+    over the window of slots from its first index that it asks for
+    (``_read``).  ``leads`` asks every coefficient for one slot, and asks
+    again, in windows of 2, 4, ... slots, only those whose first slot
+    cancels, so a zero is proved by reading every slot below the
+    precision; ``self[i]`` reads in full, canonicalises once and keeps
+    the series.  Powers of a are built to their lowest slot in the
+    setup, in full on the first wider read.  A truncated c_j leaves the
+    coefficient of tau^i known to O(x^(prec c_j + (j - i)*val a)), the
+    least such bound over j >= i (``precisions``).  At a = 0 the
+    coefficients are handed out as they are, and ``leads`` reads their
+    own lowest slots.  Past the degree every coefficient is an exact
+    zero.
     """
-    coeffs = list(coeffs)
-    if a.is_exact_zero:
-        return coeffs
-    if a.precision is not INF:
-        raise ValueError("a polynomial is shifted only to an exact centre")
-    live = [(j, c) for j, c in enumerate(coeffs) if c.nums]
-    N = math.lcm(a.N, *(c.N for _, c in live))
-    den = math.lcm(*(c.den for _, c in live))
-    m = live[-1][0] if live else 0
-    # a^k as (index, slot) pairs on 1/N from k*lo, times a.den^(m - k),
-    # so that every power is over a.den^m
-    sa = N // a.N
-    powers, dense = [[(0, a.den**m)]], [1]
-    for k in range(1, m + 1):
-        nxt = [0] * (len(dense) + len(a.nums) - 1)
-        for x, u in enumerate(dense):
-            if u:
-                for y, v in enumerate(a.nums):
-                    nxt[x + y] += u * v
-        dense, scale = nxt, a.den ** (m - k)
-        powers.append([(x * sa, u * scale) for x, u in enumerate(dense) if u])
-    # each c_j as (j, index of its lowest slot, slots from there) over den,
-    # den times a.den^m being the denominator of every output
-    rows = []
-    for j, c in live:
-        s, f = N // c.N, den // c.den
-        rows.append((j, c.lo * s, [(x * s, u * f) for x, u in enumerate(c.nums) if u]))
-    lo_a, span_a = a.lo * sa, (len(a.nums) - 1) * sa
-    cut = [(j, c.precision) for j, c in enumerate(coeffs) if c.precision is not INF]
-    val_a, den = Fraction(a.lo, a.N), den * a.den**m
-    out = []
-    for i in range(len(coeffs)):
-        prec = min((p + (j - i) * val_a for j, p in cut if j >= i), default=INF)
-        terms = [(j, at + (j - i) * lo_a, slots) for j, at, slots in rows if j >= i]
-        if not terms:
-            out.append(PuiseuxPoly.zero(prec))
-            continue
-        lo = min(at for _, at, _ in terms)
-        size = max(at + slots[-1][0] + (j - i) * span_a for j, at, slots in terms) - lo + 1
+
+    __slots__ = (
+        "N", "den", "precisions", "_coeffs", "_a", "_rows", "_powers", "_lo_a", "_starts", "_full",
+    )
+
+    def __init__(self, coeffs, a: PuiseuxPoly):
+        coeffs = self._coeffs = tuple(coeffs)
+        precisions = [c.precision for c in coeffs]
+        if a.is_exact_zero:
+            self.N = math.lcm(*[c.N for c in coeffs])
+            self.den = math.lcm(*[c.den for c in coeffs])
+            self.precisions, self._rows = precisions, None
+            return
+        if a.precision is not INF:
+            raise ValueError("a polynomial is shifted only to an exact centre")
+        n = len(coeffs)
+        live = [(j, c) for j, c in enumerate(coeffs) if c.nums]
+        N = math.lcm(a.N, *(c.N for _, c in live))
+        den = math.lcm(*(c.den for _, c in live))
+        m = live[-1][0] if live else 0
+        lo_a = a.lo * (N // a.N)
+        # a^k as (index, slot) pairs on 1/N from k*lo, times a.den^(m - k),
+        # so that every power is over a.den^m
+        a0, ad = a.nums[0], a.den
+        self._powers = [[(0, a0**k * ad ** (m - k))] for k in range(m + 1)]
+        # each c_j as (j, base, slots from its lowest) over den, den times
+        # a.den^m being the denominator of every output; row j puts its
+        # slots of tau^i from base - i*lo_a on
+        rows = []
+        for j, c in live:
+            s, f = N // c.N, den // c.den
+            rows.append((j, c.lo * s + j * lo_a, [(x * s, u * f) for x, u in enumerate(c.nums) if u]))
+        if precisions.count(INF) < n:
+            cut, val_a = [(j, p) for j, p in enumerate(precisions) if p is not INF], Fraction(a.lo, a.N)
+            precisions = [
+                min((p + (j - i) * val_a for j, p in cut if j >= i), default=INF) for i in range(n)
+            ]
+        # the least base over j >= i: the coefficient of tau^i starts
+        # there, less i*lo_a; None past the last row
+        starts, lo, r = [None] * n, None, len(rows)
+        for i in range(n - 1, -1, -1):
+            while r and rows[r - 1][0] >= i:
+                r -= 1
+                lo = rows[r][1] if lo is None else min(lo, rows[r][1])
+            starts[i] = lo
+        self.N, self.den, self.precisions, self._a, self._rows = N, den * ad**m, precisions, a, rows
+        self._lo_a, self._starts, self._full = lo_a, starts, [None] * n
+
+    def __len__(self):
+        return len(self._coeffs)
+
+    def leads(self) -> list:
+        """For each coefficient, ``(x, u)``: its lowest nonzero slot below
+        its precision, x its index on 1/N and u its numerator over
+        ``den``; None for a zero, exact or truncated."""
+        if self._rows is None:
+            N, den = self.N, self.den
+            return [
+                (c.lo * (N // c.N), c.nums[0] * (den // c.den)) if c.nums else None for c in self._coeffs
+            ]
+        starts, lo_a, out = self._starts, self._lo_a, [None] * len(self._coeffs)
+        if self.precisions.count(INF) == len(out):
+            asked = [(i, 1) for i, x in enumerate(starts) if x is not None]
+        else:
+            asked = [(i, 1) for i in range(len(out)) if self._size(i, 1)]
+        for (i, _), (u,) in zip(asked, self._read(asked)):
+            # a first slot that cancels is read on in wider windows
+            out[i] = (starts[i] - i * lo_a, u) if u else self._lead(i)
+        return out
+
+    def _lead(self, i):
+        """The lowest nonzero slot of the coefficient of tau^i, read in
+        windows of 2, 4, ... slots, or None once every slot reads 0."""
+        size, w = self._size(i), 1
+        while w < size:
+            w = min(2 * w, size)
+            for x, u in enumerate(self._read([(i, w)])[0]):
+                if u:
+                    return self._starts[i] - i * self._lo_a + x, u
+        if self._full[i] is None:
+            self._full[i] = PuiseuxPoly.zero(self.precisions[i])
+        return None
+
+    def __getitem__(self, i) -> PuiseuxPoly:
+        """The coefficient of tau^i, built in full on its first read and kept."""
+        if i >= len(self._coeffs):
+            return _ZERO
+        if self._rows is None:
+            return self._coeffs[i]
+        if self._full[i] is None:
+            w = self._size(i)  # 0: no slot below the precision
+            lo, acc = (self._starts[i] - i * self._lo_a, self._read([(i, w)])[0]) if w else (0, [])
+            self._full[i] = _canon(self.N, lo, acc, self.den, self.precisions[i])
+        return self._full[i]
+
+    def _size(self, i, most=None) -> int:
+        """How many slots of the coefficient of tau^i, from its first
+        index, lie below its precision, counting no further than ``most``:
+        up to the greatest index a row j >= i reaches."""
+        start, prec = self._starts[i], self.precisions[i]
+        if start is None:
+            return 0
+        if most is None:
+            a = self._a
+            span = (len(a.nums) - 1) * (self.N // a.N)
+            ends = (base + slots[-1][0] + (j - i) * span for j, base, slots in self._rows if j >= i)
+            most = max(ends) - start + 1
         if prec is not INF:
-            size = max(min(size, _ceil(prec, N) - lo), 0)
-        acc = [0] * size
-        for j, at, slots in terms:
-            f, pw = math.comb(j, i), powers[j - i]
-            for x, u in slots:
-                x += at - lo
-                if x >= size:
+            most = max(min(most, _ceil(prec, self.N) - start + i * self._lo_a), 0)
+        return most
+
+    def _powers_in_full(self):
+        """Every slot of each power of a, built on the first read of more
+        than the lowest slot and kept."""
+        a, powers = self._a, self._powers
+        if len(powers) > 1 and len(powers[1]) == 1:
+            m, sa, dense = len(powers) - 1, self.N // a.N, [1]
+            for k in range(1, m + 1):
+                nxt = [0] * (len(dense) + len(a.nums) - 1)
+                for x, u in enumerate(dense):
+                    if u:
+                        for y, v in enumerate(a.nums):
+                            nxt[x + y] += u * v
+                dense, scale = nxt, a.den ** (m - k)
+                powers[k] = [(x * sa, u * scale) for x, u in enumerate(dense) if u]
+
+    def _read(self, asked):
+        """For each ``(i, w)`` in ``asked``, ascending in i and w >= 1, the
+        first w slots of the coefficient of tau^i: the one integer
+        convolution of the rows with the powers of a, cut for each
+        coefficient at its window."""
+        accs = [[0] * w for _, w in asked]
+        powers = self._powers
+        if len(self._a.nums) > 1 and any(w > 1 for _, w in asked):
+            self._powers_in_full()
+        comb, starts = math.comb, self._starts
+        for j, base, slots in self._rows:
+            for (i, size), acc in zip(asked, accs):
+                if i > j:
                     break
-                u *= f
-                for y, v in pw:
-                    if x + y >= size:
+                off = base - starts[i]
+                if off >= size:
+                    continue
+                f, pw = comb(j, i), powers[j - i]
+                for x, u in slots:
+                    x += off
+                    if x >= size:
                         break
-                    acc[x + y] += u * v
-        out.append(_canon(N, lo, acc, den, prec))
-    return out
+                    u *= f
+                    for y, v in pw:
+                        if x + y >= size:
+                            break
+                        acc[x + y] += u * v
+        return accs
+
+
+def shift_poly(coeffs, a: PuiseuxPoly):
+    """Coefficients of the same polynomial in tau = y - a, for an exact a:
+    every coefficient of its ``TaylorShift`` read in full, for readers of
+    whole series such as ``newton_puiseux``.  A push table reads the same
+    shift through ``TaylorShift.leads``, each coefficient only down to its
+    lowest slot, and builds in full only the coefficients a push reads."""
+    shifted = TaylorShift(coeffs, a)
+    return [shifted[i] for i in range(len(shifted))]
 
 
 def frac_trim(coeffs) -> list:

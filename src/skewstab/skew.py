@@ -21,16 +21,24 @@ D_k = Q_k*P - P_k*Q, since P - w_k*Q = D_k/Q_k, so the maximum is
 decided with no series inverted.  None of this depends on t, so a link
 keeps it per centre as integer lines, in a ``PushTable`` built on the
 first push there (``SkewLocal.push_table``, by ``build_push_table``).
-The build runs on integer slots: ``shift_poly`` Taylor-shifts num and
-den to the centre over one lattice and one denominator, and each entry
-D_ki of a D_k is read only down to its lowest nonzero slot, which its
-two products' leading slots decide unless they cancel.  The lines leave
-as integers on the table's lattice, with no Fraction built per line;
-the Fraction lines of ``gauss_lines`` serve ``gauss_val`` alone.  The
-table owns its ray's map T(t) = r(t)/n, kept stretch by stretch between
-crossings of the lines: a push reads T there and builds one Fraction,
-and the interval map reads the same stretches.  Only the winning ratio
-is inverted, once, and a winning P_k of zero needs no transport:
+The build runs on integer slots and reads each shifted coefficient only
+as far as it needs: ``TaylorShift`` sets up the shift of num and den to
+the centre over one lattice and one denominator, and the table is built
+from the lowest slot of every P_i and Q_i (``TaylorShift.leads``), the
+Taylor shift's integer convolution stopped at the first nonzero slot
+below the precision.  Each entry D_ki of a D_k is read only down to its
+lowest nonzero slot, which its two products' leading slots decide
+unless they cancel; only then are the four coefficients read in full.
+The lines leave as integers on the table's lattice, with no Fraction
+built per line; the Fraction lines of ``gauss_lines`` serve
+``gauss_val`` alone.  A candidate's ratio (P_k, Q_k) is built in full
+on its first read (``PushTable.ratio``), by the push it wins or by the
+interval map.  At the centre 0 the coefficients are the fibre map's own,
+and nothing is shifted.  The table owns its ray's map T(t) = r(t)/n,
+kept stretch by stretch between crossings of the lines: a push reads T
+there and builds one Fraction, and the interval map reads the same
+stretches.  Only the winning ratio is inverted, once, and a winning P_k
+of zero needs no transport:
 
 * It is read to ``O(x^(T*n + 1))``, as an image point keeps only the
   centre terms below its radius T; it is exact when its denominator is
@@ -75,6 +83,7 @@ from .puiseux import (
     reversion,
 )
 from .roots import (
+    TaylorShift,
     frac_divmod,
     frac_trim,
     newton_puiseux,
@@ -265,11 +274,12 @@ def gauss_val(coeffs, t):
 # -- pushforward ----------------------------------------------------------------
 
 
-def _product_precision(a, b):
-    """The precision of a*b, as ``PuiseuxPoly.__mul__`` gives it."""
-    prec = INF if a.precision is INF else a.precision + b.val_floor()
-    if b.precision is not INF:
-        prec = min(prec, b.precision + a.val_floor())
+def _product_precision(pa, fa, pb, fb):
+    """The precision of a*b, as ``PuiseuxPoly.__mul__`` gives it, from
+    each factor's precision p and ``val_floor`` f."""
+    prec = INF if pa is INF else pa + fb
+    if pb is not INF:
+        prec = min(prec, pb + fa)
     return prec
 
 
@@ -277,117 +287,134 @@ def candidate_lines(P, Q):
     """The Gauss lines of Q and of each candidate centre, read without
     inverting, as ``(L, den, cands)``.
 
-    P and Q are the fibre map's coefficients shifted to a centre.  For
-    each k with Q_k != 0, ``cands`` holds ``(P_k, Q_k, lines, bounds)``,
-    those of D_k = Q_k*P - P_k*Q lowered by val Q_k: read as ``gauss_val``
-    reads them, they give vG(P - w_k*Q) for w_k = P_k/Q_k.  ``den`` holds
-    Q's lines.  A line ``(i, u)`` of ``gauss_lines`` leaves as the
-    integers ``(u*L, i*L)``, L the lcm of the lattice 1/N of every P_i
-    and Q_i and of the denominators of the bounds.
+    P and Q are the fibre map's num and den shifted to a centre, as
+    ``TaylorShift``s.  For each k with Q_k != 0, ``cands`` holds
+    ``(k, lines, bounds)``, those of D_k = Q_k*P - P_k*Q lowered by
+    val Q_k: read as ``gauss_val`` reads them, they give vG(P - w_k*Q)
+    for w_k = P_k/Q_k.  ``den`` holds Q's lines.  A line ``(i, u)`` of
+    ``gauss_lines`` leaves as the integers ``(u*L, i*L)``, L the lcm of
+    the shifts' lattices 1/N and of the denominators of the bounds.
 
-    Each D_ki = P_i*Q_k - P_k*Q_i is read on integer slots of 1/N only
-    down to its lowest nonzero slot below its precision: the two
-    products' leading slots decide it unless they cancel, and only then
-    is the convolution run.  D_kk is zero, known to the precision of
-    P_k*Q_k, with no arithmetic, and D_ik = -D_ki is read once.  A
-    product is skipped only when a factor is an exact zero, so a
-    truncated zero P_k keeps the bounds of its products P_k*Q_i; that of
-    D_kk says how far w_k is known.
+    Every P_i and Q_i is read only down to its lowest slot below its
+    precision (``TaylorShift.leads``), which gives its lines, whether it
+    is an exact zero, and its precision and ``val_floor``.  Each
+    D_ki = P_i*Q_k - P_k*Q_i is read on integer slots of 1/N only down
+    to its lowest nonzero slot below its precision: the two products'
+    leading slots decide it unless they cancel, and only then are the
+    four coefficients read in full and the convolution run.  D_kk is
+    zero, known to the precision of P_k*Q_k, with no arithmetic, and
+    D_ik = -D_ki is read once.  A product is skipped only when a factor
+    is an exact zero, so a truncated zero P_k keeps the bounds of its
+    products P_k*Q_i; that of D_kk says how far w_k is known.
     """
     n = max(len(P), len(Q))
-    P = list(P) + [ZERO] * (n - len(P))
-    Q = list(Q) + [ZERO] * (n - len(Q))
-    N = math.lcm(*(c.N for c in P + Q if c.nums))
-    dp, dq = math.lcm(*(c.den for c in P)), math.lcm(*(c.den for c in Q))
+    N = math.lcm(P.N, Q.N)
+    dp, dq = P.den, Q.den
+    lp, lq = _leads_on(P, N, n), _leads_on(Q, N, n)
+    pp, pq = P.precisions + [INF] * (n - len(P)), Q.precisions + [INF] * (n - len(Q))
+    truncated = pp.count(INF) + pq.count(INF) < 2 * n
+    iN = range(0, n * N, N)  # a line's i, times N
 
     def slots(c, d):
         # c*d as (index, numerator) pairs on 1/N, lowest first
         s, f = N // c.N, d // c.den
         return [((c.lo + x) * s, u * f) for x, u in enumerate(c.nums) if u]
 
-    def lead(c, d):
-        # the lowest slot of c*d, or None for a zero c
-        return (c.lo * (N // c.N), c.nums[0] * (d // c.den)) if c.nums else None
+    def floor(lead, prec):
+        return prec if lead is None else Fraction(lead[0], N)
 
-    lp, lq = [lead(c, dp) for c in P], [lead(c, dq) for c in Q]
-    truncated = any(c.precision is not INF for c in P + Q)
-    rows = {}
-
-    def entry(k, i):
-        """D_ki as ("line", its least slot), ("bound", its precision) or None."""
-        pk, qk, pi, qi = P[k], Q[k], P[i], Q[i]
+    def bounded(k, i, low):
+        """The least slot ``low`` of D_ki if it lies below D_ki's
+        precision, else that precision, or None for an exact zero."""
+        a, b, c, d = lp[i], lq[k], lp[k], lq[i]
         prec = INF
-        if truncated:
-            prec = INF if pi.is_exact_zero else _product_precision(pi, qk)
-            if not qi.is_exact_zero:
-                prec = min(prec, _product_precision(pk, qi))
-        low = None
-        if i != k:
-            a, b, c, d = lp[i], lq[k], lp[k], lq[i]
-            if a and c and d:
-                if a[0] + b[0] != c[0] + d[0]:
-                    low = min(a[0] + b[0], c[0] + d[0])
-                elif a[1] * b[1] != c[1] * d[1]:
-                    low = a[0] + b[0]
-                else:  # the leading slots cancel
-                    acc = {}
-                    for f, g, sign in ((pi, qk, 1), (pk, qi, -1)):
-                        g = slots(g, dq)
-                        for x, u in slots(f, dp):
-                            for y, v in g:
-                                acc[x + y] = acc.get(x + y, 0) + sign * u * v
-                    low = min((x for x, u in acc.items() if u), default=None)
-            elif a:
-                low = a[0] + b[0]
-            elif c and d:
-                low = c[0] + d[0]
+        if a or pp[i] is not INF:
+            prec = _product_precision(pp[i], floor(a, pp[i]), pq[k], floor(b, pq[k]))
+        if d or pq[i] is not INF:
+            prec = min(prec, _product_precision(pp[k], floor(c, pp[k]), pq[i], floor(d, pq[i])))
         if low is not None and (prec is INF or low < _ceil(prec, N)):
-            return "line", low
-        return None if prec is INF else ("bound", prec)
+            return low
+        return None if prec is INF else prec
 
-    raw = []
-    for k, qk in enumerate(Q):
-        if not qk:
-            if qk.precision is not INF:
+    raw, read = [], [None] * n
+    for k in range(n):
+        b, c = lq[k], lp[k]
+        if b is None:
+            if pq[k] is not INF:
                 raise InsufficientPrecision(
                     f"candidate ratio at y-degree {k} blocked by truncated coefficient"
                 )
             continue
-        pk, vq = P[k], lq[k][0]
-        if pk.is_exact_zero:  # w_k = 0, so D_k lowered by val Q_k is P
-            lines = [(a[0], i) for i, a in enumerate(lp) if a]
-            bounds = [(c.precision, i) for i, c in enumerate(P) if not c and c.precision is not INF]
-            raw.append((pk, qk, lines, bounds))
+        vq = b[0]
+        if c is None and pp[k] is INF:  # w_k = 0, so D_k lowered by val Q_k is P
+            lines = [(a[0], iN[i]) for i, a in enumerate(lp) if a]
+            bounds = [(p, i) for i, (a, p) in enumerate(zip(lp, pp)) if a is None and p is not INF]
+            raw.append((k, lines, bounds))
             continue
-        lines, bounds = [], []
+        # D_ki as its least slot (an int), its precision (a Fraction) or None
+        lines, bounds, got = [], [], [None] * n
         for i in range(n):
-            # D_ki = -D_ik, read already when i is a candidate before k
-            got = rows[i, k] if (i, k) in rows else entry(k, i)
-            rows[k, i] = got
-            if got is None:
-                continue
-            if got[0] == "line":
-                lines.append((got[1] - vq, i))
+            if read[i]:  # D_ki = -D_ik, read already as i is a candidate before k
+                u = read[i][k]
             else:
-                bounds.append((got[1] - Fraction(vq, N), i))
-        raw.append((pk, qk, lines, bounds))
-    L = math.lcm(N, *(u.denominator for *_, bounds in raw for u, _ in bounds))
+                a, d, u = lp[i], lq[i], None
+                if i == k:
+                    pass
+                elif a and c and d:
+                    if a[0] + b[0] != c[0] + d[0]:
+                        u = min(a[0] + b[0], c[0] + d[0])
+                    elif a[1] * b[1] != c[1] * d[1]:
+                        u = a[0] + b[0]
+                    else:  # the leading slots cancel
+                        acc = {}
+                        for f, g, sign in ((P[i], Q[k], 1), (P[k], Q[i], -1)):
+                            g = slots(g, dq)
+                            for x, v in slots(f, dp):
+                                for y, w in g:
+                                    acc[x + y] = acc.get(x + y, 0) + sign * v * w
+                        u = min((x for x, v in acc.items() if v), default=None)
+                elif a:
+                    u = a[0] + b[0]
+                elif c and d:
+                    u = c[0] + d[0]
+                if truncated:
+                    u = bounded(k, i, u)
+            got[i] = u
+            if u is None:
+                continue
+            if type(u) is int:
+                lines.append((u - vq, iN[i]))
+            else:
+                bounds.append((u - Fraction(vq, N), i))
+        read[k] = got
+        raw.append((k, lines, bounds))
+    L = math.lcm(N, *(u.denominator for *_, bounds in raw for u, _ in bounds)) if truncated else N
     s = L // N
 
-    def scaled(pk, qk, lines, bounds):
-        lines = tuple((u * s, i * L) for u, i in lines)
-        return pk, qk, lines, tuple((u.numerator * (L // u.denominator), i * L) for u, i in bounds)
+    def scaled(k, lines, bounds):
+        if s != 1:
+            lines = [(u * s, x * s) for u, x in lines]
+        if bounds:
+            bounds = [(u.numerator * (L // u.denominator), i * L) for u, i in bounds]
+        return k, tuple(lines), tuple(bounds)
 
-    den = tuple((a[0] * s, i * L) for i, a in enumerate(lq) if a)
+    den = tuple([(a[0] * s, iN[i] * s) for i, a in enumerate(lq) if a])
     return L, den, tuple(scaled(*c) for c in raw)
 
 
+def _leads_on(R, N, n):
+    """``R.leads()`` on the lattice 1/N, padded with None to n."""
+    s = N // R.N
+    out = R.leads() if s == 1 else [x and (x[0] * s, x[1]) for x in R.leads()]
+    return out + [None] * (n - len(out))
+
+
 def build_push_table(s: SkewLocal, center) -> "PushTable":
-    """The push table of the link's fibre map shifted to ``center``:
-    shift P and Q there, read the candidates' lines, and keep them."""
-    P = shift_poly(list(s.num), center)
-    Q = shift_poly(list(s.den), center)
-    return PushTable(*candidate_lines(P, Q), s.base.n)
+    """The push table of the link's fibre map shifted to ``center``: set
+    up the shifts of P and Q there, read the candidates' lines off their
+    lowest slots, and keep them."""
+    P, Q = TaylorShift(s.num, center), TaylorShift(s.den, center)
+    return PushTable(P, Q, *candidate_lines(P, Q), s.base.n)
 
 
 class PushTable:
@@ -395,11 +422,13 @@ class PushTable:
     map T(t) = r(t)/n.
 
     ``den`` is Q's lines and ``cands`` each candidate's
-    ``(P_k, Q_k, lines, bounds)``, as ``candidate_lines`` gives them:
-    each line or bound ``(i, u)`` is stored as the integer pair
-    ``(u*L, i*L)``.  At t = a/b the value u + t*i is
-    ``(u*L*b + i*L*a)/(L*b)``.  Every line at one t shares that
-    denominator, so a push compares the numerators, the lines' scores.
+    ``(k, lines, bounds)``, as ``candidate_lines`` gives them: each line
+    or bound ``(i, u)`` is stored as the integer pair ``(u*L, i*L)``.
+    At t = a/b the value u + t*i is ``(u*L*b + i*L*a)/(L*b)``.  Every
+    line at one t shares that denominator, so a push compares the
+    numerators, the lines' scores.  The table keeps the shifts of P and
+    Q, and a candidate's ratio ``(P_k, Q_k)`` is read through ``ratio``,
+    built in full on its first read.
 
     T is kept stretch by stretch (``stretch``): between two sorted
     crossings (``cuts``) no two distinct lines cross, so the first point
@@ -410,12 +439,16 @@ class PushTable:
     table serving one push sorts nothing.
     """
 
-    __slots__ = ("L", "_Ln", "den", "cands", "_plain", "_served", "_cuts", "_grid", "_stretches")
+    __slots__ = (
+        "L", "_Ln", "den", "cands", "_P", "_Q", "_ratios", "_plain", "_served", "_cuts", "_grid",
+        "_stretches",
+    )
 
-    def __init__(self, L, den, cands, n):
+    def __init__(self, P, Q, L, den, cands, n):
         self.L, self._Ln, self.den, self.cands = L, L * n, den, cands
+        self._P, self._Q, self._ratios = P, Q, [None] * len(cands)
         # Q has lines and no bound, as a truncated zero Q_k blocks the build
-        self._plain = all(lines and not bounds for _, _, lines, bounds in cands)
+        self._plain = all(lines and not bounds for _, lines, bounds in cands)
         self._served = False
         self._cuts = self._grid = self._stretches = None
 
@@ -428,7 +461,7 @@ class PushTable:
         the lattice u + i*t = v + k*t, so a crossing is (v - u)/(i - k).
         """
         if self._cuts is None:
-            every = list({*self.den, *(line for _, _, lines, _ in self.cands for line in lines)})
+            every = list({*self.den, *(line for _, lines, _ in self.cands for line in lines)})
             pairs = [(v - u, i - k) for a, (u, i) in enumerate(every) for v, k in every[a + 1 :] if i != k]
             # sorted on a common grid 1/M as ints, which hash and compare fast
             M = math.lcm(*(d for _, d in pairs))
@@ -447,13 +480,13 @@ class PushTable:
         some P - w_k*Q is exactly zero."""
         a, b = t.numerator, t.denominator
         tops = []
-        for _, _, lines, bounds in self.cands:
+        for _, lines, bounds in self.cands:
             if not lines and not bounds:
                 raise DegenerateImage("fibre map is constant on the disk")
             tops.append(min([u * b + i * a for u, i in lines]) if lines else None)
         if None not in tops:
             v = max(tops)
-            for j, (_, _, _, bounds) in enumerate(self.cands):
+            for j, (_, _, bounds) in enumerate(self.cands):
                 if tops[j] == v and all(u * b + i * a >= v for u, i in bounds):
                     return j, v
         raise InsufficientPrecision(
@@ -479,7 +512,7 @@ class PushTable:
         self._served = True
         j, _ = self.winner(Fraction(a, b))
         uq, iq = min(self.den, key=lambda line: line[0] * b + line[1] * a)
-        uj, ij = min(self.cands[j][2], key=lambda line: line[0] * b + line[1] * a)
+        uj, ij = min(self.cands[j][1], key=lambda line: line[0] * b + line[1] * a)
         kept = j, uj - uq, ij - iq
         if slot is not None:
             self._stretches[slot] = kept
@@ -494,6 +527,15 @@ class PushTable:
         g = math.gcd(tn, td)
         return j, tn // g, td // g
 
+    def ratio(self, j):
+        """``(P_k, Q_k)`` of candidate j, the ratio its centre is read
+        from, built in full on its first read and kept."""
+        r = self._ratios[j]
+        if r is None:
+            k = self.cands[j][0]
+            r = self._ratios[j] = self._P[k], self._Q[k]
+        return r
+
     def ray_map(self, lo, hi):
         """T on [lo, hi]: ``(t0, t1, j, (slope, intercept))`` per stretch
         clipped to it, j its winner, read at its midpoint.  A bound of the
@@ -504,7 +546,7 @@ class PushTable:
         for t0, t1 in zip(ends, ends[1:]):
             mid = (t0 + t1) / 2
             j, du, di = self.stretch(mid.numerator, mid.denominator)
-            _, _, lines, bounds = self.cands[j]
+            _, lines, bounds = self.cands[j]
             for a, b in ((x.numerator, x.denominator) for x in (t0, t1) if bounds):
                 best = min(u * b + i * a for u, i in lines)
                 for u, i in bounds:
@@ -555,8 +597,7 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
             gauss_val(shift_poly(list(s.den), p.center), p.t)
             raise
         j, tn, td = table.radius(p.tn, p.td)
-        pk, qk = table.cands[j][:2]
-        image = s._pushes[p] = image_point(s.base, pk, qk, tn, td)
+        image = s._pushes[p] = image_point(s.base, *table.ratio(j), tn, td)
     return image
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -331,14 +332,16 @@ def unit_fold():
     return pl
 
 
-def seeded_invariant_map(rng, p):
+def seeded_invariant_map(rng, *primes):
     """A zigzag on [0, H], H >= 1, with values in [0, 1] (so the domain is
-    forward-invariant) and every slope +-u/p^e with p not dividing u."""
+    forward-invariant) and every slope +-u/d, d a product of p^e, e in
+    {1, 2}, over the given primes p, none of which divides u."""
+    top = 4 * math.prod(primes)
     v = F(rng.randint(0, 6), 6)
     cuts, pieces, sign = [F(0)], [], 1
     while cuts[-1] < 1 or len(pieces) < 2:
-        u = rng.choice([u for u in range(1, 4 * p) if u % p])
-        s = sign * F(u, p ** rng.randint(1, 2))
+        u = rng.choice([u for u in range(1, top) if all(u % p for p in primes)])
+        s = sign * F(u, math.prod(p ** rng.randint(1, 2) for p in primes))
         target = F(rng.randint(0, 6), 6)
         target = min(target, v - F(1, 6)) if sign < 0 else max(target, v + F(1, 6))
         target = min(max(target, F(0)), F(1))
@@ -439,6 +442,41 @@ class TestDetectPreperiodic:
                 vals = [vp(u, p) for u in orbit[k:]]
                 assert all(b < a for a, b in zip(vals, vals[1:]))
         assert certified and preperiodic
+
+
+    def test_every_prime_of_the_slope_denominators_is_tried(self):
+        # slopes +-u/(2^a*3^b): at each orbit point the 2-adic test runs
+        # first and the 3-adic one after it, and the certificate carries
+        # the first that holds.  The test is read here off v_p directly:
+        # v_p(s_i*t) < v_p(c_i) on every piece with c_i != 0.
+        def holds(pl, t, p):
+            return t != 0 and all(vp(s * t, p) < vp(c, p) for s, c in pl.pieces if c)
+
+        rng = random.Random(2003)
+        by_prime, only_three = {2: 0, 3: 0}, 0
+        for _ in range(8):
+            pl = seeded_invariant_map(rng, 2, 3)
+            assert all(pl.lo <= pl(c) <= pl.hi for c in pl.cuts())
+            starts = [F(rng.randint(1, 60), rng.choice([1, 5, 7, 9, 25, 27, 35])) for _ in range(12)]
+            for t in (t % pl.hi for t in starts):
+                cert = detect_preperiodic(pl, t)
+                orbit = iterate(pl, t, 200)
+                if not isinstance(cert, InfiniteByDenominatorGrowth):
+                    assert not any(holds(pl, u, p) for u in orbit[:65] for p in (2, 3))
+                    continue
+                k, p = len(cert.window) - 1, cert.prime
+                assert cert.window == tuple(orbit[: k + 1]) and cert.start == orbit[k]
+                assert not any(holds(pl, u, q) for u in orbit[:k] for q in (2, 3))
+                assert holds(pl, orbit[k], p)
+                assert not any(holds(pl, orbit[k], q) for q in (2, 3) if q < p)
+                assert cert.invariant == f"{p}-adic valuation strictly decreasing from step {k}"
+                assert len(set(orbit)) == len(orbit) == 201
+                vals = [vp(u, p) for u in orbit[k:]]
+                assert all(b < a for a, b in zip(vals, vals[1:]))
+                by_prime[p] += 1
+                # starts that 3 certifies and 2 does not
+                only_three += p == 3 and k == 0
+        assert (by_prime, only_three) == ({2: 54, 3: 42}, 29)
 
 
 class TestChainInduce:

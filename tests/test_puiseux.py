@@ -14,6 +14,7 @@ from skewstab.puiseux import (
     PuiseuxPoly,
     X,
     _is_prec,
+    _canon,
     nth_root_fraction,
     rat,
     reversion,
@@ -364,7 +365,9 @@ def test_nth_root_fraction_past_float_range():
 # Oracle is PuiseuxPoly as it was before the integer kernel: a sorted tuple
 # of (Fraction exponent, Fraction coefficient) pairs with dict accumulators,
 # kept verbatim apart from its docstrings.  The kernel must agree with it
-# on every observable: terms, precision, ==, hash and str.
+# on every observable: terms, precision, == and str.  The oracle hashes its
+# terms and the kernel its stored form, so the kernel's hash is checked
+# against that of the series the oracle's terms give.
 
 class Oracle:
 
@@ -840,10 +843,10 @@ def _same(new, old) -> bool:
             and new.terms == old.terms
             and new.precision == old.precision
             and str(new) == str(old)
-            and hash(new) == hash(old)
             and new.ramification_index() == old.ramification_index()
             # the stored form is canonical: it is the one the terms give
             and new == PuiseuxPoly(old.terms, old.precision)
+            and hash(new) == hash(PuiseuxPoly(old.terms, old.precision))
         )
     return new == old
 
@@ -1026,3 +1029,51 @@ def test_reversion_of_the_fixture_germs_matches_the_oracle(germ):
     for target in (F(2), F(7, 2), F(9)):
         new = reversion(PuiseuxPoly(germ), target)
         assert _same(new, oracle_reversion(Oracle(germ), target))
+
+
+# -- hashing -------------------------------------------------------------
+
+
+def _fresh(s):
+    """s built again by ``_canon`` from its stored form, with no terms kept."""
+    return _canon(s.N, s.lo, list(s.nums), s.den, s.precision)
+
+
+def test_equal_series_hash_equal_from_either_constructor():
+    # a series from the public constructor, which keeps its terms, and the
+    # same series from _canon, which keeps none and is given its form
+    # unreduced: a common factor in den and nums, zero end slots, a lattice
+    # finer than it needs and slots at or past the precision
+    rng = random.Random(233)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        exps = [F(rng.randint(-3 * d, 4 * d), d) for _ in range(rng.randint(0, 4))]
+        terms = [(e, _rational(rng) or F(1)) for e in exps]
+        prec = rng.choice((INF, F(rng.randint(-2, 6), rng.randint(1, 3))))
+        a = PuiseuxPoly(terms, prec)
+        k, g = rng.randint(1, 3), rng.randint(1, 5)
+        nums = [0, *(u * g for x in a.nums for u in (x, *[0] * (k - 1))), 0]
+        if prec is not INF:  # a slot at the precision, which the form drops
+            at = math.ceil(prec * a.N * k) - (a.lo * k - 1)
+            nums += [0] * (at - len(nums)) + [7] if at >= len(nums) else []
+        b = _canon(a.N * k, a.lo * k - 1, nums, a.den * g, prec)
+        assert b == a and b._terms is None and hash(b) == hash(a), (a, b)
+        assert hash(_fresh(a)) == hash(a)
+
+
+def test_hashing_builds_no_fraction():
+    series = [
+        _fresh(P((F(k, 3), F(k + 1, 2)), (F(k + 1), F(-1)), precision=F(k + 4))) for k in range(-5, 20)
+    ]
+    made, new = [], Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        hashes = {hash(s) for s in series}
+    finally:
+        Fraction.__new__ = new
+    assert len(hashes) == len(series) and made == []

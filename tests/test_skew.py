@@ -698,8 +698,9 @@ def test_pushforward_matches_the_oracle_on_mixed_zero_coefficients():
                 assert failures[0].startswith(expected)
             if isinstance(got, TypeIIPoint):
                 points += 1
-                cands = s.push_table(p.center).cands
-                truncated_pk += any(not pk and not pk.is_exact_zero for pk, *_ in cands)
+                table = s.push_table(p.center)
+                ratios = [table.ratio(j) for j in range(len(table.cands))]
+                truncated_pk += any(not pk and not pk.is_exact_zero for pk, _ in ratios)
     assert (points, truncated_pk, blocked, q_failures) == (603, 51, 174, 39)
 
 
@@ -765,7 +766,8 @@ def _table_lines(table):
     def read(part):
         return [(iL // L, F(uL, L)) for uL, iL in part]
 
-    return read(table.den), [(pk, qk, read(ls), read(bs)) for pk, qk, ls, bs in table.cands]
+    cands = [(*table.ratio(j), read(ls), read(bs)) for j, (_, ls, bs) in enumerate(table.cands)]
+    return read(table.den), cands
 
 
 def _centre(rng):
@@ -805,8 +807,134 @@ def test_the_integer_table_build_matches_the_series_build():
             assert _table_lines(table) == want, f"{s} at {center}"
             built += 1
             bounded += any(bs for *_, bs in table.cands)
-            truncated_pk += any(not pk and not pk.is_exact_zero for pk, *_ in table.cands)
+            ratios = [table.ratio(j) for j in range(len(table.cands))]
+            truncated_pk += any(not pk and not pk.is_exact_zero for pk, _ in ratios)
     assert (built, blocked, bounded, truncated_pk) == (526, 89, 379, 27)
+
+
+# -- the table's reads past the lowest slot --------------------------------------
+#
+# A push table reads each shifted coefficient down to its lowest slot, and
+# in full only where that is not enough: a coefficient whose first slots
+# cancel, and proving it zero reads every slot; an entry D_ki whose two
+# products' leading slots cancel; and the winning candidate's ratio.
+
+
+@pytest.fixture
+def full_reads(monkeypatch):
+    """Every coefficient the shifts canonicalise, i.e. build in full."""
+    from skewstab import roots
+
+    built, canon = [], roots._canon
+
+    def counting(*form):
+        built.append(form)
+        return canon(*form)
+
+    monkeypatch.setattr(roots, "_canon", counting)
+    return built
+
+
+def _shifted_back(coeffs, a):
+    """The polynomial in y whose shift to the centre a has these coefficients."""
+    return shift_poly(coeffs, -a)
+
+
+def _check_table_and_pushes(s, center, levels):
+    """The table at ``center`` against the product-based build, and a push
+    at each level against the oracle; the table's build outcome."""
+    P, Q = _oracle_shift_poly(list(s.num), center), _oracle_shift_poly(list(s.den), center)
+    try:
+        want = _oracle_candidate_lines(P, Q)
+    except InsufficientPrecision as exc:
+        with pytest.raises(InsufficientPrecision) as got:
+            skew.build_push_table(s, center)
+        assert str(got.value) == str(exc)
+        return "blocked"
+    assert _table_lines(skew.build_push_table(s, center)) == want, f"{s} at {center}"
+    for t in levels:
+        p = Z(center, t)
+        assert _outcome(pushforward, s, p) == _outcome(_oracle_pushforward, s, p, {}), f"{s} at {p}"
+    return "built"
+
+
+def test_a_double_root_at_a_two_term_centre_is_read_through_every_slot():
+    # num = (y - u)^2*(y - u + 1), u = x + x^2: shifted to u, P_0 and P_1
+    # are exact zeros, whose first slots cancel and which only a read of
+    # every slot proves zero; truncating c_0 or c_1 leaves them truncated
+    # zeros, bounds rather than lines
+    u = S((F(1), F(1)), (F(2), F(1)))
+    num = _shifted_back([ZERO, ZERO, ONE, ONE], u)
+    den = [X, ONE]
+    shifted = skew.TaylorShift(num, u)
+    assert shifted.leads()[:2] == [None, None] and shifted[0].is_exact_zero and shifted[1].is_exact_zero
+    levels = [F(2), F(5, 2), F(3), F(4), F(6)]
+    outcomes = []
+    for cut in ({}, {0: F(5)}, {1: F(4)}, {0: F(9, 2), 1: F(3)}, {2: F(3)}):
+        coeffs = [c.truncate(cut[j]) if j in cut else c for j, c in enumerate(num)]
+        s = SkewLocal(BaseGerm(X), coeffs, den)
+        P = _oracle_shift_poly(coeffs, u)
+        if cut:
+            assert any(not c and not c.is_exact_zero for c in P[:2]), cut
+        else:
+            assert P[0].is_exact_zero and P[1].is_exact_zero
+        outcomes.append(_check_table_and_pushes(s, u, levels))
+    assert outcomes == ["built"] * 5
+
+
+def test_an_entry_whose_leading_slots_cancel_is_read_in_full(full_reads):
+    # at the centre x, P = (x^2 + x^3) + (x + x^3)*tau + tau^2 and Q = x + tau:
+    # in D_10 = P_0*Q_1 - P_1*Q_0 the leading slots x^2 cancel and x^3 is
+    # its least one, which the build reads off the four coefficients in full
+    num = _shifted_back([S((F(2), F(1)), (F(3), F(1))), S((F(1), F(1)), (F(3), F(1))), ONE], X)
+    s = SkewLocal(BaseGerm(X), num, [ZERO, ONE])
+    del full_reads[:]
+    table = skew.build_push_table(s, X)
+    assert len(full_reads) == 4
+    k = next(j for j, c in enumerate(table.cands) if c[0] == 1)
+    assert (0, F(3)) in _table_lines(table)[1][k][2]
+    assert _check_table_and_pushes(s, X, [F(1), F(3, 2), F(2), F(3)]) == "built"
+    truncated = SkewLocal(BaseGerm(X), [num[0].truncate(4), *num[1:]], [ZERO, ONE])
+    assert _check_table_and_pushes(truncated, X, [F(1), F(3, 2), F(2), F(3)]) == "built"
+
+
+def _cancelling_reads(P, Q):
+    """The (side, index) of every coefficient that an entry D_ki whose two
+    products' leading terms cancel makes the build read in full."""
+    reads = set()
+    for k, (pk, qk) in enumerate(zip(P, Q)):
+        if not qk or not pk:
+            continue
+        for i, (pi, qi) in enumerate(zip(P, Q)):
+            if i == k or not pi or not qi:
+                continue
+            a, b = pi * qk, pk * qi
+            if a.val() == b.val() and a.leading_coeff() == b.leading_coeff():
+                reads |= {("P", i), ("Q", k), ("P", k), ("Q", i)}
+    return reads
+
+
+@pytest.mark.parametrize("name, centre", [
+    ("thm6", S((F(-7, 4), F(1)))),
+    ("thm6", S((F(1, 2), F(2)))),
+    ("thm6", S((F(2, 3), F(-3)))),
+    ("thmB", S((F(-1), F(2)))),
+    ("thmB", S((F(3, 4), F(-1)))),
+    ("thmB", S((F(-5, 3), F(3)))),
+])
+def test_a_push_builds_only_the_winning_ratio_in_full(full_reads, name, centre):
+    # one push at a one-term centre on a fresh link: the table reads every
+    # shifted coefficient down to its lowest slot, and builds in full only
+    # the winner's P_k and Q_k, and what a cancelling entry reads
+    s = _fixture_links(name)[0]
+    p = Z(centre, centre.val() + 1)
+    P, Q = _oracle_shift_poly(list(s.num), centre), _oracle_shift_poly(list(s.den), centre)
+    allowed = len(_cancelling_reads(P, Q) | {("P", 0), ("Q", 0)})
+    del full_reads[:]
+    image = pushforward(s, p)
+    built = len(full_reads)
+    assert image == _oracle_pushforward(s, p, {})
+    assert built <= allowed < len(P) + len(Q), (built, allowed)
 
 
 def test_a_candidate_with_no_visible_line_leaves_the_radius_open():

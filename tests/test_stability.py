@@ -679,16 +679,17 @@ class TestOrbitGate:
         assert report.classifications == fresh.classifications
 
     def test_each_link_shifts_to_a_centre_once(self, monkeypatch):
-        # a link keeps one push table per centre, so shifting its fibre
-        # map to a centre happens on the first push there and never again
+        # a link keeps one push table per centre, so the setup of the shift
+        # of its fibre map to a centre happens on the first push there and
+        # never again
         shifts = Counter()
-        real_shift = skew.shift_poly
+        real_shift = skew.TaylorShift
 
         def shift(coeffs, a):
             shifts[(tuple(coeffs), a)] += 1
             return real_shift(coeffs, a)
 
-        monkeypatch.setattr(skew, "shift_poly", shift)
+        monkeypatch.setattr(skew, "TaylorShift", shift)
         d = fixture("thm6")
         try:
             stabilize_smooth(d.gammas, d.chain, StabilizationConfig(max_rounds=2))

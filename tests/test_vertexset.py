@@ -996,7 +996,7 @@ class TestStoredForm:
                     continue
                 assert _stored_form_holds(image), f"{s} at {p}: {image}"
                 table = s.push_table(p.center)
-                if table.cands[table.winner(p.t)[0]][0]:
+                if table.ratio(table.winner(p.t)[0])[0]:
                     transported += 1
                 else:
                     zero_won += 1
@@ -1022,7 +1022,7 @@ class TestStoredForm:
         pushforward(s, first)
         pushforward(s, second)
         table = s.push_table(ZERO)
-        assert not table.cands[table.winner(third.t)[0]][0]
+        assert not table.ratio(table.winner(third.t)[0])[0]
         with _fractions_made() as made:
             image = pushforward(s, third)
         assert made == [] and image == TypeIIPoint(ZERO, F(9, 14))
