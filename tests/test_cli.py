@@ -425,6 +425,11 @@ GOLDEN_RUNS = [
     # a two-term centre, shifted by both thmB germs: it crosses from fibre
     # 0 to fibre 1
     ["image", "thmB", "zeta(x^(-3/2)-3*x^(-1/2),1)", "6"],
+    # centres carried through monomial germs: thm6's x^2, p2's -x (from
+    # fibre to fibre) and x3's x^3
+    ["image", "thm6", "zeta(x^(1/3)-2*x^(-1/2),2)", "6"],
+    ["image", "tests/data/p2.skew", "zeta(x^(1/3),2)", "6"],
+    ["image", "tests/data/x3.skew", "zeta(x^(2/3)+x,2)", "3"],
     ["hull", "thm6"],
     ["smooth-hull", "thm6"],
     ["smooth-hull", "thm6", "-n", "12", "--points", "zeta(x^(1/3),5/4),zeta(1+x^(3/4),2)"],
