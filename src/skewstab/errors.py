@@ -21,8 +21,13 @@ class InsufficientPrecision(SkewstabError):
 class NotRepresentable(SkewstabError):
     """The exact answer leaves the rational-coefficient setting.
 
-    Typical source: a centre transport or reversion needing an n-th root
-    of a rational number that has none.
+    Raised when a root that a live term needs does not exist over Q: by a
+    power or a composition needing a q-th root of the inner series'
+    leading coefficient ("c has no rational q-th root"), and by a
+    reversion of lam*x^n when lam has no rational n-th root ("reversion
+    needs a rational n-th root of lam") or a nonzero term of the inverse
+    below the target precision needs a root of 1/lam^(1/n) that has none.
+    A centre transport raises through either.
     """
 
 

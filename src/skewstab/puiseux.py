@@ -18,13 +18,16 @@ two series are equal exactly when their forms are.  ``terms``, the
 first read.  Costs for s and r slots: ``*`` is an O(s*r) convolution of
 the nonzero slots on the lcm lattice, cut at the precision; ``+``, ``-``
 and ``scale`` are O(s + r) after aligning indices and denominators;
-``shift``, ``stretch``, ``derivative``, the truncations and ``coeff_at``
-are index arithmetic; ``ramification_index`` reads N.  A negative or
-fractional power to K slots (``inv``, ``rational_power``) is one run of
-Miller's recurrence on the integer slots, O(K*s) int operations and no
-series product; ``compose`` takes an incremental product per integer
-exponent and one such power per other exponent, and adds them all on one
-lattice over one denominator.  ``reversion`` is built on these.
+``shift``, the truncations and ``coeff_at`` are index arithmetic;
+``ramification_index`` reads N.  A negative or fractional power to K
+slots (``inv``, ``rational_power``) is one run of Miller's recurrence on
+the integer slots, O(K*s) int operations and no series product; ``compose`` takes an incremental integer convolution
+per integer exponent and one such power per other exponent, with the
+precision bookkeeping on integer pairs, and adds them all on one lattice
+over one denominator, and into a one-slot series it only respreads the
+slots with their root powers.  ``reversion`` is Lagrange inversion: one
+Miller run per term of the inverse that can be nonzero, none for a
+monomial germ, and no Newton iteration.
 
 Precision is explicit rather than ambient: every arithmetic operation
 propagates the tightest bound that is actually justified, and operations
@@ -320,18 +323,7 @@ class PuiseuxPoly:
         size = (len(a) - 1) * sa + (len(b) - 1) * sb + 1
         if prec is not INF:
             size = min(size, _ceil(prec, N) - lo)
-        acc = [0] * max(size, 0)
-        bs = [(j * sb, d) for j, d in enumerate(b) if d]
-        for i, c in enumerate(a):
-            i *= sa
-            if i >= size:
-                break
-            if c:
-                for j, d in bs:
-                    if i + j >= size:
-                        break
-                    acc[i + j] += c * d
-        return _canon(N, lo, acc, self.den * o.den, prec)
+        return _canon(N, lo, _convolve(a, sa, b, sb, size), self.den * o.den, prec)
 
     __rmul__ = __mul__
 
@@ -341,14 +333,6 @@ class PuiseuxPoly:
         N = math.lcm(self.N, d.denominator)
         lo = self.lo * (N // self.N) + d.numerator * (N // d.denominator)
         return _canon(N, lo, _spread(self.nums, N // self.N), self.den, self.precision + d)
-
-    def stretch(self, factor) -> "PuiseuxPoly":
-        """Substitute x -> x^factor (factor a positive rational)."""
-        f = rat(factor)
-        if f <= 0:
-            raise ValueError("stretch factor must be positive")
-        N, lo = self.N * f.denominator, self.lo * f.numerator
-        return _canon(N, lo, _spread(self.nums, f.numerator), self.den, self.precision * f)
 
     def scale(self, c) -> "PuiseuxPoly":
         c = rat(c)
@@ -367,11 +351,6 @@ class PuiseuxPoly:
             base = base * base if k > 1 else base
             k >>= 1
         return PuiseuxPoly.const(1) if result is None else result
-
-    def derivative(self) -> "PuiseuxPoly":
-        N, lo = self.N, self.lo
-        nums = [c * (lo + k) for k, c in enumerate(self.nums)]
-        return _canon(N, lo - N, nums, self.den * N, self.precision - 1)
 
     # -- inversion and powers ----------------------------------------------
 
@@ -428,57 +407,11 @@ class PuiseuxPoly:
     # -- composition and reversion -------------------------------------------
 
     def compose(self, inner: "PuiseuxPoly", precision=None) -> "PuiseuxPoly":
-        """Substitute ``inner`` (valuation > 0) for x in self.
-
-        A term with an integer exponent takes the next incremental power
-        of ``inner``, any other one ``_power`` with its coefficient folded
-        in; the pieces are summed on one lattice over one denominator.
-        """
-        if inner.val_floor() is not INF and inner.val_floor() <= 0:
-            raise ValueError("compose requires val(inner) > 0")
-        if inner.is_exact_zero:
-            # inner is exactly 0: only nonnegative-exponent terms survive
-            if self.nums and self.lo < 0:
-                raise ZeroDivisionError("negative exponent at inner = 0")
-            if self.precision <= 0:
-                raise InsufficientPrecision(f"constant term undecidable: element is O(x^{self.precision})")
-            return PuiseuxPoly.const(self.coeff_at(0))
-        iv = inner.val()
-        out_prec = self.precision * iv
-        if inner.precision is not INF:
-            worst = self.val_floor() if self.nums else Fraction(1)
-            out_prec = min(out_prec, (worst - 1) * iv + inner.precision)
-        if precision is not None:
-            out_prec = min(out_prec, rat(precision))
-        # a fractional or negative exponent expands to an infinite series
-        if out_prec is INF and (self.N > 1 or self.lo < 0) and len(inner.nums) > 1:
-            out_prec = DEFAULT_PRECISION * max(iv, 1)
-        # with iv = m/n and out_prec = a/b, the term x^(k/N) is live when
-        # K = ceil((a/b - iv*k/N)*n) > 0, K its power's slots on inner's
-        # lattice; a truncated inner bounds out_prec, so every piece is
-        # known at least that far
-        N, m, n = self.N, inner.lo, inner.N
-        a, b = (None, None) if out_prec is INF else (out_prec.numerator, out_prec.denominator)
-        pieces = []
-        pw, cur = PuiseuxPoly.const(1), 0
-        for k, c in enumerate(self.nums, self.lo):
-            if not c:
-                continue
-            if a is None:
-                K = 1
-            else:
-                K = -((m * k * b - a * n * N) // (b * N))
-                if K <= 0:
-                    break  # this term and every later one live beyond the output precision
-            if k >= 0 and k % N == 0:
-                while cur < k // N:
-                    pw = (pw * inner).truncate_soft(out_prec)
-                    cur += 1
-                pieces.append((pw.N, pw.lo, [c * x for x in pw.nums], pw.den))
-            else:
-                g = math.gcd(k, N)
-                pieces.append(_power(inner, k // g, N // g, K, c))
-        return _sum(pieces, out_prec, self.den)
+        """Substitute ``inner`` (valuation > 0) for x in self, known as far
+        as ``_compose`` says."""
+        p = None if precision is None else rat(precision)
+        N, lo, nums, den, prec = _compose(self, inner, None if p is None else (p.numerator, p.denominator))
+        return _canon(N, lo, nums, den, INF if prec is None else Fraction(*prec))
 
     # -- presentation ---------------------------------------------------------
 
@@ -573,12 +506,22 @@ def _add(a: PuiseuxPoly, b: PuiseuxPoly, sign: int) -> PuiseuxPoly:
     return _canon(N, lo, acc, den, prec)
 
 
-def _sum(pieces, precision, den) -> PuiseuxPoly:
-    """The sum of the forms (N, lo, nums, den), divided by ``den``, on
-    their lcm lattice over their lcm denominator, known to O(x^precision):
-    one ``_canon``."""
+def _over_monomial(s: PuiseuxPoly, m: PuiseuxPoly) -> PuiseuxPoly:
+    """s divided by an exact one-slot m: a respread and a scale."""
+    N = math.lcm(s.N, m.N)
+    c, d = m.nums[0], m.den
+    if c < 0:
+        c, d = -c, -d
+    prec = s.precision if s.precision is INF else s.precision - Fraction(m.lo, m.N)
+    nums = [x * d for x in _spread(s.nums, N // s.N)]
+    return _canon(N, s.lo * (N // s.N) - m.lo * (N // m.N), nums, s.den * c, prec)
+
+
+def _sum(pieces) -> tuple:
+    """The sum of the forms (N, lo, nums, den) as one form on their lcm
+    lattice over their lcm denominator, not yet canonical."""
     if not pieces:
-        return _new(1, 0, (), 1, precision)
+        return 1, 0, [], 1
     N = math.lcm(*(f[0] for f in pieces))
     common = math.lcm(*(f[3] for f in pieces))
     lo = min(f[1] * (N // f[0]) for f in pieces)
@@ -589,28 +532,168 @@ def _sum(pieces, precision, den) -> PuiseuxPoly:
         for k, c in enumerate(nums):
             if c:
                 acc[at + k * s] += c * m
-    return _canon(N, lo, acc, common * den, precision)
+    return N, lo, acc, common
 
 
-def _power(s: PuiseuxPoly, p: int, q: int, K: int, coeff: int = 1) -> tuple:
+def _convolve(a, sa: int, b, sb: int, size: int) -> list:
+    """Slots 0..size-1 of the product of the slot lists a and b, spread
+    by sa and sb onto one lattice."""
+    acc = [0] * max(size, 0)
+    bs = [(j * sb, d) for j, d in enumerate(b) if d]
+    for i, c in enumerate(a):
+        i *= sa
+        if i >= size:
+            break
+        if c:
+            for j, d in bs:
+                if i + j >= size:
+                    break
+                acc[i + j] += c * d
+    return acc
+
+
+def _lesser(p, q):
+    """The smaller of two precisions given as pairs (a, b) for a/b, b > 0,
+    or None for INF."""
+    if p is None or q is None:
+        return q if p is None else p
+    return p if p[0] * q[1] <= q[0] * p[1] else q
+
+
+def _compose(f: PuiseuxPoly, g: PuiseuxPoly, bound) -> tuple:
+    """f(g) as a form (N, lo, nums, den, prec), not yet canonical, known to
+    O(x^prec), prec a pair (a, b) for a/b, b > 0, or None when exact; the
+    caller's ``bound``, a pair or None, caps prec.
+
+    With val(g) = m/n, prec is the least of prec(f)*m/n, (val(f) - 1)*m/n
+    + prec(g) for a truncated g (val(f) read as 1 for a truncated zero f),
+    the bound, and for an exact f(g) with infinitely many terms (g with
+    more than one slot and f with a fractional or negative exponent)
+    DEFAULT_PRECISION*max(m/n, 1).  The term x^(k/N) of f is live when
+    K = ceil((prec - m*k/(n*N))*n) > 0, K its power's slots on g's
+    lattice; every piece is known that far.  A term with an integer
+    exponent j >= 0 takes the next power g^j, an integer convolution cut
+    at prec, any other one ``_power`` with its coefficient folded in, and
+    the pieces are summed on one lattice over one denominator.  The root
+    of g's leading coefficient is taken once per exponent denominator.
+    When g is one slot c0*x^(m/n), every piece is the slot c*c0^(k/N) at
+    index k*m of the lattice 1/(N*n), so f's slots are respread with
+    their root powers and nothing else is computed.
+    """
+    if g.nums:
+        if g.lo <= 0:
+            raise ValueError("compose requires val(inner) > 0")
+    elif g.precision is INF:
+        # inner is exactly 0: only nonnegative-exponent terms survive
+        if f.nums and f.lo < 0:
+            raise ZeroDivisionError("negative exponent at inner = 0")
+        if f.precision <= 0:
+            raise InsufficientPrecision(f"constant term undecidable: element is O(x^{f.precision})")
+        return 1, 0, [f.nums[-f.lo] if 0 <= -f.lo < len(f.nums) else 0], f.den, None
+    elif g.precision <= 0:
+        raise ValueError("compose requires val(inner) > 0")
+    else:
+        g.val()  # raises: a truncated zero has no visible valuation
+    N, m, n = f.N, g.lo, g.N
+    fp, gp = f.precision, g.precision
+    prec = None if fp is INF else (fp.numerator * m, fp.denominator * n)
+    if gp is not INF:
+        w = f.lo - N if f.nums else 0  # (val(f) - 1)*N
+        prec = _lesser(prec, (w * m * gp.denominator + gp.numerator * N * n, N * n * gp.denominator))
+    prec = _lesser(prec, bound)
+    # a fractional or negative exponent expands to an infinite series
+    if prec is None and (N > 1 or f.lo < 0) and len(g.nums) > 1:
+        prec = (DEFAULT_PRECISION.numerator * max(m, n), n)
+    a, b = (None, None) if prec is None else prec
+    roots = {}
+
+    def root(q):
+        r = roots.get(q)
+        if r is None:
+            r = roots[q] = _root(g.nums[0], g.den, q)
+        return r
+
+    if len(g.nums) == 1:
+        vals, dens = [], []
+        for k, c in enumerate(f.nums, f.lo):
+            if a is not None and m * k * b >= a * n * N:
+                break  # this term and every later one live beyond prec
+            d = 1
+            if c:
+                e = math.gcd(k, N)
+                rn, rd = root(N // e)
+                p = k // e
+                if p < 0:
+                    rn, rd, p = rd, rn, -p
+                c, d = c * rn**p, rd**p
+            vals.append(c)
+            dens.append(d)
+        common = math.lcm(*dens)
+        vals = [c * (common // d) for c, d in zip(vals, dens)]
+        return N * n, f.lo * m, _spread(vals, m), common * f.den, prec
+    pieces = []
+    pw, cur = [1], 0  # g**cur on g's lattice, over g.den**cur
+    top = None if a is None else -(-a * n // b)  # g's first lattice index at or past prec
+    for k, c in enumerate(f.nums, f.lo):
+        if not c:
+            continue
+        if a is None:
+            K = 1
+        else:
+            K = -((m * k * b - a * n * N) // (b * N))
+            if K <= 0:
+                break  # this term and every later one live beyond prec
+        if k >= 0 and k % N == 0:
+            while cur < k // N:
+                cur += 1
+                pw = _convolve(pw, 1, g.nums, 1, len(pw) + len(g.nums) - 1 if top is None else top - cur * m)
+            pieces.append((n, cur * m, [c * x for x in pw], g.den**cur))
+        else:
+            e = math.gcd(k, N)
+            pieces.append(_power(g, k // e, N // e, K, c, root(N // e)))
+    M, lo, acc, common = _sum(pieces)
+    return M, lo, acc, common * f.den, prec
+
+
+def _root(num: int, den: int, q: int) -> tuple:
+    """The rational q-th root of num/den, den > 0, as (rn, rd) in lowest
+    terms with rd > 0; NotRepresentable when there is none."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if q > 1:
+        rn = None if num < 0 and q % 2 == 0 else _int_nth_root(abs(num), q)
+        rd = _int_nth_root(den, q)
+        if rn is None or rd is None:
+            raise NotRepresentable(f"{Fraction(num, den)} has no rational {q}-th root")
+        num, den = (rn if num >= 0 else -rn), rd
+    return num, den
+
+
+def _power(s: PuiseuxPoly, p: int, q: int, K: int, coeff: int = 1, root=None) -> tuple:
     """The form (N, lo, nums, den) of the first K slots (none for K <= 0)
     of ``coeff * s**(p/q)``, p/q in lowest terms and s with a visible
-    leading term; NotRepresentable without a rational q-th root of that
-    term's coefficient.
+    leading term; ``root`` is the q-th root of that term's coefficient as
+    ``_root`` gives it, taken here when not given (NotRepresentable
+    without one).
 
     With s = c0*x^v*u, u = 1 + ... a unit and r the root, the power is
     coeff * r**p * x^(v*p/q) * u^(p/q), and ``_unit_power`` reads u^(p/q)
     on the lattice of s.  A unit with no slot past its 1 needs one slot:
-    its truncation, if any, is the caller's precision.
+    its truncation, if any, is the caller's precision.  A/D is brought to
+    lowest terms and the lead's numerator cross-reduced against D before
+    the slots are multiplied, so no slot grows by a factor it sheds again.
     """
-    c0 = Fraction(s.nums[0], s.den)
-    r = nth_root_fraction(c0, q)
-    if r is None:
-        raise NotRepresentable(f"{c0} has no rational {q}-th root")
-    r = r ** p
+    rn, rd = _root(s.nums[0], s.den, q) if root is None else root
+    if p < 0:
+        rn, rd = rd, rn
+    lead, rd = coeff * rn ** abs(p), rd ** abs(p)
     A, D = _unit_power(s.nums, p, q, K if len(s.nums) > 1 else min(K, 1))
-    lead = coeff * r.numerator
-    return s.N * q, s.lo * p, _spread([x * lead for x in A], q), D * r.denominator
+    g = math.gcd(D, *A)
+    h = math.gcd(lead, D // g)
+    lead, D = lead // h, D // g // h
+    if rd < 0:
+        lead, rd = -lead, -rd
+    return s.N * q, s.lo * p, _spread([x // g * lead for x in A], q), D * rd
 
 
 def _unit_power(c: tuple, p: int, q: int, K: int):
@@ -671,15 +754,10 @@ def nth_root_fraction(q: Fraction, n: int):
     q = rat(q)
     if n <= 0:
         raise ValueError("root index must be positive")
-    if n == 1:
-        return q
-    if q < 0 and n % 2 == 0:
+    try:
+        return Fraction(*_root(q.numerator, q.denominator, n))
+    except NotRepresentable:
         return None
-    num = _int_nth_root(abs(q.numerator), n)
-    den = _int_nth_root(q.denominator, n)
-    if num is None or den is None:
-        return None
-    return Fraction(num if q > 0 else -num, den)
 
 
 def _int_nth_root(m: int, n: int):
@@ -698,50 +776,56 @@ def _int_nth_root(m: int, n: int):
 def reversion(phi1: PuiseuxPoly, target_precision=None) -> PuiseuxPoly:
     """Compositional inverse of a germ ``lam*x^n*(1 + h.o.t.)``.
 
-    Returns g with ``g(phi1(x)) = x`` up to the target precision; g has
-    exponents in (1/n)Z.  For n >= 2 a rational n-th root of the leading
-    coefficient is required (NotRepresentable otherwise).
+    Returns g with ``g(phi1(x)) = x`` to the target precision, or to what
+    a truncated germ determines if that is less; g has exponents in
+    (1/n)Z.  It needs a rational n-th root rho of lam (NotRepresentable
+    otherwise), and a rational root of rho for every fractional exponent
+    that a nonzero term of g reads (NotRepresentable naming 1/rho, the
+    leading coefficient of g, otherwise).
+
+    Lagrange inversion (Knuth, TAOCP vol. 2, 4.7), term by term: with
+    phi1 = lam*x^n*U, U = 1 + ... on the lattice 1/N, the term of g at
+    x^((N + k)/(n*N)) is N/(N + k) * rho^(-(N + k)/N) * [x^(k/N)] U^a_k,
+    a_k = -(N + k)/(n*N), read by one ``_unit_power`` run on U's slots.
+    Only a k that is a sum of U's exponents past its 1 can be nonzero, so
+    a monomial germ runs none.
     """
     target = DEFAULT_PRECISION if target_precision is None else rat(target_precision)
     v = phi1.val()
     if v is INF or v <= 0 or v.denominator != 1:
         raise ValueError("germ must have integer valuation n >= 1")
-    n = int(v)
+    n, N, c = int(v), phi1.N, phi1.nums
     lam = phi1.leading_coeff()
-    if n == 1:
-        g = _reversion_simple(phi1, target)
-    else:
-        root = nth_root_fraction(lam, n)
-        if root is None:
-            raise NotRepresentable(f"reversion needs a rational {n}-th root of {lam}")
-        # phi1 = (root * x * unit^(1/n))^n ; invert the inner simple germ
-        unit = phi1.shift(-v).scale(1 / lam)
-        work = max(target * n, Fraction(4))
-        inner = (X * unit.rational_power(Fraction(1, n), work)).scale(root)
-        rev = _reversion_simple(inner, work)
-        g = rev.stretch(Fraction(1, n))
+    rho = nth_root_fraction(lam, n)
+    if rho is None:
+        raise NotRepresentable(f"reversion needs a rational {n}-th root of {lam}")
+    prec = target
+    if phi1.precision is not INF:
+        # the term at k reads U's slots to k: U is known to O(x^(prec(phi1) - n))
+        prec = min(target, (phi1.precision - n + 1) / n)
+    K = _ceil(prec, n * N) - N
+    live = [j for j in range(1, min(K, len(c))) if c[j]]
+    reach = [True] + [False] * max(K - 1, 0)
+    inv, roots = 1 / rho, {}
+    terms = [0] * max(K, 0)
+    for k in range(1, K):
+        reach[k] = any(reach[k - j] for j in live if j <= k)
+    for k in range(K):
+        if not reach[k]:
+            continue
+        e = math.gcd(N + k, n * N)
+        A, D = _unit_power(c, -(N + k) // e, n * N // e, k + 1) if k else ([1], 1)
+        if A[k]:
+            e = math.gcd(k, N)
+            q = N // e
+            if q not in roots:
+                roots[q] = _root(inv.numerator, inv.denominator, q)
+            rn, rd = roots[q]  # (1/rho)^(1/q)
+            p = (N + k) // e
+            terms[k] = Fraction(N * A[k] * rn**p, (N + k) * D * rd**p)
+    den = math.lcm(*(t.denominator for t in terms if t))
+    g = _canon(n * N, N, [t and t.numerator * (den // t.denominator) for t in terms], den, prec)
     check = g.compose(phi1, precision=target)
     if not check.agrees_with(X.truncate_soft(target)):
         raise InsufficientPrecision("reversion failed its self-check")
-    return g.truncate_soft(target)
-
-
-def _reversion_simple(f: PuiseuxPoly, target: Fraction) -> PuiseuxPoly:
-    # Newton iteration g <- g - (f(g) - x) / f'(g) with progressive
-    # precision lifting; quadratic convergence keeps this cheap.
-    c1 = f.leading_coeff()
-    work = target + 1
-    g = X.scale(1 / c1)
-    fp = f.derivative()
-    p = min(Fraction(3), work)
-    for _ in range(200):
-        err = f.compose(g, precision=p) - X
-        if err and err.val_floor() < p:
-            corr = err * fp.compose(g, precision=p).inv(precision=p)
-            g = (g - corr).truncate_soft(p)
-            continue
-        if p >= work:
-            return g.truncate_soft(work)
-        p = min(work, p * 2)
-        g = g._cut(None, p)
-    raise InsufficientPrecision("reversion iteration did not converge")
+    return g

@@ -36,17 +36,25 @@ on its first read (``PushTable.ratio``), by the push it wins or by the
 interval map.  At the centre 0 the coefficients are the fibre map's own,
 and nothing is shifted.  The table owns its ray's map T(t) = r(t)/n,
 kept stretch by stretch between crossings of the lines: a push reads T
-there and builds one Fraction, and the interval map reads the same
+there as the integers (tn, td), and the interval map reads the same
 stretches.  Only the winning ratio is inverted, once, and a winning P_k
 of zero needs no transport:
 
 * It is read to ``O(x^(T*n + 1))``, as an image point keeps only the
-  centre terms below its radius T; it is exact when its denominator is
-  an exact monomial.
-* The inverse of the base germ is read to
+  centre terms below its radius T; over an exact monomial Q_k it is a
+  respread and a scale of P_k's slots (``puiseux._over_monomial``).
+* The inverse g of the base germ must be known to
   ``O(x^(T + 1 + (1 - val(w))/n))``, what composing the winning ratio w
-  with it to ``O(x^(T + 1))`` consumes.  The germ keeps one reversion
-  and grows it geometrically (``BaseGerm.inverse_to``).
+  with it to ``O(x^(T + 1))`` consumes; that bound and T + 1 are
+  compared and passed as integer pairs.  The germ keeps one reversion,
+  Lagrange inversion on the germ's integer slots (``puiseux.reversion``),
+  grows it geometrically and hands it over whole (``BaseGerm.inverse_to``).
+* w(g) is ``puiseux._compose`` on integer slots, and the centre is cut
+  at T by lattice index.  The inverse of a monomial germ lam*x^n is the
+  one slot lam^(-1/n)*x^(1/n), so the transport respreads w's slots
+  with their root powers: no series product and no Miller run.  A push
+  builds no ``Fraction`` when the germ's roots are integers and Q_k is
+  an exact monomial.
 
 The image of a tangent direction is read off the same tables, exactly
 (``pushforward_direction``): between two crossings of a table's lines
@@ -77,7 +85,10 @@ from .errors import DegenerateImage, InsufficientPrecision, SkewstabError, Valid
 from .puiseux import (
     INF,
     PuiseuxPoly,
+    _canon,
     _ceil,
+    _compose,
+    _over_monomial,
     as_series,
     rat,
     reversion,
@@ -120,21 +131,22 @@ class BaseGerm:
     def is_simple(self) -> bool:
         return self.n == 1
 
-    def inverse_to(self, precision) -> PuiseuxPoly:
-        """The compositional inverse of the germ, to O(x^precision).
+    def inverse_to(self, num: int, den: int) -> PuiseuxPoly:
+        """The compositional inverse of the germ, known at least to
+        O(x^(num/den)), den > 0.
 
         The germ keeps one reversion, the most precise computed so far,
-        and truncates it for any lower request.  A higher request
-        recomputes it at no less than twice the kept precision, so a run
-        of rising requests costs about as much as its last one.
+        and returns it whole for any lower request: its reader cuts it.
+        A higher request recomputes it at no less than twice the kept
+        precision, so a run of rising requests costs about as much as its
+        last one, and a request it meets builds no ``Fraction``.
         """
-        precision = rat(precision)
         g = self._inverse
-        if g is None or g.precision < precision:
-            grown = precision if g is None else max(precision, 2 * g.precision)
-            g = reversion(self.series, grown)
+        if g is None or g.precision.numerator * den < num * g.precision.denominator:
+            need = Fraction(num, den)
+            g = reversion(self.series, need if g is None else max(need, 2 * g.precision))
             object.__setattr__(self, "_inverse", g)
-        return g.truncate_soft(precision)
+        return g
 
     def __str__(self):
         return str(self.series)
@@ -571,13 +583,11 @@ def image_point(base: BaseGerm, pk, qk, tn: int, td: int) -> TypeIIPoint:
     """
     if not pk:
         return _point(ZERO, tn, td)
-    T = Fraction(tn, td)
     if qk.precision is INF and len(qk.nums) == 1:
-        # divide by the exact monomial qk: a shift and a scale
-        w = pk.shift(-qk.val()).scale(1 / qk.leading_coeff())
+        w = _over_monomial(pk, qk)
     else:
-        w = pk * qk.inv(precision=max(T * base.n - pk.val(), -qk.val()) + 1)
-    return TypeIIPoint(_transport_center(base, w, T), T)
+        w = pk * qk.inv(precision=max(Fraction(tn * base.n, td) - pk.val(), -qk.val()) + 1)
+    return _point(_transport_center(base, w, tn, td), tn, td)
 
 
 def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
@@ -601,18 +611,19 @@ def pushforward(s: SkewLocal, p: TypeIIPoint) -> TypeIIPoint:
     return image
 
 
-def _transport_center(base: BaseGerm, w: PuiseuxPoly, T: Fraction) -> PuiseuxPoly:
-    """Express the new centre w != 0 in the image coordinate via the
-    inverse germ."""
-    n = base.n
-    # w.compose(g, precision=T + 1) reads g to O(x^(T + 1 + (1 - val(w))/n));
-    # g needs at least its leading term x^(1/n)
-    need = max(T + 1 + (1 - w.val()) / n, Fraction(2))
-    g = base.inverse_to(need)
-    composed = w.compose(g, precision=T + 1)
-    if composed.precision is not INF and composed.precision < T:
+def _transport_center(base: BaseGerm, w: PuiseuxPoly, tn: int, td: int) -> PuiseuxPoly:
+    """The centre w != 0 in the image coordinate, w(g) for g the inverse
+    germ, cut at T = tn/td by lattice index."""
+    n, N = base.n, w.N
+    # w(g) to O(x^(T + 1)) reads g to O(x^(T + 1 + (1 - val(w))/n)); g needs
+    # at least its leading term x^(1/n)
+    d = td * N * n
+    g = base.inverse_to(max((tn + td) * N * n + td * (N - w.lo), 2 * d), d)
+    M, lo, nums, den, prec = _compose(w, g, (tn + td, td))
+    if prec is not None and prec[0] * td < tn * prec[1]:
         raise InsufficientPrecision("transported centre lost too much precision")
-    return composed
+    del nums[max(-(-tn * M // td) - lo, 0):]
+    return _canon(M, lo, nums, den, INF)
 
 
 def pushforward_direction(s: SkewLocal, p: TypeIIPoint, v: Direction) -> Direction:

@@ -179,9 +179,9 @@ class TestExactMapAgainstPushforward:
             winners.append(j)
             return j, v
 
-        def counting_transport(base, w, T):
+        def counting_transport(base, w, tn, td):
             transports.append(w)
-            return transport(base, w, T)
+            return transport(base, w, tn, td)
 
         winner, transport = skew.PushTable.winner, skew._transport_center
         monkeypatch.setattr(skew.PushTable, "winner", counting_winner)

@@ -4,13 +4,14 @@ import math
 import random
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from mapdefs import bundled_links
-from skewstab import skew
+from skewstab import puiseux, skew
 from skewstab.berkovich import TypeIIPoint, direction_at, direction_infinity, direction_to_class
-from skewstab.errors import DegenerateImage, InsufficientPrecision, SkewstabError
+from skewstab.errors import DegenerateImage, InsufficientPrecision, NotRepresentable, SkewstabError
 from skewstab.parsing import parse_definition
 from skewstab.puiseux import DEFAULT_PRECISION, INF, PuiseuxPoly, X, reversion
 from skewstab.roots import poly_eval
@@ -33,6 +34,7 @@ from skewstab.skew import (
 
 ZERO = PuiseuxPoly.zero()
 ONE = PuiseuxPoly.const(1)
+DATA = Path(__file__).with_name("data")
 
 
 def S(*terms):
@@ -514,6 +516,73 @@ def test_pushforward_matches_oracle_over_a_ramified_non_monomial_germ():
         assert got == _outcome(_oracle_pushforward, s, p, inverses, F(16)), f"{p}"
 
 
+def _told(push, *args):
+    """The image, or the type and message of the SkewstabError raised."""
+    try:
+        return push(*args)
+    except SkewstabError as exc:
+        return type(exc), str(exc)
+
+
+def test_pushforward_matches_the_oracle_over_monomial_germs():
+    # lam*x^n with lam = 4, -1, 8 and 2^1100: the inverse germ is one slot,
+    # so every piece of the transport is one slot.  A fractional exponent
+    # needs a root of 1/2 under 4x^2 and 8x^3 and an even root of -1 under
+    # -x^3, and 2^1100 has no rational cube root, so no inverse germ
+    num, den = thm6_map().num, thm6_map().den
+    rng = random.Random(3103)
+    outcomes = set()
+    for lam, n in ((4, 2), (-1, 3), (8, 3), (2**1100, 3)):
+        s = SkewLocal(BaseGerm(S((F(n), F(lam)))), num, den)
+        inverses = {}
+        for den_, gap in SHAPES:
+            p = _shaped_point(rng, den_, gap)
+            got = _told(pushforward, s, p)
+            assert got == _told(_oracle_pushforward, s, p, inverses), f"{lam}*x^{n}: {p}"
+            outcomes.add(got if isinstance(got, tuple) else TypeIIPoint)
+    assert TypeIIPoint in outcomes
+    assert (NotRepresentable, "1/2 has no rational 2-th root") in outcomes
+    assert (NotRepresentable, "1/2 has no rational 6-th root") in outcomes
+    assert any(o[1].startswith("reversion needs a rational 3-th root of ") for o in outcomes if o is not TypeIIPoint)
+
+
+def test_push_through_a_germ_whose_inverse_is_rational_only_below_five_halves():
+    # phi1 = 2x - x^2 + 3x^(5/2) - x^3/2 has the inverse x/2 + x^2/8 +
+    # O(x^(5/2)), and its x^(5/2) term needs a square root of 1/2; phi2 =
+    # y^2.  A transport that reads the inverse below 5/2 has an image, one
+    # that reads it further raises.  It raised at every depth while the
+    # reversion was a Newton iteration run past its target.
+    germ = BaseGerm(S((F(1), F(2)), (F(2), F(-1)), (F(5, 2), F(3)), (F(3), F(-1, 2))))
+    s = SkewLocal(germ, [ZERO, ZERO, ONE], [ONE])
+    assert pushforward(s, Z(X, F(5, 4))) == Z(S((F(2), F(1, 4))), F(9, 4))
+    assert pushforward(s, Z(S((F(1, 2), F(1))), F(3, 4))) == Z(S((F(1), F(1, 2))), F(5, 4))
+    with pytest.raises(NotRepresentable, match="^1/2 has no rational 2-th root$"):
+        pushforward(s, Z(X, F(3)))
+
+
+def test_monomial_germs_push_with_no_series_product(monkeypatch):
+    # a one-term centre over thm6's x^2, p2's -x and w3's x: the ratio is
+    # over an exact monomial, the inverse germ is one slot, and the
+    # transport respreads the centre's slots with their root powers, with
+    # no series product and no Miller run, in reversion or compose
+    assert not hasattr(puiseux, "_reversion_simple")
+    pushes = [
+        (resources.files("skewstab.fixtures") / "thm6.skew", 0, S((F(-1, 2), F(-2))), F(2), Z(S((F(-3, 4), F(-8))), F(1, 2))),
+        (DATA / "p2.skew", 0, S((F(1, 3), F(1))), F(2), Z(S((F(2, 3), F(1)), (F(1), F(-1))), F(7, 3))),
+        (DATA / "p2.skew", 1, S((F(1, 3), F(-2))), F(1), Z(S((F(1), F(8))), F(5, 3))),
+        (DATA / "w3.skew", 0, S((F(1, 3), F(1))), F(3), Z(S((F(1), F(1)), (F(4, 3), F(1))), F(11, 3))),
+    ]
+    # cold germs, whose reversions run in the pushes below
+    pushes = [(parse_definition(path.read_text()).chain.links[j], Z(c, t), image) for path, j, c, t, image in pushes]
+    calls = []
+    mul, unit = PuiseuxPoly.__mul__, puiseux._unit_power
+    monkeypatch.setattr(PuiseuxPoly, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(puiseux, "_unit_power", lambda *args: calls.append("unit") or unit(*args))
+    for s, p, image in pushes:
+        assert pushforward(s, p) == image
+    assert calls == []
+
+
 def test_ratio_known_only_to_the_image_radius_is_expanded_further():
     # (1 + y^2)/y over base x at centres a with val(a) < -2: the winning
     # ratio P_0/Q_0 = (1 + a^2)/a must be known past the radius r.  Its
@@ -966,8 +1035,10 @@ def test_base_germ_keeps_one_growing_reversion(monkeypatch):
     computed = F(0)
     for precision in [F(3), F(5), F(4), F(2), F(7, 2), F(6), F(13), F(1), F(9)]:
         calls = len(asked)
-        g = germ.inverse_to(precision)
-        assert g == reversion(series, precision)
+        g = germ.inverse_to(precision.numerator, precision.denominator)
+        # the kept reversion, whole: the highest asked so far
+        assert g is germ._inverse and g.precision == max(asked)
+        assert g.truncate_soft(precision) == reversion(series, precision)
         if precision > computed:
             assert len(asked) == calls + 1 and asked[-1] >= precision
             computed = asked[-1]
