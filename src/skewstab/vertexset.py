@@ -5,7 +5,8 @@ Level-n vertices are the points with g <= n.  Along a segment these sit
 at the radius exponents p/q with lcm(m, q) <= n, so consecutive ones are
 Farey neighbours; an annulus between adjacent vertices is clean exactly
 when no point with g <= max(g_outer, g_inner) lies strictly inside,
-which the first step of a Farey walk decides.
+which one Farey determinant decides for an annulus on one piece of its
+inner centre, and a Farey walk for any other.
 Smoothness = every special direction of every vertex meets the set, and
 every complement component is a clean disk or annulus.  The checker is
 independent of the hull constructions so the two can audit each other.
@@ -23,8 +24,9 @@ tree of depth d whose nodes have at most k children:
   them, and one stack pass for the parents;
 * ``VertexSet.union`` of k new points with a set that carries its tree:
   k seats on that tree, whose run caches are warm, a join per slot of
-  one point, O(k log n) comparisons of integer keys to merge the points
-  and nodes, one copy of the parent map and one pass for the children;
+  one point, a copy of the parent and children maps in which only the
+  nodes the slots touch are edited, and O(k log n) comparisons of
+  integer keys to merge the points, nodes and edges;
 * ``hull``, ``HullTree.parent_of``/``children_of`` and ``in``: lookups;
 * ``HullTree.seat``: a descent from the top, O(k) comparisons at each
   node with several children, and one join and a bisection over cached
@@ -41,17 +43,22 @@ tree of depth d whose nodes have at most k children:
   child costs one comparison of centres; a ``Direction`` is built only
   for a flank that is missing;
 * ``is_smooth``, ``enumerate_domains``, ``dual_graph``: one pass over the
-  tree; ``is_smooth`` adds, per pair of adjacent vertices, the first
-  step of the lattice walk, and walks on only for a violation, to name
-  its least-level point;
+  tree; ``is_smooth`` adds, per pair of adjacent vertices, one Farey
+  determinant, O(1) int operations, which proves every annulus of a
+  smooth set clean, and walks the lattice only on an annulus it does
+  not, to name the least-level point if there is one;
 * ``segment_lattice_points`` at level N: per piece between the inner
-  centre's slots, of multiplicity m, a walk of the Farey sequence of
-  order N // m on ints, O(1) per point returned.  Its start costs one
+  centre's slots, of multiplicity m (N over a gcd with the slots below
+  it), a walk of the Farey sequence of order N // m on ints, O(1) per
+  point returned, and nothing when N // m < 1.  Its start costs one
   modular inverse when m times the piece's lower end is in that
   sequence, and one pass over the denominators up to N // m otherwise;
-  each point returned costs one gcd and a point, and no ``Fraction``;
+  each point returned costs one gcd and a point, and no ``Fraction``,
+  and a cut piece's centre is built only when the piece has a point;
 * ``smooth_n_convex_hull``: one tree build, then edits of parents and
-  children; a lattice scan per edge and a flank test per vertex, once.
+  children; per edge, once, a Farey determinant and a lattice scan
+  unless it proves the edge clean, and a flank test per vertex; the set
+  and tree it returns come from one sort of the edges by inner node.
 
 The set order, in which a ``VertexSet`` keeps its points and the tree its
 nodes, is ``TypeIIPoint.sort_key``'s, each radius and centre term read
@@ -132,7 +139,7 @@ class VertexSet:
         if not new:
             return self
         vs = object.__new__(VertexSet)
-        object.__setattr__(vs, "points", tuple(_merged(self.points, new)))
+        object.__setattr__(vs, "points", tuple(_merged(self.points, new, _places(self.points, new))))
         object.__setattr__(vs, "_members", self._members.union(new))
         object.__setattr__(vs, "_tree", _grown_by(self._tree, new, vs._members))
         return vs
@@ -278,22 +285,15 @@ def _build_tree(vs: VertexSet) -> HullTree:
         stack.append(p)
     # pts is sorted and a subset of the nodes, so equal sizes mean equal sets
     lst = pts if len(order) == len(pts) else _in_set_order(order)
-    return _tree_from_parents(parent_of, lst, vs._members)
-
-
-def _tree_from_parents(parent_of, lst, vertices) -> HullTree:
-    """The tree on the nodes ``lst``, given in set order, from each
-    node's parent (None at the top)."""
+    # the top comes first in set order, and every other node is the inner
+    # end of one edge
     children_of = {p: [] for p in lst}
     edges = []
-    for p in lst:
+    for p in lst[1:]:
         outer = parent_of[p]
-        if outer is None:
-            top = p
-        else:
-            edges.append((outer, p))
-            children_of[outer].append(p)
-    return HullTree(tuple(lst), tuple(edges), top, vertices, parent_of, children_of)
+        edges.append((outer, p))
+        children_of[outer].append(p)
+    return HullTree(tuple(lst), tuple(edges), lst[0], vs._members, parent_of, children_of)
 
 
 def _grown_by(tree: HullTree, new, vertices) -> HullTree:
@@ -304,11 +304,19 @@ def _grown_by(tree: HullTree, new, vertices) -> HullTree:
     or at nodes spliced into its own slot.  The points of a slot are
     hulled with its lower end, and the hull's top hangs from u; a lone
     point is u itself, a leaf off u, or sits on the edge u-w or off one
-    new junction on it."""
+    new junction on it.
+
+    The maps are copied whole, and only the nodes a slot touches are
+    edited: the new nodes, the lower end w or old top that a slot hangs
+    from a new node, and the parents that gain or lose a child.  The
+    edge of a lower end w changes in place; those of the new nodes and
+    the old top are merged in where their nodes are.
+    """
     slots = {}
     for p in new:
         slots.setdefault(tree.seat(p), []).append(p)
-    parent_of, added = dict(tree.parent_of), []
+    parent_of, children_of = dict(tree.parent_of), dict(tree.children_of)
+    moved = []  # the new nodes, and the old ones hung from a new parent
     for (u, w), pts in slots.items():
         p = pts[0]
         if len(pts) > 1:
@@ -321,19 +329,56 @@ def _grown_by(tree: HullTree, new, vertices) -> HullTree:
         for x, up in ups.items():
             if x != u:  # the top of a slot's hull hangs from u
                 parent_of[x] = u if up is None else up
-        added += [x for x in ups if x not in tree.parent_of]
-    lst = _merged(tree.nodes, _in_set_order(added))
-    return _tree_from_parents(parent_of, lst, vertices)
+                moved.append(x)
+    edited, edges = {}, list(tree.edges)
+
+    def kids(x):  # x's children list, copied on first edit
+        got = edited.get(x)
+        if got is None:
+            got = edited[x] = list(tree.children_of.get(x, ()))
+        return got
+
+    for x in moved:
+        was, up = tree.parent_of.get(x), parent_of[x]
+        if x not in tree.children_of:  # a new node
+            kids(x)
+        if up is not None:  # x goes among the children of up in set order
+            got = kids(up)
+            got.insert(bisect_left(got, True, key=lambda q: _precedes(x, q)), x)
+        if was is not None:  # a lower end w, hung from a new node
+            kids(was).remove(x)
+            # the top comes first in set order, and edge i ends at node i + 1;
+            # w is found by identity before its centre is compared
+            edges[bisect_left(tree.nodes, True, key=lambda q: q is x or not _precedes(q, x)) - 1] = (up, x)
+    children_of.update(edited)
+    added = _in_set_order([x for x in moved if x not in tree.parent_of])
+    at = _places(tree.nodes, added)
+    nodes = _merged(tree.nodes, added, at)
+    # with each node its edge from above (None at a top), the edges merge
+    # as the nodes do; the old top has one when a new node is above it
+    up = parent_of[tree.top]
+    ends = [None if up is None else (up, tree.top), *edges]
+    hung = [None if parent_of[x] is None else (parent_of[x], x) for x in added]
+    return HullTree(tuple(nodes), tuple(_merged(ends, hung, at)[1:]), nodes[0], vertices, parent_of, children_of)
 
 
-def _merged(old, new) -> list:
-    """Two disjoint runs in set order merged, each new point placed by
-    bisection past the one before it."""
-    out, i = [], 0
+def _places(old, new) -> list:
+    """For each of the new points, disjoint from the old ones and both in
+    set order, the index of the first old point past it, found by
+    bisection past the one before."""
+    at, i = [], 0
     for p in new:
-        k = bisect_left(old, True, i, key=lambda q: _precedes(p, q))
+        i = bisect_left(old, True, i, key=lambda q: _precedes(p, q))
+        at.append(i)
+    return at
+
+
+def _merged(old, new, at) -> list:
+    """The new items placed among the old ones before the indices ``at``."""
+    out, i = [], 0
+    for x, k in zip(new, at):
         out += old[i:k]
-        out.append(p)
+        out.append(x)
         i = k
     return out + list(old[i:])
 
@@ -359,10 +404,23 @@ def _in_set_order(points) -> list:
     terms), read as integers on their lattice: the set order of the
     module."""
     points = list(points)
-    if len(points) < 2:
-        return points
+    return sorted(points, key=_set_key(points)) if len(points) > 1 else points
+
+
+def _set_key(points):
+    """The key of the set order on the lattice of the points: (t, centre
+    terms) as integers.  Each centre object is scaled once, in a dict
+    kept for the call; the points of one ray share theirs."""
     n, d = _lattice(points)
-    return sorted(points, key=lambda p: (p.tn * (n // p.td), _scaled(p.center, n, d)))
+    scaled = {}
+
+    def key(p):
+        s = scaled.get(id(p.center))
+        if s is None:
+            s = scaled[id(p.center)] = _scaled(p.center, n, d)
+        return p.tn * (n // p.td), s
+
+    return key
 
 
 def _join_closure(pts):
@@ -394,6 +452,32 @@ def segment_lattice_points(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
     return list(_lattice_walk(outer, inner, bound))
 
 
+def _clean(outer: TypeIIPoint, inner: TypeIIPoint, bound: int) -> bool:
+    """True when the open segment from ``outer`` down to ``inner``, a
+    comparable pair, provably holds no level-`bound` vertex; False when
+    this test does not decide, and ``_lattice_walk`` must.
+
+    Let m = inner.center.N, R = bound // m, a/b = m*outer.t and e/f =
+    m*inner.t in lowest terms.  When no slot of the inner centre lies
+    strictly above outer.t, the segment is one piece of multiplicity m,
+    and its vertices are s/m for s in the Farey sequence of order R
+    strictly between a/b and e/f.  With both ends in that sequence (b, f
+    <= R, so R >= 1), none lies between them exactly when they are
+    neighbours there, e*b - a*f = 1 and b + f > R: every fraction strictly
+    between Farey neighbours has denominator at least b + f (Hardy and
+    Wright, ch. III).  A slot that does lie strictly inside the segment is
+    an integer strictly between a/b and e/f, so they are not neighbours,
+    and the test says False with no check of the pieces.
+    """
+    m = inner.center.N
+    R = bound // m
+    g = math.gcd(m * outer.tn, outer.td)
+    a, b = m * outer.tn // g, outer.td // g
+    g = math.gcd(m * inner.tn, inner.td)
+    e, f = m * inner.tn // g, inner.td // g
+    return b <= R and f <= R and b + f > R and e * b - a * f == 1
+
+
 def _lattice_walk(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
     """Yield the level-`bound` vertices strictly between two comparable
     points, in order of t; ValueError at the first step when they are not.
@@ -402,24 +486,30 @@ def _lattice_walk(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
     lcm(m, q) <= bound, t = k/q in lowest terms and m the multiplicity of
     the centre truncated at t.  The centre's exponents cut the segment
     into pieces (lo, hi], the last open at inner.t, on each of which the
-    truncation is fixed.  On a piece, lcm(m, q) <= bound exactly when
-    m*t has a denominator r <= R = bound // m, so the points are s/m for
-    s in the Farey sequence of order R between m*lo and m*hi.  The walk
-    starts from the Farey pair around m*lo and steps with the next-term
-    recurrence on ints; each point it yields is built from its pair
-    reduced by one gcd, with no ``Fraction``.
+    truncation is fixed; its multiplicity is N over the gcd of N and the
+    slots below hi, for the centre's ramification index N.  On a piece,
+    lcm(m, q) <= bound exactly when m*t has a denominator r <= R =
+    bound // m, so the points are s/m for s in the Farey sequence of
+    order R between m*lo and m*hi, none when R < 1.  The walk starts from
+    the Farey pair around m*lo and steps with the next-term recurrence on
+    ints; each point it yields is built from its pair reduced by one gcd,
+    with no ``Fraction``, and a cut piece's centre is built at its first
+    point.
     """
     if not leq(inner, outer):
         raise ValueError("segment endpoints are not comparable")
     c = inner.center
-    cuts = [c.lo + i for i, k in enumerate(c.nums) if k and (c.lo + i) * outer.td > outer.tn * c.N]
+    N = c.N
+    slots = [c.lo + i for i, k in enumerate(c.nums) if k]
+    cuts = [k for k in slots if k * outer.td > outer.tn * N]
+    # the gcd of N and the slots below the current piece's upper end
+    kept = math.gcd(N, *slots[: len(slots) - len(cuts)])
     ln, ld = outer.tn, outer.td
-    for i, (hn, hd) in enumerate([(k, c.N) for k in cuts] + [(inner.tn, inner.td)]):
+    for i, (hn, hd) in enumerate([(k, N) for k in cuts] + [(inner.tn, inner.td)]):
         at_end = i == len(cuts)
-        center = c if at_end else c._cut(hn, INF)
-        m = center.N
+        m = N // kept
         R = bound // m
-        if R:
+        if R > 0:
             # a/b < e/f: consecutive in the Farey sequence of order R, with
             # a/b <= m*lo < e/f
             g = math.gcd(m * ln, ld)
@@ -437,29 +527,35 @@ def _lattice_walk(outer: TypeIIPoint, inner: TypeIIPoint, bound: int):
                     if (k + 1) * f < e * q:
                         e, f = k + 1, q
             # e/f <= m*hi, and e/f < m*hi on the last piece
-            M = m * hn
+            M, center = m * hn, c if at_end else None
             while e * hd < M * f + (not at_end):
+                if center is None:
+                    center = c._cut(hn, INF)
                 # e/f is in lowest terms, so gcd(e, m*f) = gcd(e, m)
                 g = math.gcd(e, m)
                 yield _point(center, e // g, m * f // g)
                 k = (R + b) // f
                 a, b, e, f = e, f, k * e - a, k * f - b
+        kept = math.gcd(kept, hn)
         ln, ld = hn, hd
 
 
 def _fill(parent_of, children_of, edges, n: int) -> list:
     """Hang the level-n vertices strictly inside each (outer, inner) edge
-    on the tree given by its parent and children maps; returns them."""
+    on the tree given by its parent and children maps; returns them, each
+    with its list of children.  An edge the Farey determinant proves
+    clean is not walked."""
     added = []
     for outer, inner in edges:
-        inside = segment_lattice_points(outer, inner, n)
+        inside = [] if _clean(outer, inner, n) else segment_lattice_points(outer, inner, n)
         if inside:
             path = [outer, *inside, inner]
             kids = children_of[outer]
             kids[kids.index(inner)] = inside[0]
             parent_of.update(zip(path[1:], path))
-            children_of.update((up, [down]) for up, down in zip(inside, path[2:]))
-            added += inside
+            below = [[down] for down in path[2:]]
+            children_of.update(zip(inside, below))
+            added += zip(inside, below)
     return added
 
 
@@ -468,10 +564,24 @@ def _maps(tree: HullTree):
     return dict(tree.parent_of), {p: list(c) for p, c in tree.children_of.items()}
 
 
-def _grown(parent_of) -> VertexSet:
-    """The nodes of a grown tree as a set, carrying that tree."""
-    vs = VertexSet(parent_of)
-    object.__setattr__(vs, "_tree", _tree_from_parents(parent_of, vs.points, vs._members))
+def _grown(parent_of, children_of, top) -> VertexSet:
+    """The nodes of a grown tree as a set, carrying that tree, from its
+    parent and children maps and its top; lists of several children are
+    put in set order.  The top comes first in set order, and every other
+    node is the inner end of one edge, so sorting the edges read off the
+    children lists by inner node orders the nodes too, and no node is
+    looked up."""
+    key = _set_key(parent_of)
+    ranked = sorted([(key(w), u, w) for u, kids in children_of.items() for w in kids])
+    for kids in children_of.values():
+        if len(kids) > 1:
+            kids.sort(key=key)
+    vs = object.__new__(VertexSet)
+    object.__setattr__(vs, "points", (top, *[w for _k, _u, w in ranked]))
+    object.__setattr__(vs, "_members", frozenset(parent_of))
+    edges = tuple([(u, w) for _k, u, w in ranked])
+    tree = HullTree(vs.points, edges, top, vs._members, parent_of, children_of)
+    object.__setattr__(vs, "_tree", tree)
     return vs
 
 
@@ -479,7 +589,7 @@ def _filled(tree: HullTree, n: int) -> VertexSet:
     """The nodes of the tree and the level-n vertices along its edges."""
     parent_of, children_of = _maps(tree)
     _fill(parent_of, children_of, tree.edges, n)
-    return _grown(parent_of)
+    return _grown(parent_of, children_of, tree.top)
 
 
 def tree_lattice_points(points, n: int) -> VertexSet:
@@ -627,19 +737,22 @@ def is_smooth(gammas) -> SmoothnessReport:
                     f"component between {a} and {b} is not a disk or annulus",
                 )
             )
-    g = {p: g_point(p) for p in vs}
-    for inner in vs:
-        outer = tree.parent_of[inner]
-        while outer is not None and outer not in tree.vertices:
-            outer = tree.parent_of[outer]
-        if outer is None:
-            continue
-        cap = max(g[outer], g[inner])
-        walk = _lattice_walk(outer, inner, cap)
-        first = next(walk, None)
-        if first is not None:
+    if len(tree.nodes) == len(vs):  # each edge joins two vertices
+        pairs = tree.edges
+    else:  # pair each vertex with the nearest vertex above it
+        pairs = []
+        for inner in vs:
+            outer = tree.parent_of[inner]
+            while outer is not None and outer not in tree.vertices:
+                outer = tree.parent_of[outer]
+            if outer is not None:
+                pairs.append((outer, inner))
+    for outer, inner in pairs:
+        cap = max(math.lcm(outer.center.N, outer.td), math.lcm(inner.center.N, inner.td))
+        inside = [] if _clean(outer, inner, cap) else segment_lattice_points(outer, inner, cap)
+        if inside:
             # the first of least level, in order of t
-            witness = min([first, *walk], key=g_point)
+            witness = min(inside, key=g_point)
             violations.append(
                 Violation(
                     "interior-vertex",
@@ -649,7 +762,7 @@ def is_smooth(gammas) -> SmoothnessReport:
                 )
             )
     for p in vs:
-        for v, flank in missing_flanks(p, vs):
+        for v, flank in _missing(p, tree.children_of[p], tree.top):
             where = "at infinity" if v.at_infinity else f"towards {v.rep}"
             violations.append(
                 Violation(
@@ -683,22 +796,26 @@ def smooth_n_convex_hull(points, n: int) -> VertexSet:
     _check_level(vs, n)
     tree = hull(vs)
     parent_of, children_of = _maps(tree)
-    top, edges, fresh, trace = tree.top, tree.edges, list(tree.nodes), []
+    top, edges, trace = tree.top, tree.edges, []
+    fresh = [(p, children_of[p]) for p in tree.nodes]  # each with its children
     for _ in range(_SMOOTH_HULL_ROUNDS):
         fresh += _fill(parent_of, children_of, edges, n)
-        flanks = [(p, v, f) for p in fresh for v, f in _missing(p, children_of[p], top)]
+        flanks = [(p, kids, v, f) for p, kids in fresh for v, f in _missing(p, kids, top)]
         if not flanks:
-            return _grown(parent_of)
+            return _grown(parent_of, children_of, top)
         edges, fresh = [], []
-        for p, v, f in flanks:
+        for p, kids, v, f in flanks:
             if v.at_infinity:  # p is the top
-                parent_of[p], parent_of[f], children_of[f], top = f, None, [p], f
+                parent_of[p], parent_of[f], top = f, None, f
                 edges.append((f, p))
+                below = [p]
             else:
-                parent_of[f], children_of[f] = p, []
-                children_of[p].append(f)
+                parent_of[f] = p
+                kids.append(f)
                 edges.append((p, f))
-            fresh.append(f)
+                below = []
+            children_of[f] = below
+            fresh.append((f, below))
         trace.append(len(parent_of))
     raise RoundCapExceeded(
         f"smooth hull did not stabilise within {_SMOOTH_HULL_ROUNDS} rounds", trace

@@ -437,6 +437,16 @@ GOLDEN_RUNS = [
     # emptiness test with two interior-vertex witnesses, one on a cut piece
     ["smooth-hull", "thm6", "-n", "24", "--points", "zeta(x^(1/3)+x^(5/6),2),zeta(x^(-1/2),1)"],
     ["check-smooth", "thm6", "--points", "zeta(0,3),zeta(x^(1/3)+x^(5/6),2),zeta(x^(-1/2),1)"],
+    # 180 clean annuli, each decided by one Farey determinant; then three
+    # points added on and off its edges, whose interior-vertex witnesses
+    # fall on pieces of multiplicity 1, 3 and 6 (the last on a cut piece)
+    ["check-smooth", "bench/data/thm6_level24.skew"],
+    [
+        "check-smooth",
+        "bench/data/thm6_level24.skew",
+        "--points",
+        "zeta(0,1/50),zeta(2*x^(1/3),1),zeta(x^(1/6)+x^(1/2),2)",
+    ],
     ["check-smooth", "thm6"],
     ["domains", "thm6"],
     ["dual-graph", "thm6"],

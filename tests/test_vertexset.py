@@ -696,21 +696,25 @@ class TestSetOrder:
 # -- round loop and per-candidate scan they replaced ------------------------
 
 
-def _oracle_segment_lattice_points(outer, inner, bound):
-    """Every k/q in range for every q <= bound, each built as a point and
-    kept when its level is at most the bound."""
-    found = {}
+def _oracle_level_points(outer, inner, bound):
+    """Every k/q in range and in lowest terms for every q <= bound, each
+    built as a point and yielded when its level is at most the bound, by
+    q and then k."""
     for q in range(1, bound + 1):
         k = math.ceil(outer.t * q)
         while F(k, q) <= inner.t:
             s = F(k, q)
             k += 1
-            if s == outer.t or s == inner.t or s in found:
+            if s == outer.t or s == inner.t or s.denominator < q:
                 continue
             p = TypeIIPoint(inner.center, s)
             if math.lcm(m_point(p), s.denominator) <= bound:
-                found[s] = p
-    return [found[s] for s in sorted(found)]
+                yield p
+
+
+def _oracle_segment_lattice_points(outer, inner, bound):
+    """The points of ``_oracle_level_points`` in order of t."""
+    return sorted(_oracle_level_points(outer, inner, bound), key=lambda p: p.t)
 
 
 def _walk_is_empty(outer, inner, bound):
@@ -915,6 +919,91 @@ class TestFareyWalk:
         for outer, inner in ((a, b), (b, a), (zeta(ZERO, 2), GAUSS)):
             with pytest.raises(ValueError, match="^segment endpoints are not comparable$"):
                 segment_lattice_points(outer, inner, 6)
+
+
+# -- one Farey determinant for the emptiness of a segment -----------------
+
+
+def _farey_ends(outer, inner, bound):
+    """(a, b, e, f, R): m*outer.t = a/b and m*inner.t = e/f in lowest
+    terms, for m the inner centre's multiplicity, and R = bound // m."""
+    m = inner.center.N
+    lo, hi = m * outer.t, m * inner.t
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator, bound // m
+
+
+def _one_piece(outer, inner):
+    return all(e <= outer.t for e, _c in inner.center.terms)
+
+
+def _determinant_segments():
+    """Hull edges of seeded sets, the edges of their smooth hulls, and the
+    multi-piece and negative-radius segments."""
+    yield GAUSS, _MULTI_PIECE_INNER
+    yield from _NEGATIVE_RADIUS_SEGMENTS
+    for pts, n in _criterion6_sets(812, 50):
+        yield from hull(pts).edges
+        yield from smooth_n_convex_hull(pts, n).tree().edges[:12]
+
+
+class TestFareyDeterminant:
+    def test_clean_only_where_the_oracle_finds_no_point(self):
+        seen = Counter()
+        for outer, inner in _determinant_segments():
+            for bound in [-2, 0, *range(1, 61)]:
+                empty = next(_oracle_level_points(outer, inner, bound), None) is None
+                got = vertexset._clean(outer, inner, bound)
+                where = f"{outer} to {inner} at {bound}"
+                assert not got or empty, where
+                a, b, e, f, R = _farey_ends(outer, inner, bound)
+                if not _one_piece(outer, inner):
+                    assert not got, where
+                    seen["several pieces"] += 1
+                elif b > R or f > R:
+                    # an end off the Farey sequence of order R: the walk decides
+                    assert not got, where
+                    seen["end off the sequence"] += 1
+                else:
+                    # both ends are terms: the determinant decides, either way
+                    assert got == empty, where
+                    neighbours = e * b - a * f == 1
+                    kind = "clean" if got else "mediant inside" if neighbours else "apart"
+                    seen[kind] += 1
+                    # the mediant's denominator is R itself: b + f > R is strict
+                    seen["mediant of denominator R"] += neighbours and b + f == R
+        assert seen.keys() == {
+            "several pieces",
+            "end off the sequence",
+            "clean",
+            "mediant inside",
+            "mediant of denominator R",
+            "apart",
+        }
+        assert min(seen.values()) > 100, seen
+
+    def test_no_point_below_level_one(self):
+        # R = bound // m < 1 leaves no Farey sequence to walk
+        segments = [(GAUSS, zeta(ZERO, 5)), (GAUSS, _MULTI_PIECE_INNER), *_NEGATIVE_RADIUS_SEGMENTS]
+        for outer, inner in segments:
+            for bound in range(-12, 1):
+                assert segment_lattice_points(outer, inner, bound) == [], (str(outer), str(inner), bound)
+                assert not vertexset._clean(outer, inner, bound)
+
+    def test_is_smooth_walks_no_segment_of_a_smooth_hull(self, monkeypatch):
+        walks = []
+        walk = vertexset._lattice_walk
+
+        def counting(outer, inner, bound):
+            walks.append((outer, inner, bound))
+            return walk(outer, inner, bound)
+
+        sets = [_thm6_level24_hull(), *(smooth_n_convex_hull(p, n) for p, n in _criterion6_sets(813, 30))]
+        broken = sets[0].union([zeta(ZERO, F(1, 50))])  # an edge down to 1/24 holds 1/25
+        monkeypatch.setattr(vertexset, "_lattice_walk", counting)
+        assert len(sets[0]) == 181 and all(is_smooth(vs) for vs in sets)
+        assert walks == []
+        assert str(is_smooth(broken)).startswith("not smooth: interior-vertex at zeta(0, 1/25)")
+        assert walks == [(zeta(ZERO, F(1, 50)), zeta(ZERO, F(1, 24)), 50)]
 
 
 # -- the stored form: integer radii from every producer --------------------
